@@ -5,74 +5,22 @@ requirements, `solve` returns a cheapest integer capacity assignment on
 terminal pairs whose min-cuts meet every requirement, together with the
 certificates used along the way. Requires every tree cut to carry a
 requirement of at least 2.
+
+This namespace holds the documented API; everything else is imported from its
+submodule.
 """
 
 from .errors import (
-    DuplicateRequirement,
-    EmptyOrFullCut,
     InvalidInstance,
-    NegativeLength,
-    NoSplittablePair,
-    NotANeighbor,
-    NotATree,
     ParseError,
     PreconditionViolated,
-    ResidualInnerDegree,
-    SameNode,
-    SelfRequirement,
     SolverInternalError,
-    TerminalNotInTree,
     TooLarge,
     TreeSynthError,
-    UnknownEdge,
     UnknownNode,
-    UnknownTerminalPair,
-    ValueOne,
 )
-from .model import (
-    EdgeCapacity,
-    Instance,
-    MetricTree,
-    Realization,
-    RequirementMatrix,
-    build_instance,
-    node_pair,
-)
-from .join import (
-    JoinResult,
-    ParityInstance,
-    brute_force_join,
-    min_cost_ij_join,
-    parity_sets,
-    satisfies_parity,
-)
-from .maxflow import (
-    CapacitatedMultigraph,
-    all_pairs_connectivity,
-    connectivity_snapshot,
-    max_flow,
-)
-from .splitoff import (
-    SplitState,
-    admissible_amount,
-    expand_capacity_graph,
-    extract_realization,
-    realize_capacity,
-    split_node,
-)
-from .solver import Solution, check_preconditions, optimal_cost_formula, solve, solve_and_check
-from .verify import (
-    brute_force_insp,
-    capacity_projection,
-    fractional_lower_bound,
-    uniform_integer_formula,
-    verify_feasible_capacity,
-    verify_realization,
-)
-from .cli import (
-    generate_document,
-    instance_document,
-    instance_hash,
-    parse_instance,
-    run,
-)
+from .model import Instance, Realization, build_instance
+from .join import min_cost_ij_join
+from .solver import Solution, optimal_cost_formula, solve, solve_and_check
+from .verify import brute_force_insp, fractional_lower_bound, verify_realization
+from .cli import generate_document, parse_instance

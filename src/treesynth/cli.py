@@ -13,16 +13,10 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import (
-    NoSplittablePair,
-    ParseError,
-    PreconditionViolated,
-    SolverInternalError,
-    TreeSynthError,
-)
+from .errors import ParseError, PreconditionViolated, SolverInternalError, TreeSynthError
 from .join import ParityInstance, min_cost_ij_join
 from .model import Realization, build_instance, node_pair
-from .solver import check_preconditions, optimal_cost_formula, solve
+from .solver import check_preconditions, optimal_cost_formula, solve, solve_and_check
 from .verify import fractional_lower_bound, verify_realization
 
 FORMAT_VERSION = "insp-json-v1"
@@ -284,19 +278,10 @@ def _realization_rows(realization):
 
 def _cmd_solve(args):
     instance = _load_instance(args.instance)
-    on_split = None
+    solution = (solve_and_check if args.check else solve)(instance)
     if args.trace:
-        def on_split(state, u, w, amount):
-            _diag(f"split {state.active} {u} {w} {amount}")
-    solution = solve(instance, on_split=on_split)
-    if args.check:
-        violations = verify_realization(instance, solution.realization)
-        if violations:
-            _diag(f"internal check failed: realization violates {violations}")
-            return 4
-        if optimal_cost_formula(instance) != solution.cost:
-            _diag("internal check failed: formula value drifted from the solution cost")
-            return 4
+        for node, u, w, amount in solution.trace:
+            _diag(f"split {node} {u} {w} {amount}")
     _emit(
         {
             "status": "ok",
@@ -453,7 +438,7 @@ def run(argv=None):
     except PreconditionViolated as exc:
         _diag(f"precondition violated: {exc}")
         return 2
-    except (SolverInternalError, NoSplittablePair, AssertionError) as exc:
+    except (SolverInternalError, AssertionError) as exc:
         _diag(f"internal invariant failure: {exc}")
         return 4
     except TreeSynthError as exc:

@@ -1,64 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+One class per distinction a caller makes. The CLI maps
+`PreconditionViolated` to exit 2, `SolverInternalError` to exit 4 and every
+other `TreeSynthError` to exit 1.
+"""
 
 
 class TreeSynthError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
+class ParseError(TreeSynthError):
+    """An instance document is malformed."""
+
+
 class InvalidInstance(TreeSynthError):
-    """Instance-level data is malformed (empty terminals, bad values, ...)."""
-
-
-class NotATree(TreeSynthError):
-    """Edge list is not a tree: cycle, disconnection, self-loop, or duplicate edge."""
-
-
-class NegativeLength(TreeSynthError):
-    """An edge length is negative."""
-
-
-class TerminalNotInTree(TreeSynthError):
-    """A terminal does not appear among the tree nodes."""
-
-
-class DuplicateRequirement(TreeSynthError):
-    """The same unordered terminal pair carries two requirement entries."""
-
-
-class SelfRequirement(TreeSynthError):
-    """A requirement pairs a terminal with itself."""
+    """Instance data is malformed: not a tree, a negative length, a terminal
+    missing from the tree, a duplicate or self-paired requirement, a bad value."""
 
 
 class UnknownNode(TreeSynthError):
-    """A node identifier is not known to the structure being queried."""
-
-
-class UnknownEdge(TreeSynthError):
-    """An edge is not part of the tree being queried."""
-
-
-class UnknownTerminalPair(TreeSynthError):
-    """A realization entry references a pair outside the terminal set."""
-
-
-class EmptyOrFullCut(TreeSynthError):
-    """A cut side must be a nonempty proper subset of the terminals."""
-
-
-class SameNode(TreeSynthError):
-    """Flow endpoints must differ."""
-
-
-class NotANeighbor(TreeSynthError):
-    """Split endpoints must currently neighbor the active node."""
-
-
-class NoSplittablePair(TreeSynthError):
-    """No neighbor pair admits a positive split; the input violates a precondition."""
-
-
-class ResidualInnerDegree(TreeSynthError):
-    """A non-terminal node still carries capacity after elimination."""
+    """A node, edge or pair is not part of the structure being queried, or
+    query arguments are degenerate (equal flow endpoints, an empty or full
+    cut side, a split endpoint that does not neighbor the active node)."""
 
 
 class PreconditionViolated(TreeSynthError):
@@ -78,16 +42,9 @@ class PreconditionViolated(TreeSynthError):
 
 
 class SolverInternalError(TreeSynthError):
-    """An internal cross-check failed; the result cannot be trusted."""
-
-
-class ValueOne(TreeSynthError):
-    """The closed-form star cost is undefined when some requirement maximum is 1."""
+    """An internal invariant failed (no admissible split, residual inner
+    degree, a cross-check mismatch); the result cannot be trusted."""
 
 
 class TooLarge(TreeSynthError):
     """Input exceeds the size guard of an exhaustive routine."""
-
-
-class ParseError(TreeSynthError):
-    """An instance document is malformed."""

@@ -6,11 +6,7 @@ may be stored but carry no flow and never count toward degrees.
 
 from collections import deque
 
-from .errors import SameNode, UnknownNode
-
-
-def _pair(u, v):
-    return (u, v) if u <= v else (v, u)
+from .errors import UnknownNode
 
 
 class CapacitatedMultigraph:
@@ -118,7 +114,6 @@ def _dinic(adj, source, sink):
                 to.append(ui)
                 cap.append(c)
     s, t = index[source], index[sink]
-    big = sum(cap) + 1
     flow = 0
     while True:
         level = [-1] * n
@@ -135,26 +130,33 @@ def _dinic(adj, source, sink):
             side = frozenset(names[i] for i in range(n) if level[i] >= 0)
             return flow, side
         pointer = [0] * n
-
-        def push(x, limit):
-            if x == t:
-                return limit
-            while pointer[x] < len(head[x]):
-                a = head[x][pointer[x]]
-                y = to[a]
-                if cap[a] > 0 and level[y] == level[x] + 1:
-                    moved = push(y, min(limit, cap[a]))
-                    if moved > 0:
-                        cap[a] -= moved
-                        cap[a ^ 1] += moved
-                        return moved
-                pointer[x] += 1
-            return 0
-
         while True:
-            moved = push(s, big)
-            if moved == 0:
+            # depth-first search for one augmenting path in the level graph,
+            # kept as an explicit arc stack so path length is unbounded
+            path = []
+            x = s
+            while x != t:
+                arcs = head[x]
+                while pointer[x] < len(arcs):
+                    a = arcs[pointer[x]]
+                    if cap[a] > 0 and level[to[a]] == level[x] + 1:
+                        break
+                    pointer[x] += 1
+                else:
+                    if x == s:
+                        break
+                    # dead end: retreat and skip the arc that led here
+                    x = to[path.pop() ^ 1]
+                    pointer[x] += 1
+                    continue
+                path.append(a)
+                x = to[a]
+            if x != t:
                 break
+            moved = min(cap[a] for a in path)
+            for a in path:
+                cap[a] -= moved
+                cap[a ^ 1] += moved
             flow += moved
 
 
@@ -165,7 +167,7 @@ def max_flow(graph, s, t):
     if t not in graph:
         raise UnknownNode(f"unknown node {t!r}")
     if s == t:
-        raise SameNode(f"flow endpoints must differ, got {s!r} twice")
+        raise UnknownNode(f"flow endpoints must differ, got {s!r} twice")
     value, _ = _dinic(graph._adj, s, t)
     return value
 

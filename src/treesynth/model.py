@@ -8,18 +8,7 @@ after construction.
 from collections import deque
 from fractions import Fraction
 
-from .errors import (
-    DuplicateRequirement,
-    EmptyOrFullCut,
-    InvalidInstance,
-    NegativeLength,
-    NotATree,
-    SelfRequirement,
-    TerminalNotInTree,
-    UnknownEdge,
-    UnknownNode,
-    UnknownTerminalPair,
-)
+from .errors import InvalidInstance, UnknownNode
 
 
 def node_pair(u, v):
@@ -54,9 +43,9 @@ class MetricTree:
         self.nodes = tuple(nodes)
         node_set = set(self.nodes)
         if not self.nodes:
-            raise NotATree("a tree needs at least one node")
+            raise InvalidInstance("a tree needs at least one node")
         if len(node_set) != len(self.nodes):
-            raise NotATree("duplicate node identifiers")
+            raise InvalidInstance("duplicate node identifiers")
         if root not in node_set:
             raise UnknownNode(f"root {root!r} is not a tree node")
         self.root = root
@@ -68,19 +57,19 @@ class MetricTree:
             if u not in node_set or v not in node_set:
                 raise UnknownNode(f"edge {u!r}-{v!r} has an endpoint outside the node list")
             if u == v:
-                raise NotATree(f"self-loop at {u!r}")
+                raise InvalidInstance(f"self-loop at {u!r}")
             e = node_pair(u, v)
             if e in lengths:
-                raise NotATree(f"duplicate edge {e[0]}-{e[1]}")
+                raise InvalidInstance(f"duplicate edge {e[0]}-{e[1]}")
             length = as_length(raw)
             if length < 0:
-                raise NegativeLength(f"edge {e[0]}-{e[1]} has negative length {length}")
+                raise InvalidInstance(f"edge {e[0]}-{e[1]} has negative length {length}")
             lengths[e] = length
             adj[u][v] = length
             adj[v][u] = length
             order.append(e)
         if len(order) != len(self.nodes) - 1:
-            raise NotATree(
+            raise InvalidInstance(
                 f"{len(self.nodes)} nodes need {len(self.nodes) - 1} edges, got {len(order)}"
             )
         # edge count is right, so connectivity alone rules out cycles
@@ -93,7 +82,7 @@ class MetricTree:
                     seen.add(y)
                     queue.append(y)
         if len(seen) != len(self.nodes):
-            raise NotATree("edge list is disconnected")
+            raise InvalidInstance("edge list is disconnected")
 
         self.edges = tuple(order)
         self.lengths = lengths
@@ -152,7 +141,7 @@ class MetricTree:
         """Tree nodes reachable from `start` without crossing `edge`."""
         e = node_pair(*edge)
         if e not in self.lengths:
-            raise UnknownEdge(f"{edge!r} is not a tree edge")
+            raise UnknownNode(f"{edge!r} is not a tree edge")
         if start not in self._adj:
             raise UnknownNode(f"unknown tree node {start!r}")
         seen = {start}
@@ -178,14 +167,14 @@ class RequirementMatrix:
         seen = set()
         for s, t, r in triples:
             if s == t:
-                raise SelfRequirement(f"requirement pairs {s!r} with itself")
+                raise InvalidInstance(f"requirement pairs {s!r} with itself")
             if isinstance(r, bool) or not isinstance(r, int):
                 raise InvalidInstance(f"requirement r({s!r},{t!r}) must be an int, got {r!r}")
             if r < 0:
                 raise InvalidInstance(f"requirement r({s!r},{t!r}) is negative")
             e = node_pair(s, t)
             if e in seen:
-                raise DuplicateRequirement(f"pair {e[0]}-{e[1]} appears twice")
+                raise InvalidInstance(f"pair {e[0]}-{e[1]} appears twice")
             seen.add(e)
             if r > 0:
                 values[e] = r
@@ -228,7 +217,7 @@ class Instance:
         node_set = set(tree.nodes)
         for t in self.terminals:
             if t not in node_set:
-                raise TerminalNotInTree(f"terminal {t!r} is missing from the tree")
+                raise InvalidInstance(f"terminal {t!r} is missing from the tree")
         self.terminal_set = frozenset(self.terminals)
         if tree.root not in self.terminal_set:
             raise InvalidInstance(f"tree root {tree.root!r} must be a terminal")
@@ -280,7 +269,7 @@ class Instance:
         if stray:
             raise UnknownNode(f"cut side contains non-terminals: {sorted(stray)!r}")
         if not side or side == self.terminal_set:
-            raise EmptyOrFullCut("cut side must be a nonempty proper subset of the terminals")
+            raise UnknownNode("cut side must be a nonempty proper subset of the terminals")
         best = 0
         for (s, t), r in self.requirements.pairs():
             if r > best and (s in side) != (t in side):
@@ -299,7 +288,7 @@ class Instance:
         total = Fraction(0)
         for (i, j), value in realization.items():
             if i not in self.terminal_set or j not in self.terminal_set:
-                raise UnknownTerminalPair(f"{i!r}-{j!r} is not a terminal pair")
+                raise UnknownNode(f"{i!r}-{j!r} is not a terminal pair")
             total += self.tree.distance(i, j) * value
         return total
 
@@ -312,7 +301,7 @@ class EdgeCapacity:
         for edge, value in values.items():
             e = node_pair(*edge)
             if e not in tree.lengths:
-                raise UnknownEdge(f"{edge!r} is not an edge of the tree")
+                raise UnknownNode(f"{edge!r} is not an edge of the tree")
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidInstance(f"capacity on {e} must be an int, got {value!r}")
             if value < 0:
@@ -320,14 +309,14 @@ class EdgeCapacity:
             cleaned[e] = value
         missing = set(tree.edges) - set(cleaned)
         if missing:
-            raise UnknownEdge(f"capacity missing for edges: {sorted(missing)!r}")
+            raise UnknownNode(f"capacity missing for edges: {sorted(missing)!r}")
         self.tree = tree
         self.values = cleaned
 
     def __getitem__(self, edge):
         e = node_pair(*edge)
         if e not in self.values:
-            raise UnknownEdge(f"{edge!r} is not an edge of the tree")
+            raise UnknownNode(f"{edge!r} is not an edge of the tree")
         return self.values[e]
 
     def items(self):
@@ -418,7 +407,7 @@ def build_instance(terminals, tree_nodes, tree_edges, requirements=()):
     node_set = set(node_list)
     for t in terminals:
         if t not in node_set:
-            raise TerminalNotInTree(f"terminal {t!r} is missing from the tree nodes")
+            raise InvalidInstance(f"terminal {t!r} is missing from the tree nodes")
     tree = MetricTree(node_list, tree_edges, terminals[0])
     tree = _prune_non_terminal_leaves(tree, set(terminals))
     matrix = RequirementMatrix(requirements)

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoSplittablePair, PreconditionViolated, SolverInternalError
+from .errors import PreconditionViolated, SolverInternalError
 from .join import JoinResult, min_cost_ij_join, parity_sets
 from .model import EdgeCapacity, Realization
 from .splitoff import realize_capacity
@@ -56,14 +56,14 @@ def optimal_cost_formula(instance):
     return base.cost() + _min_parity_join(instance, base).cost
 
 
-def solve(instance, on_split=None):
+def solve(instance):
     """Compute a minimum-cost integer realization with its certificates.
 
     Pipeline: per-edge cut requirements, +1 on a minimum parity join to make
     every inner load even, then split off the inner nodes. The resulting
     capacity is re-verified for feasibility, and the realization cost must
     equal the closed-form optimum exactly or SolverInternalError aborts the
-    run. `on_split(state, u, w, amount)` is called after every split.
+    run.
     """
     bad = check_preconditions(instance)
     if bad:
@@ -74,10 +74,7 @@ def solve(instance, on_split=None):
     problems = verify_feasible_capacity(instance, capacity)
     if problems:
         raise SolverInternalError(f"chosen capacity is not feasible: {problems}")
-    try:
-        realization, trace = realize_capacity(instance, capacity, on_split=on_split)
-    except NoSplittablePair as exc:
-        raise SolverInternalError(str(exc)) from exc
+    realization, trace = realize_capacity(instance, capacity)
     cost = instance.realization_cost(realization)
     formula_cost = base.cost() + join.cost
     if cost != formula_cost:
@@ -94,9 +91,9 @@ def solve(instance, on_split=None):
     )
 
 
-def solve_and_check(instance, on_split=None):
+def solve_and_check(instance):
     """`solve` plus an independent max-flow feasibility audit of the result."""
-    solution = solve(instance, on_split=on_split)
+    solution = solve(instance)
     violations = verify_realization(instance, solution.realization)
     if violations:
         raise SolverInternalError(f"solution fails verification: {violations}")

@@ -9,7 +9,7 @@ nodes.
 
 from itertools import combinations_with_replacement
 
-from .errors import NoSplittablePair, NotANeighbor, ResidualInnerDegree, UnknownNode
+from .errors import SolverInternalError, UnknownNode
 from .maxflow import CapacitatedMultigraph, connectivity_snapshot, max_flow
 from .model import Realization, node_pair
 
@@ -18,29 +18,18 @@ class SplitState:
     """Mutable bookkeeping while one node is being eliminated.
 
     `demands` maps node pairs (never touching the active node) to the
-    connectivity that must survive every split; by default it is the snapshot
-    of the graph at activation. `events` records executed splits as
-    (u, w, amount) triples in order.
+    connectivity that must survive every split: the snapshot of the graph at
+    activation. `events` records executed splits as (u, w, amount) triples in
+    order.
     """
 
-    def __init__(self, graph, active_node, demands=None):
+    def __init__(self, graph, active_node):
         if active_node not in graph:
             raise UnknownNode(f"unknown node {active_node!r}")
-        if demands is None:
-            demands = connectivity_snapshot(graph, active_node)
-        else:
-            demands = {node_pair(*p): int(v) for p, v in dict(demands).items()}
-            for (x, y), v in demands.items():
-                if active_node in (x, y):
-                    raise ValueError(f"demand {x!r}-{y!r} touches the active node")
-                if x not in graph or y not in graph:
-                    raise UnknownNode(f"demand pair {x!r}-{y!r} outside the graph")
-                if v < 0:
-                    raise ValueError(f"negative demand on {x!r}-{y!r}")
         self.graph = graph
         self.active = active_node
-        self.demands = demands
-        self._checks = _dominant_demands(demands)
+        self.demands = connectivity_snapshot(graph, active_node)
+        self._checks = _dominant_demands(self.demands)
         self.events = []
 
 
@@ -105,16 +94,16 @@ def admissible_amount(state, u, w):
     Bounded by the incident capacities (half of one capacity when u == w) and
     by demand preservation, which is monotone in the amount, so a binary
     search over flow checks finds the maximum. Returns 0 for unsplittable
-    pairs; raises NotANeighbor when u or w has no capacity to the node.
+    pairs; raises UnknownNode when u or w has no capacity to the node.
     """
     graph, s = state.graph, state.active
     if u == s or w == s:
-        raise NotANeighbor(f"{s!r} is the active node, not a neighbor of itself")
+        raise UnknownNode(f"{s!r} is the active node, not a neighbor of itself")
     zu = graph.capacity(s, u)
     zw = graph.capacity(s, w)
     if zu <= 0 or zw <= 0:
         missing = u if zu <= 0 else w
-        raise NotANeighbor(f"{missing!r} does not neighbor {s!r}")
+        raise UnknownNode(f"{missing!r} does not neighbor {s!r}")
     cap = zu // 2 if u == w else min(zu, zw)
     if cap == 0:
         return 0
@@ -144,14 +133,14 @@ def admissible_amount(state, u, w):
     return lo
 
 
-def split_node(state, on_split=None):
+def split_node(state):
     """Drive the active node's degree to zero by admissible splits.
 
     Neighbor pairs are scanned in lexicographic order (repeats allowed) and
     the first pair with a positive admissible amount is split at its maximum.
     The demand snapshot keeps holding after every step. Raises
-    NoSplittablePair when nothing works, which means the input graph broke a
-    precondition (some demand cut of value 0 or 1).
+    SolverInternalError when nothing works, which means the input graph broke
+    a precondition (some demand cut of value 0 or 1).
     """
     graph, s = state.graph, state.active
     while graph.degree(s) > 0:
@@ -162,12 +151,10 @@ def split_node(state, on_split=None):
             if amount > 0:
                 _apply_split(graph, s, u, w, amount)
                 state.events.append((u, w, amount))
-                if on_split is not None:
-                    on_split(state, u, w, amount)
                 found = True
                 break
         if not found:
-            raise NoSplittablePair(f"no admissible split remains at {s!r}")
+            raise SolverInternalError(f"no admissible split remains at {s!r}")
     return graph
 
 
@@ -175,7 +162,7 @@ def extract_realization(graph, terminals):
     """Read the terminal-pair capacities off a fully reduced graph.
 
     Loops are discarded. Any non-terminal with positive (loop-free) degree
-    means elimination is incomplete and raises ResidualInnerDegree.
+    means elimination is incomplete and raises SolverInternalError.
     """
     terminal_set = set(terminals)
     for t in terminal_set:
@@ -183,7 +170,7 @@ def extract_realization(graph, terminals):
             raise UnknownNode(f"terminal {t!r} missing from the graph")
     for v in graph.nodes:
         if v not in terminal_set and graph.degree(v) > 0:
-            raise ResidualInnerDegree(f"{v!r} still has degree {graph.degree(v)}")
+            raise SolverInternalError(f"{v!r} still has degree {graph.degree(v)}")
     values = {}
     for (u, v), c in graph.positive_pairs():
         if u != v and u in terminal_set and v in terminal_set:
@@ -191,7 +178,7 @@ def extract_realization(graph, terminals):
     return Realization(values)
 
 
-def realize_capacity(instance, capacity, on_split=None):
+def realize_capacity(instance, capacity):
     """Run the full elimination: expand, split out each inner node, extract.
 
     Inner nodes are processed in ascending identifier order, each against a
@@ -204,6 +191,6 @@ def realize_capacity(instance, capacity, on_split=None):
         if graph.degree(s) == 0:
             continue
         state = SplitState(graph, s)
-        split_node(state, on_split=on_split)
+        split_node(state)
         trace.extend((s, u, w, amount) for u, w, amount in state.events)
     return extract_realization(graph, instance.terminals), tuple(trace)

@@ -1,15 +1,15 @@
 """Independent checkers and exhaustive reference solvers.
 
 Nothing here shares logic with the solver pipeline: realizations are checked
-by max-flow, capacities by direct parity/coverage scans, and the brute-force
-solver enumerates candidate realizations against explicit cuts.
+by max-flow, capacities by direct parity/coverage scans against the instance's
+cut requirements, and the brute-force solver enumerates candidate
+realizations against explicit cuts.
 """
 
-from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .errors import TooLarge, UnknownTerminalPair, ValueOne
+from .errors import TooLarge, UnknownNode
 from .maxflow import CapacitatedMultigraph, max_flow
 from .model import EdgeCapacity, Realization, node_pair
 
@@ -24,7 +24,7 @@ def verify_realization(instance, realization):
     """
     for (u, v), _ in realization.items():
         if u not in instance.terminal_set or v not in instance.terminal_set:
-            raise UnknownTerminalPair(f"{u!r}-{v!r} is not a terminal pair")
+            raise UnknownNode(f"{u!r}-{v!r} is not a terminal pair")
     graph = CapacitatedMultigraph(instance.terminals, dict(realization.items()))
     violations = []
     for (s, t), r in sorted(instance.requirements.pairs()):
@@ -40,13 +40,14 @@ def verify_feasible_capacity(instance, capacity):
     Inner nodes need even capacity load ("parity" entries) and every tree
     edge needs capacity at least its cut requirement ("coverage" entries).
     """
+    base = instance.base_capacity()
     violations = []
     for v in instance.inner_nodes():
         load = capacity.load(v)
         if load % 2 != 0:
             violations.append(("parity", v, load))
     for e in instance.tree.edges:
-        needed = instance.cut_requirement(instance.cut_side(e))
+        needed = base[e]
         have = capacity[e]
         if have < needed:
             violations.append(("coverage", e, have, needed))
@@ -65,7 +66,7 @@ def uniform_integer_formula(values):
     """Closed-form optimum for a uniform half-length star: ceil(sum / 2).
 
     `values` are the per-terminal requirement maxima. Undefined when any value
-    is 1 (raises ValueOne); a value of 1 forces slack the formula ignores.
+    is 1 (raises ValueError); a value of 1 forces slack the formula ignores.
     """
     values = list(values)
     total = 0
@@ -73,7 +74,7 @@ def uniform_integer_formula(values):
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise ValueError(f"requirement maxima must be nonnegative ints, got {v!r}")
         if v == 1:
-            raise ValueOne("the closed form needs every requirement maximum to differ from 1")
+            raise ValueError("the closed form needs every requirement maximum to differ from 1")
         total += v
     return (total + 1) // 2
 

@@ -5,7 +5,8 @@ import os
 
 from hypothesis import strategies as st
 
-from treesynth import MetricTree, build_instance, generate_document, parse_instance
+from treesynth import build_instance, generate_document, parse_instance
+from treesynth.model import MetricTree
 
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "instances")
 

@@ -15,26 +15,20 @@ from itertools import groupby
 import pytest
 
 from treesynth import (
-    MetricTree,
-    ParityInstance,
     brute_force_insp,
-    brute_force_join,
-    capacity_projection,
-    connectivity_snapshot,
-    expand_capacity_graph,
     fractional_lower_bound,
     generate_document,
-    max_flow,
     min_cost_ij_join,
-    parity_sets,
     parse_instance,
-    run,
-    satisfies_parity,
     solve,
-    uniform_integer_formula,
-    verify_feasible_capacity,
     verify_realization,
 )
+from treesynth.cli import run
+from treesynth.join import ParityInstance, brute_force_join, parity_sets, satisfies_parity
+from treesynth.maxflow import connectivity_snapshot, max_flow
+from treesynth.model import MetricTree
+from treesynth.splitoff import expand_capacity_graph
+from treesynth.verify import capacity_projection, uniform_integer_formula, verify_feasible_capacity
 
 from helpers import fixture_path, star_instance, uniform_star
 

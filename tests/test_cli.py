@@ -9,17 +9,21 @@ from fractions import Fraction
 import pytest
 
 from treesynth import (
-    DuplicateRequirement,
+    InvalidInstance,
     ParseError,
     build_instance,
     generate_document,
-    instance_document,
-    instance_hash,
     parse_instance,
-    run,
     solve,
 )
-from treesynth.cli import DEFAULT_LENGTH_POOL, format_rational, parse_rational
+from treesynth.cli import (
+    DEFAULT_LENGTH_POOL,
+    format_rational,
+    instance_document,
+    instance_hash,
+    parse_rational,
+    run,
+)
 
 from helpers import fixture_path, random_instance, star_instance
 
@@ -113,7 +117,7 @@ class TestParseInstance:
     def test_rejects_duplicate_requirement_pairs(self):
         doc = json.loads(doc_text(star_instance({("a", "b"): 2})))
         doc["requirements"].append({"s": "b", "t": "a", "r": 2})
-        with pytest.raises(DuplicateRequirement):
+        with pytest.raises(InvalidInstance, match="pair a-b appears twice"):
             parse_instance(json.dumps(doc))
 
     def test_rejects_non_string_identifiers(self):
@@ -243,6 +247,30 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "no_such_file.json")
         assert code == 1
         assert "cannot read" in err
+
+    def test_long_path_solves_and_verifies_without_recursion(self, tmp_path, capsys):
+        # the only augmenting path runs through all 1,500 terminals, deeper
+        # than the interpreter's default recursion limit
+        k = 1500
+        names = [f"t{i}" for i in range(k)]
+        doc = {
+            "version": "insp-json-v1",
+            "terminals": names,
+            "tree": {
+                "nodes": names,
+                "edges": [{"u": names[i], "v": names[i + 1], "length": 1} for i in range(k - 1)],
+            },
+            "requirements": [{"s": "t0", "t": names[-1], "r": 2}],
+        }
+        instance_file = tmp_path / "path.json"
+        result_file = tmp_path / "result.json"
+        instance_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "solve", str(instance_file), "--check")
+        assert (code, err) == (0, "")
+        result_file.write_text(out)
+        code, out, err = run_cli(capsys, "verify", str(instance_file), str(result_file))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"status": "ok", "cost": 2 * (k - 1)}
 
     def test_malformed_instance_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

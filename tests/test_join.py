@@ -5,15 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from treesynth import (
-    MetricTree,
-    ParityInstance,
-    TooLarge,
-    brute_force_join,
-    min_cost_ij_join,
-    parity_sets,
-    satisfies_parity,
-)
+from treesynth import TooLarge, min_cost_ij_join
+from treesynth.join import ParityInstance, brute_force_join, parity_sets, satisfies_parity
+from treesynth.model import MetricTree
 
 from helpers import parity_marked_trees, star_instance
 

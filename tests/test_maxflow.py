@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesynth import (
+from treesynth import UnknownNode
+from treesynth.maxflow import (
     CapacitatedMultigraph,
-    SameNode,
-    UnknownNode,
     all_pairs_connectivity,
     connectivity_snapshot,
     max_flow,
@@ -102,7 +101,7 @@ class TestMaxFlow:
 
     def test_endpoint_errors(self):
         g = graph_of("ab", {("a", "b"): 1})
-        with pytest.raises(SameNode):
+        with pytest.raises(UnknownNode, match="flow endpoints must differ"):
             max_flow(g, "a", "a")
         with pytest.raises(UnknownNode):
             max_flow(g, "a", "zz")

@@ -1,5 +1,6 @@
 """End-to-end solver behavior and its closed-form cost."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,13 @@ from treesynth import (
     Realization,
     brute_force_insp,
     build_instance,
-    check_preconditions,
     fractional_lower_bound,
     optimal_cost_formula,
     solve,
     solve_and_check,
     verify_realization,
 )
+from treesynth.solver import check_preconditions
 
 from helpers import (
     random_instance,
@@ -25,6 +26,8 @@ from helpers import (
     uniform_star,
     zero_bridge_instance,
 )
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 class TestCheckPreconditions:
@@ -173,3 +176,12 @@ def test_solution_invariants(instance):
     for e in instance.tree.edges:
         expected = instance.base_capacity()[e] + (1 if e in join_edges else 0)
         assert solution.capacity[e] == expected
+
+
+def test_readme_library_example_runs_as_written():
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Library use", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(example, namespace)
+    assert namespace["sol"].cost == 3
