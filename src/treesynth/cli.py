@@ -237,6 +237,8 @@ def _realization_entries(doc, where):
     for k, entry in enumerate(doc):
         spot = f"{where}[{k}]"
         _expect_keys(entry, {"s", "t", "y"}, spot)
+        if not isinstance(entry["s"], str) or not isinstance(entry["t"], str):
+            raise ParseError(f"{spot}: endpoints must be strings")
         y = entry["y"]
         if isinstance(y, bool) or not isinstance(y, int):
             raise ParseError(f"{spot}.y: expected an integer")

@@ -103,28 +103,22 @@ def _pick(states, want):
 def min_cost_ij_join(p):
     """Minimum-cost parity-satisfying edge selection, or None when impossible.
 
-    Rooted two-state dynamic program: per node, the best selection inside its
-    subtree for each parity of its own selected degree. States carry
-    (cost, edge-index bitmask) so equal costs resolve to the smallest bitmask;
-    subtree masks are disjoint and the order is invariant under adding a
-    common disjoint mask, which keeps the tie-break exact under merging.
+    Two-state dynamic program over the tree rooted at `tree.root`: per node,
+    the best selection inside its subtree for each parity of its own selected
+    degree. States carry (cost, edge-index bitmask) so equal costs resolve to
+    the smallest bitmask; subtree masks are disjoint and the order is
+    invariant under adding a common disjoint mask, which keeps the tie-break
+    exact under merging. The result is the lexicographic minimum over all
+    selections, so it does not depend on the root.
     """
     tree = p.tree
     need = _need_map(p)
     index = {e: i for i, e in enumerate(tree.edges)}
-    root = tree.nodes[0]
-
-    order = [root]
-    parent = {root: None}
-    for v in order:
-        for u in tree.neighbors(v):
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
+    root, parent = tree.root, tree.parent
 
     zero = Fraction(0)
     state = {v: [(zero, 0), None] for v in tree.nodes}
-    for v in reversed(order):
+    for v in reversed(parent):
         if v == root:
             continue
         par = parent[v]

@@ -73,19 +73,6 @@ class CapacitatedMultigraph:
                 if u <= v:
                     yield (u, v), c
 
-    def copy(self):
-        clone = CapacitatedMultigraph(self._adj)
-        for v, nbrs in self._adj.items():
-            clone._adj[v] = dict(nbrs)
-        return clone
-
-    def __eq__(self, other):
-        if not isinstance(other, CapacitatedMultigraph):
-            return NotImplemented
-        return self._adj == other._adj
-
-    __hash__ = None
-
 
 def _dinic(adj, source, sink):
     """Max flow on a symmetric {node: {nbr: cap}} map; loops skipped.

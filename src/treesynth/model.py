@@ -36,7 +36,8 @@ class MetricTree:
     """A tree with exact nonnegative edge lengths and a distinguished root.
 
     `nodes` keeps input order, `edges` keeps input order as canonical pairs.
-    Pairwise distances are path lengths, computed lazily and cached.
+    `parent` maps each node to its parent toward `root` (the root maps to
+    None); its insertion order is breadth-first from the root.
     """
 
     def __init__(self, nodes, edges, root):
@@ -73,21 +74,23 @@ class MetricTree:
                 f"{len(self.nodes)} nodes need {len(self.nodes) - 1} edges, got {len(order)}"
             )
         # edge count is right, so connectivity alone rules out cycles
-        seen = {self.nodes[0]}
-        queue = deque(seen)
-        while queue:
-            x = queue.popleft()
+        parent = {root: None}
+        depth = {root: 0}
+        bfs = [root]
+        for x in bfs:
             for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != len(self.nodes):
+                if y not in parent:
+                    parent[y] = x
+                    depth[y] = depth[x] + 1
+                    bfs.append(y)
+        if len(parent) != len(self.nodes):
             raise InvalidInstance("edge list is disconnected")
 
         self.edges = tuple(order)
         self.lengths = lengths
+        self.parent = parent
+        self._depth = depth
         self._adj = adj
-        self._dist = None
 
     def __eq__(self, other):
         if not isinstance(other, MetricTree):
@@ -106,36 +109,29 @@ class MetricTree:
             raise UnknownNode(f"unknown tree node {v!r}")
         return tuple(self._adj[v])
 
-    def degree(self, v):
-        return len(self.neighbors(v))
-
     def leaves(self):
         return tuple(v for v in self.nodes if len(self._adj[v]) <= 1)
 
-    def _ensure_distances(self):
-        if self._dist is not None:
-            return
-        dist = {}
-        for src in self.nodes:
-            row = {src: Fraction(0)}
-            queue = deque([src])
-            while queue:
-                x = queue.popleft()
-                for y, length in self._adj[x].items():
-                    if y not in row:
-                        row[y] = row[x] + length
-                        queue.append(y)
-            dist[src] = row
-        self._dist = dist
-
-    def distance(self, i, j):
-        """Exact path length between two tree nodes."""
+    def path(self, i, j):
+        """Edges (canonical pairs) on the tree path from i to j, in walk order."""
         if i not in self._adj:
             raise UnknownNode(f"unknown tree node {i!r}")
         if j not in self._adj:
             raise UnknownNode(f"unknown tree node {j!r}")
-        self._ensure_distances()
-        return self._dist[i][j]
+        parent, depth = self.parent, self._depth
+        up, down = [], []
+        while i != j:
+            if depth[i] >= depth[j]:
+                up.append(node_pair(i, parent[i]))
+                i = parent[i]
+            else:
+                down.append(node_pair(j, parent[j]))
+                j = parent[j]
+        return up + down[::-1]
+
+    def distance(self, i, j):
+        """Exact path length between two tree nodes."""
+        return sum((self.lengths[e] for e in self.path(i, j)), Fraction(0))
 
     def side_containing(self, edge, start):
         """Tree nodes reachable from `start` without crossing `edge`."""
@@ -231,7 +227,6 @@ class Instance:
                 raise UnknownNode(f"requirement references non-terminal {s!r}-{t!r}")
         self.tree = tree
         self.requirements = requirements
-        self._cut_sides = {}
         self._base = None
 
     def __eq__(self, other):
@@ -254,13 +249,7 @@ class Instance:
 
     def cut_side(self, edge):
         """Terminals on the root side of the cut a tree edge induces."""
-        e = node_pair(*edge)
-        cached = self._cut_sides.get(e)
-        if cached is None:
-            component = self.tree.side_containing(e, self.tree.root)
-            cached = frozenset(component & self.terminal_set)
-            self._cut_sides[e] = cached
-        return cached
+        return self.tree.side_containing(edge, self.tree.root) & self.terminal_set
 
     def cut_requirement(self, side):
         """Largest requirement separated by the cut (side, complement)."""
@@ -277,9 +266,17 @@ class Instance:
         return best
 
     def base_capacity(self):
-        """Per-edge cut requirements: the fractional-relaxation support capacity."""
+        """Per-edge cut requirements: the fractional-relaxation support capacity.
+
+        A tree edge's cut separates exactly the pairs whose path crosses it,
+        so each edge gets the largest requirement routed over it.
+        """
         if self._base is None:
-            values = {e: self.cut_requirement(self.cut_side(e)) for e in self.tree.edges}
+            values = dict.fromkeys(self.tree.edges, 0)
+            for (s, t), r in self.requirements.pairs():
+                for e in self.tree.path(s, t):
+                    if r > values[e]:
+                        values[e] = r
             self._base = EdgeCapacity(self.tree, values)
         return self._base
 

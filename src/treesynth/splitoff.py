@@ -136,25 +136,26 @@ def admissible_amount(state, u, w):
 def split_node(state):
     """Drive the active node's degree to zero by admissible splits.
 
-    Neighbor pairs are scanned in lexicographic order (repeats allowed) and
-    the first pair with a positive admissible amount is split at its maximum.
-    The demand snapshot keeps holding after every step. Raises
-    SolverInternalError when nothing works, which means the input graph broke
-    a precondition (some demand cut of value 0 or 1).
+    One pass over the neighbor pairs in lexicographic order (repeats allowed)
+    splits each pair at its maximum admissible amount, skipping pairs that
+    have lost their capacity to the node. One pass is enough: a split never
+    raises a cut value, so a refused pair stays refused, and a pair split at
+    its maximum admits no further unit. The demand snapshot keeps holding
+    after every step. Raises SolverInternalError when degree is left after the
+    pass, which means the input graph broke a precondition (some demand cut
+    of value 0 or 1).
     """
     graph, s = state.graph, state.active
-    while graph.degree(s) > 0:
-        assert graph.degree(s) % 2 == 0, f"odd degree at {s!r}"
-        found = False
-        for u, w in combinations_with_replacement(sorted(graph.neighbors(s)), 2):
-            amount = admissible_amount(state, u, w)
-            if amount > 0:
-                _apply_split(graph, s, u, w, amount)
-                state.events.append((u, w, amount))
-                found = True
-                break
-        if not found:
-            raise SolverInternalError(f"no admissible split remains at {s!r}")
+    assert graph.degree(s) % 2 == 0, f"odd degree at {s!r}"
+    for u, w in combinations_with_replacement(sorted(graph.neighbors(s)), 2):
+        if graph.capacity(s, u) == 0 or graph.capacity(s, w) == 0:
+            continue
+        amount = admissible_amount(state, u, w)
+        if amount > 0:
+            _apply_split(graph, s, u, w, amount)
+            state.events.append((u, w, amount))
+    if graph.degree(s) > 0:
+        raise SolverInternalError(f"no admissible split remains at {s!r}")
     return graph
 
 

@@ -58,21 +58,27 @@ def random_instance(seed, terminals, inner, rmin=2, rmax=6, lengths=LENGTH_POOL)
 
 
 @st.composite
-def metric_trees(draw, min_nodes=1, max_nodes=8, lengths=LENGTH_POOL):
-    """Random recursive tree over string node names, rooted at the first node."""
+def metric_trees(draw, min_nodes=1, max_nodes=8, lengths=LENGTH_POOL, root_elsewhere=False):
+    """Random recursive tree over string node names, rooted at the first node.
+
+    With `root_elsewhere` (needs min_nodes >= 2) the root is drawn from the
+    other nodes, so walks from the root differ from walks in node order.
+    """
     n = draw(st.integers(min_nodes, max_nodes))
     names = [f"n{i}" for i in range(n)]
     edges = []
     for j in range(1, n):
         parent = draw(st.integers(0, j - 1))
         edges.append((names[parent], names[j], draw(st.sampled_from(lengths))))
-    return MetricTree(names, edges, names[0])
+    root = draw(st.sampled_from(names[1:])) if root_elsewhere else names[0]
+    return MetricTree(names, edges, root)
 
 
 @st.composite
-def parity_marked_trees(draw, max_nodes=8):
+def parity_marked_trees(draw, max_nodes=8, root_elsewhere=False):
     """A random tree plus disjoint even/odd node subsets."""
-    tree = draw(metric_trees(max_nodes=max_nodes))
+    min_nodes = 2 if root_elsewhere else 1
+    tree = draw(metric_trees(min_nodes, max_nodes, root_elsewhere=root_elsewhere))
     marks = [draw(st.sampled_from("eof")) for _ in tree.nodes]
     even = frozenset(v for v, m in zip(tree.nodes, marks) if m == "e")
     odd = frozenset(v for v, m in zip(tree.nodes, marks) if m == "o")

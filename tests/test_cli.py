@@ -406,6 +406,18 @@ class TestVerifyCommand:
         assert code == 1
         assert "duplicate" in err
 
+    @pytest.mark.parametrize("s, t", [(1, "a"), ("a", ["b"]), (None, "b")])
+    def test_non_string_endpoints_are_parse_errors(self, tmp_path, capsys, s, t):
+        entries = tmp_path / "odd.json"
+        entries.write_text(json.dumps([{"s": s, "t": t, "y": 1}]))
+        code, out, err = run_cli(
+            capsys, "verify", fixture_path("half_star.json"), str(entries)
+        )
+        assert code == 1
+        assert out == ""
+        assert "realization[0]: endpoints must be strings" in err
+        assert "Traceback" not in err
+
 
 class TestGenCommand:
     def test_byte_identical_for_a_fixed_seed(self, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesynth import TooLarge, min_cost_ij_join
 from treesynth.join import ParityInstance, brute_force_join, parity_sets, satisfies_parity
@@ -159,7 +160,7 @@ class TestBruteForceJoin:
 
 
 @settings(max_examples=150, deadline=None)
-@given(parity_marked_trees())
+@given(st.booleans().flatmap(lambda elsewhere: parity_marked_trees(root_elsewhere=elsewhere)))
 def test_join_matches_brute_force_exactly(case):
     tree, even, odd = case
     p = ParityInstance(tree, even, odd)

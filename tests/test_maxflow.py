@@ -61,15 +61,6 @@ class TestCapacitatedMultigraph:
         assert g.neighbors("a") == ("b",)
         assert dict(g.positive_pairs()) == {("a", "a"): 4, ("a", "b"): 1}
 
-    def test_copy_is_independent(self):
-        g = graph_of("ab", {("a", "b"): 2})
-        h = g.copy()
-        h.set_capacity("a", "b", 5)
-        assert g.capacity("a", "b") == 2
-        assert h.capacity("a", "b") == 5
-        assert g != h
-        assert g == g.copy()
-
     def test_nodes_and_contains(self):
         g = graph_of("ab", {})
         assert g.nodes == ("a", "b")

@@ -64,7 +64,7 @@ class TestMetricTree:
     def test_neighbors_and_leaves(self):
         tree = path_tree()
         assert set(tree.neighbors("m")) == {"a", "b"}
-        assert tree.degree("m") == 2
+        assert len(tree.neighbors("m")) == 2
         assert tree.leaves() == ("a", "b")
         with pytest.raises(UnknownNode):
             tree.neighbors("zz")
@@ -156,6 +156,40 @@ def test_edge_sides_partition_the_nodes(tree):
         assert left | right == all_nodes
         assert not (left & right)
         assert tree.distance(u, v) == tree.lengths[(u, v)]
+
+
+@given(metric_trees(min_nodes=2, root_elsewhere=True))
+def test_distance_sums_the_edges_that_separate_the_endpoints(tree):
+    for i in tree.nodes:
+        for j in tree.nodes:
+            crossed = [e for e in tree.edges if j not in tree.side_containing(e, i)]
+            assert tree.distance(i, j) == sum(tree.lengths[e] for e in crossed)
+            assert sorted(tree.path(i, j)) == sorted(crossed)
+
+
+@st.composite
+def sparse_instances(draw):
+    """A random tree, a random terminal set covering its leaves and a random
+    root among them, and requirements on a random subset of terminal pairs."""
+    tree = draw(metric_trees(min_nodes=2, root_elsewhere=True))
+    leaves = set(tree.leaves())
+    terminals = [v for v in tree.nodes if v in leaves or draw(st.booleans())]
+    terminals = draw(st.permutations(terminals))
+    requirements = [
+        (terminals[a], terminals[b], draw(st.integers(0, 6)))
+        for a in range(len(terminals))
+        for b in range(a + 1, len(terminals))
+        if draw(st.booleans())
+    ]
+    edges = [(u, v, tree.lengths[(u, v)]) for u, v in tree.edges]
+    return build_instance(terminals, tree.nodes, edges, requirements)
+
+
+@given(sparse_instances())
+def test_base_capacity_is_the_cut_requirement_of_every_edge(instance):
+    base = instance.base_capacity()
+    for e in instance.tree.edges:
+        assert base[e] == instance.cut_requirement(instance.cut_side(e))
 
 
 class TestRequirementMatrix:
