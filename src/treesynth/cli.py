@@ -214,8 +214,8 @@ def generate_document(terminals, inner, rmin, rmax, seed, lengths=DEFAULT_LENGTH
     }
 
 
-def _emit(doc, stream=None):
-    print(json.dumps(doc, indent=2), file=stream or sys.stdout)
+def _emit(doc):
+    print(json.dumps(doc, indent=2))
 
 
 def _diag(message):
@@ -449,6 +449,9 @@ def run(argv=None):
     except ValueError as exc:
         _diag(f"error: {exc}")
         return 1
+    except Exception as exc:
+        _diag(f"internal invariant failure: {type(exc).__name__}: {exc}")
+        return 4
 
 
 def main():

@@ -1,106 +1,99 @@
-"""Integer max-flow plumbing on undirected capacitated multigraphs.
+"""Integer max-flow plumbing on undirected capacitated graphs.
 
-Parallel edges collapse into one integer capacity per unordered pair. Loops
-may be stored but carry no flow and never count toward degrees.
+Parallel edges collapse into one integer capacity per unordered pair of
+distinct nodes. The graph keeps the arc arrays Dinic's algorithm runs on:
+each pair that ever carried capacity owns two mutually reverse arcs, both
+holding the pair's current capacity (0 once it is removed).
 """
 
 from collections import deque
 
 from .errors import UnknownNode
+from .model import node_pair
 
 
 class CapacitatedMultigraph:
     """Mutable undirected graph with one nonnegative integer capacity per pair."""
 
     def __init__(self, nodes, capacities=None):
-        self._adj = {}
-        for v in nodes:
-            if v in self._adj:
+        self.nodes = tuple(nodes)
+        self._index = {}
+        for i, v in enumerate(self.nodes):
+            if v in self._index:
                 raise UnknownNode(f"duplicate node {v!r}")
-            self._adj[v] = {}
-        if capacities:
-            items = capacities.items() if hasattr(capacities, "items") else capacities
-            for (u, v), c in items:
-                self.set_capacity(u, v, c)
-
-    @property
-    def nodes(self):
-        return tuple(self._adj)
+            self._index[v] = i
+        self._head = [[] for _ in self.nodes]
+        self._to = []
+        self._cap = []
+        # (u, v) -> the arc from u to v; its reverse is arc ^ 1
+        self._arc = {}
+        for (u, v), c in (capacities or {}).items():
+            self.set_capacity(u, v, c)
 
     def __contains__(self, v):
-        return v in self._adj
+        return v in self._index
 
     def _check(self, v):
-        if v not in self._adj:
+        if v not in self._index:
             raise UnknownNode(f"unknown node {v!r}")
 
     def capacity(self, u, v):
         self._check(u)
         self._check(v)
-        return self._adj[u].get(v, 0)
+        a = self._arc.get((u, v))
+        return 0 if a is None else self._cap[a]
 
     def set_capacity(self, u, v, value):
         self._check(u)
         self._check(v)
+        if u == v:
+            raise UnknownNode(f"a loop at {u!r} cannot carry capacity")
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"capacity must be an int, got {value!r}")
         if value < 0:
             raise ValueError(f"capacity on {u!r}-{v!r} cannot go negative")
-        if value == 0:
-            self._adj[u].pop(v, None)
-            self._adj[v].pop(u, None)
-        else:
-            self._adj[u][v] = value
-            self._adj[v][u] = value
+        a = self._arc.get((u, v))
+        if a is None:
+            if value == 0:
+                return
+            a = len(self._to)
+            self._arc[(u, v)], self._arc[(v, u)] = a, a + 1
+            self._head[self._index[u]].append(a)
+            self._head[self._index[v]].append(a + 1)
+            self._to += [self._index[v], self._index[u]]
+            self._cap += [0, 0]
+        self._cap[a] = self._cap[a ^ 1] = value
 
     def add_capacity(self, u, v, delta):
         self.set_capacity(u, v, self.capacity(u, v) + delta)
 
     def neighbors(self, v):
-        """Nodes joined to v by positive capacity; a loop does not count."""
+        """Nodes joined to v by positive capacity."""
         self._check(v)
-        return tuple(u for u in self._adj[v] if u != v)
+        return tuple(self.nodes[self._to[a]] for a in self._head[self._index[v]] if self._cap[a])
 
     def degree(self, v):
-        """Total capacity incident to v, loops excluded."""
+        """Total capacity incident to v."""
         self._check(v)
-        return sum(c for u, c in self._adj[v].items() if u != v)
+        return sum(self._cap[a] for a in self._head[self._index[v]])
 
     def positive_pairs(self):
-        """Iterate ((u, v), capacity) once per stored pair, loops included."""
-        for u, nbrs in self._adj.items():
-            for v, c in nbrs.items():
-                if u <= v:
-                    yield (u, v), c
+        """Iterate ((u, v), capacity) once per pair of positive capacity."""
+        for a in range(0, len(self._to), 2):
+            if self._cap[a]:
+                yield node_pair(self.nodes[self._to[a + 1]], self.nodes[self._to[a]]), self._cap[a]
 
 
-def _dinic(adj, source, sink):
-    """Max flow on a symmetric {node: {nbr: cap}} map; loops skipped.
+def _dinic(graph, source, sink):
+    """Max flow between two nodes of a CapacitatedMultigraph.
 
     Returns (value, source_side) where source_side is the residual cut side
     containing the source, so callers get a minimum cut for free.
     """
-    names = list(adj)
-    index = {v: i for i, v in enumerate(names)}
+    names, head, to = graph.nodes, graph._head, graph._to
+    cap = graph._cap[:]
     n = len(names)
-    head = [[] for _ in range(n)]
-    to = []
-    cap = []
-    for u, nbrs in adj.items():
-        ui = index[u]
-        for v, c in nbrs.items():
-            if u == v or c <= 0:
-                continue
-            vi = index[v]
-            if ui < vi:
-                # one undirected edge becomes a mutually-reverse arc pair
-                head[ui].append(len(to))
-                to.append(vi)
-                cap.append(c)
-                head[vi].append(len(to))
-                to.append(ui)
-                cap.append(c)
-    s, t = index[source], index[sink]
+    s, t = graph._index[source], graph._index[sink]
     flow = 0
     while True:
         level = [-1] * n
@@ -155,7 +148,7 @@ def max_flow(graph, s, t):
         raise UnknownNode(f"unknown node {t!r}")
     if s == t:
         raise UnknownNode(f"flow endpoints must differ, got {s!r} twice")
-    value, _ = _dinic(graph._adj, s, t)
+    value, _ = _dinic(graph, s, t)
     return value
 
 
@@ -165,7 +158,7 @@ def _flow_tree(graph):
     Pairwise connectivity equals the minimum weight on the tree path, which
     costs n-1 max-flow runs instead of one per pair.
     """
-    names = list(graph._adj)
+    names = graph.nodes
     parent = {}
     weight = {}
     if len(names) < 2:
@@ -174,7 +167,7 @@ def _flow_tree(graph):
         parent[v] = names[0]
     for i in range(1, len(names)):
         u = names[i]
-        value, side = _dinic(graph._adj, u, parent[u])
+        value, side = _dinic(graph, u, parent[u])
         weight[u] = value
         for j in range(i + 1, len(names)):
             w = names[j]
@@ -184,26 +177,18 @@ def _flow_tree(graph):
 
 
 def all_pairs_connectivity(graph):
-    """Map from every unordered node pair to its exact connectivity."""
+    """Map from every unordered node pair to its exact connectivity.
+
+    A flow-tree parent precedes its child in node order, so one pass fills
+    lam(v, x) = min(weight[v], lam(parent[v], x)) for every earlier x.
+    """
     names, parent, weight = _flow_tree(graph)
-    adj = {v: [] for v in names}
-    for v, p in parent.items():
-        adj[v].append((p, weight[v]))
-        adj[p].append((v, weight[v]))
     out = {}
-    big = sum(weight.values()) + 1
-    for src in names:
-        best = {src: big}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            for y, w in adj[x]:
-                if y not in best:
-                    best[y] = min(best[x], w)
-                    queue.append(y)
-        for v, value in best.items():
-            if v != src and src <= v:
-                out[(src, v)] = value
+    for i in range(1, len(names)):
+        v = names[i]
+        p, w = parent[v], weight[v]
+        for x in names[:i]:
+            out[node_pair(v, x)] = w if x == p else min(w, out[node_pair(p, x)])
     return out
 
 

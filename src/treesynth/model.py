@@ -20,11 +20,12 @@ def as_length(value):
     """Coerce an edge length to an exact Fraction.
 
     Accepts int, Fraction, or a string like "2", "0.5", "7/3". Floats are
-    rejected so no inexact value can sneak in.
+    rejected so no inexact value can sneak in, and booleans so no flag is
+    read as a length.
     """
-    if isinstance(value, float):
+    if isinstance(value, (float, bool)):
         raise InvalidInstance(
-            f"edge length {value!r} is a float; pass an int, Fraction, or string"
+            f"edge length {value!r} is a {type(value).__name__}; pass an int, Fraction, or string"
         )
     try:
         return Fraction(value)
@@ -192,9 +193,6 @@ class RequirementMatrix:
         return self.values == other.values
 
     __hash__ = None
-
-    def __len__(self):
-        return len(self.values)
 
 
 class Instance:
@@ -371,12 +369,6 @@ class Realization:
 
     def items(self):
         return self.values.items()
-
-    def __len__(self):
-        return len(self.values)
-
-    def __bool__(self):
-        return bool(self.values)
 
     def __eq__(self, other):
         if not isinstance(other, Realization):

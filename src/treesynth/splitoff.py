@@ -1,10 +1,10 @@
 """Eliminating inner nodes from a capacitated graph without losing connectivity.
 
 A split at the active node s replaces one unit of capacity on each of (s, u)
-and (s, w) with a unit on (u, w); splitting a pair with u == w just burns two
-units into a loop, which is dropped. Amounts are chosen so the pairwise
-connectivity snapshot taken when s became active keeps holding among all other
-nodes.
+and (s, w) with a unit on (u, w); splitting a pair with u == w just removes
+two units of (s, u), since a loop adds no connectivity. Amounts are chosen so
+the pairwise connectivity snapshot taken when s became active keeps holding
+among all other nodes.
 """
 
 from itertools import combinations_with_replacement
@@ -109,7 +109,7 @@ def admissible_amount(state, u, w):
         return 0
     if u == w and graph.neighbors(s) == (u,):
         # sole neighbor: no simple path between other nodes crosses s,
-        # so burning capacity into a loop cannot hurt any demand
+        # so removing capacity from (s, u) cannot hurt any demand
         return cap
 
     def splittable(amount):
@@ -162,8 +162,8 @@ def split_node(state):
 def extract_realization(graph, terminals):
     """Read the terminal-pair capacities off a fully reduced graph.
 
-    Loops are discarded. Any non-terminal with positive (loop-free) degree
-    means elimination is incomplete and raises SolverInternalError.
+    Any non-terminal with positive degree means elimination is incomplete
+    and raises SolverInternalError.
     """
     terminal_set = set(terminals)
     for t in terminal_set:
@@ -174,7 +174,7 @@ def extract_realization(graph, terminals):
             raise SolverInternalError(f"{v!r} still has degree {graph.degree(v)}")
     values = {}
     for (u, v), c in graph.positive_pairs():
-        if u != v and u in terminal_set and v in terminal_set:
+        if u in terminal_set and v in terminal_set:
             values[(u, v)] = c
     return Realization(values)
 

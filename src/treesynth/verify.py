@@ -1,9 +1,16 @@
-"""Independent checkers and exhaustive reference solvers.
+"""Checkers and exhaustive reference solvers.
 
-Nothing here shares logic with the solver pipeline: realizations are checked
-by max-flow, capacities by direct parity/coverage scans against the instance's
-cut requirements, and the brute-force solver enumerates candidate
-realizations against explicit cuts.
+How far each check stands apart from the solver pipeline:
+
+- `verify_realization` checks every requirement by max-flow on the graph the
+  realization spans. It shares the max-flow routine with split-off, none of
+  the split logic.
+- `verify_feasible_capacity` scans inner-node parity directly, but its
+  coverage check reads the solver's own cached `instance.base_capacity()`,
+  so it certifies the parity join's bump, not the base capacity itself.
+- `capacity_projection` loads each tree edge from its explicit cut side,
+  not from the path walks behind `base_capacity`, and `brute_force_insp`
+  screens candidate realizations against every terminal cut.
 """
 
 from itertools import combinations, product

@@ -44,6 +44,20 @@ def path_instance(labels, lengths, requirements):
     return build_instance(terminals, list(labels), edges, requirements)
 
 
+def caterpillar_instance(m):
+    """Inner spine s0..s{m-1} of unit edges, a half-length leg to t_i on each
+    s_i, and r(t_i, t_{i+1}) = 2: the optimum is 3m - 2 with no join."""
+    spine = [f"s{i}" for i in range(m)]
+    legs = [f"t{i}" for i in range(m)]
+    return build_instance(
+        legs,
+        spine + legs,
+        [(spine[i], spine[i + 1], 1) for i in range(m - 1)]
+        + [(spine[i], legs[i], "1/2") for i in range(m)],
+        [(legs[i], legs[i + 1], 2) for i in range(m - 1)],
+    )
+
+
 def zero_bridge_instance():
     """Two requirement-3 triads joined by a requirement-0 bridge edge."""
     with open(fixture_path("zero_bridge_triads.json")) as fh:

@@ -25,7 +25,7 @@ from treesynth.cli import (
     run,
 )
 
-from helpers import fixture_path, random_instance, star_instance
+from helpers import caterpillar_instance, fixture_path, random_instance, star_instance
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -271,6 +271,25 @@ class TestSolveCommand:
         code, out, err = run_cli(capsys, "verify", str(instance_file), str(result_file))
         assert (code, err) == (0, "")
         assert json.loads(out) == {"status": "ok", "cost": 2 * (k - 1)}
+
+    def test_deep_caterpillar_solves_and_verifies(self, tmp_path, capsys):
+        instance_file = tmp_path / "caterpillar.json"
+        result_file = tmp_path / "result.json"
+        instance_file.write_text(json.dumps(instance_document(caterpillar_instance(30))))
+        code, out, err = run_cli(capsys, "solve", str(instance_file), "--check")
+        assert (code, err) == (0, "")
+        result_file.write_text(out)
+        code, out, err = run_cli(capsys, "verify", str(instance_file), str(result_file))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"status": "ok", "cost": 88}
+
+    def test_unexpected_exception_exits_4_with_one_line(self, monkeypatch, capsys):
+        def broken(instance):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("treesynth.cli.solve", broken)
+        code, out, err = run_cli(capsys, "solve", fixture_path("half_star.json"))
+        assert (code, out, err) == (4, "", "internal invariant failure: RuntimeError: boom\n")
 
     def test_malformed_instance_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -54,12 +54,10 @@ class TestCapacitatedMultigraph:
             g.neighbors("zz")
         with pytest.raises(UnknownNode):
             CapacitatedMultigraph(["a", "a"])
-
-    def test_loops_carry_no_degree(self):
-        g = graph_of("ab", {("a", "a"): 4, ("a", "b"): 1})
-        assert g.degree("a") == 1
-        assert g.neighbors("a") == ("b",)
-        assert dict(g.positive_pairs()) == {("a", "a"): 4, ("a", "b"): 1}
+        with pytest.raises(UnknownNode, match="a loop at 'a' cannot carry capacity"):
+            g.set_capacity("a", "a", 4)
+        with pytest.raises(UnknownNode, match="a loop at 'a' cannot carry capacity"):
+            graph_of("ab", {("a", "a"): 4})
 
     def test_nodes_and_contains(self):
         g = graph_of("ab", {})
@@ -86,9 +84,12 @@ class TestMaxFlow:
         g = graph_of("abcd", {("a", "b"): 5, ("c", "d"): 5})
         assert max_flow(g, "a", "c") == 0
 
-    def test_loops_are_ignored(self):
-        g = graph_of("ab", {("a", "a"): 9, ("a", "b"): 1})
-        assert max_flow(g, "a", "b") == 1
+    def test_removed_pairs_carry_no_flow(self):
+        g = graph_of("abc", {("a", "b"): 9, ("a", "c"): 1, ("b", "c"): 1})
+        g.set_capacity("a", "b", 0)
+        assert max_flow(g, "a", "b") == max_flow(g, "b", "a") == 1
+        g.set_capacity("a", "b", 2)
+        assert max_flow(g, "a", "b") == 3
 
     def test_endpoint_errors(self):
         g = graph_of("ab", {("a", "b"): 1})
@@ -196,7 +197,7 @@ def test_flow_is_bounded_by_every_cut(g):
             cut = sum(
                 c
                 for (u, v), c in g.positive_pairs()
-                if u != v and (u in side) != (v in side)
+                if (u in side) != (v in side)
             )
             best = cut if best is None else min(best, cut)
         assert value == best

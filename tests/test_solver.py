@@ -20,6 +20,7 @@ from treesynth import (
 from treesynth.solver import check_preconditions
 
 from helpers import (
+    caterpillar_instance,
     random_instance,
     solvable_instances,
     star_instance,
@@ -156,6 +157,13 @@ class TestSolveAndCheck:
     def test_matches_plain_solve(self):
         instance = random_instance(11, terminals=6, inner=2)
         assert solve_and_check(instance).cost == solve(instance).cost
+
+    def test_deep_caterpillar(self):
+        # every split runs augmenting paths along the spine, through arcs
+        # that already eliminated spine nodes leave behind at capacity 0
+        solution = solve_and_check(caterpillar_instance(30))
+        assert solution.cost == 88
+        assert len(solution.trace) == 87
 
 
 def test_solver_matches_brute_force_on_a_seed_sweep():

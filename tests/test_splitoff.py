@@ -200,10 +200,11 @@ class TestSplitNode:
 
 
 class TestExtractRealization:
-    def test_reads_terminal_pairs_and_drops_loops(self):
+    def test_reads_terminal_pairs_and_skips_removed_pairs(self):
         g = CapacitatedMultigraph(["a", "b", "h"])
         g.set_capacity("a", "b", 2)
-        g.set_capacity("a", "a", 5)
+        g.set_capacity("a", "h", 5)
+        g.set_capacity("a", "h", 0)
         realization = extract_realization(g, ["a", "b"])
         assert realization == Realization({("a", "b"): 2})
 
