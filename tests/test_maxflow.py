@@ -54,10 +54,16 @@ class TestCapacitatedMultigraph:
             g.neighbors("zz")
         with pytest.raises(UnknownNode):
             CapacitatedMultigraph(["a", "a"])
+
+    def test_loops_carry_no_degree(self):
+        g = graph_of("ab", {("a", "b"): 1})
         with pytest.raises(UnknownNode, match="a loop at 'a' cannot carry capacity"):
             g.set_capacity("a", "a", 4)
+        assert g.degree("a") == 1
+        assert g.neighbors("a") == ("b",)
+        assert dict(g.positive_pairs()) == {("a", "b"): 1}
         with pytest.raises(UnknownNode, match="a loop at 'a' cannot carry capacity"):
-            graph_of("ab", {("a", "a"): 4})
+            graph_of("ab", {("a", "a"): 4, ("a", "b"): 1})
 
     def test_nodes_and_contains(self):
         g = graph_of("ab", {})
