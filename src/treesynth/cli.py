@@ -71,7 +71,7 @@ def parse_instance(text):
     """Parse an INSP-JSON document into a validated Instance."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     _expect_keys(doc, {"version", "terminals", "tree", "requirements"}, "document")
     if doc["version"] != FORMAT_VERSION:
@@ -161,9 +161,12 @@ def generate_document(terminals, inner, rmin, rmax, seed, lengths=DEFAULT_LENGTH
         raise ValueError("inner node count cannot be negative")
     if not 0 <= rmin <= rmax:
         raise ValueError("need 0 <= rmin <= rmax")
-    pool = [format_rational(parse_rational(x, "length pool")) for x in lengths]
-    if not pool:
+    values = [parse_rational(x, "length pool") for x in lengths]
+    if not values:
         raise ValueError("length pool is empty")
+    if any(x.numerator < 0 for x in values):
+        raise ValueError("length pool entries cannot be negative")
+    pool = [format_rational(x) for x in values]
     rng = random.Random(seed)
     term_names = [f"t{i}" for i in range(terminals)]
     inner_names = [f"s{i}" for i in range(inner)]
@@ -256,7 +259,7 @@ def _load_realization(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     declared_hash = None
     if isinstance(doc, dict):

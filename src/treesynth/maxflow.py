@@ -152,56 +152,24 @@ def max_flow(graph, s, t):
     return value
 
 
-def _flow_tree(graph):
-    """Gusfield flow-equivalent tree: (order, parent map, weight map).
-
-    Pairwise connectivity equals the minimum weight on the tree path, which
-    costs n-1 max-flow runs instead of one per pair.
-    """
-    names = graph.nodes
-    parent = {}
-    weight = {}
-    if len(names) < 2:
-        return names, parent, weight
-    for v in names[1:]:
-        parent[v] = names[0]
-    for i in range(1, len(names)):
-        u = names[i]
-        value, side = _dinic(graph, u, parent[u])
-        weight[u] = value
-        for j in range(i + 1, len(names)):
-            w = names[j]
-            if parent[w] == parent[u] and w in side:
-                parent[w] = u
-    return names, parent, weight
-
-
 def all_pairs_connectivity(graph):
     """Map from every unordered node pair to its exact connectivity.
 
-    A flow-tree parent precedes its child in node order, so one pass fills
+    Builds a Gusfield flow-equivalent tree from n-1 max-flow runs; pairwise
+    connectivity is the least weight on the tree path. A tree parent precedes
+    its child in node order, so one pass fills
     lam(v, x) = min(weight[v], lam(parent[v], x)) for every earlier x.
     """
-    names, parent, weight = _flow_tree(graph)
+    names = graph.nodes
+    parent = {v: names[0] for v in names[1:]}
     out = {}
     for i in range(1, len(names)):
-        v = names[i]
-        p, w = parent[v], weight[v]
+        u = names[i]
+        p = parent[u]
+        w, side = _dinic(graph, u, p)
+        for v in names[i + 1 :]:
+            if parent[v] == p and v in side:
+                parent[v] = u
         for x in names[:i]:
-            out[node_pair(v, x)] = w if x == p else min(w, out[node_pair(p, x)])
+            out[node_pair(u, x)] = w if x == p else min(w, out[node_pair(p, x)])
     return out
-
-
-def connectivity_snapshot(graph, exclude):
-    """Pairwise connectivity among all positive-degree nodes other than one.
-
-    Flows still run on the whole graph, so paths through the excluded node
-    count; only the reported pairs avoid it.
-    """
-    if exclude not in graph:
-        raise UnknownNode(f"unknown node {exclude!r}")
-    keep = {v for v in graph.nodes if v != exclude and graph.degree(v) > 0}
-    if len(keep) < 2:
-        return {}
-    lam = all_pairs_connectivity(graph)
-    return {(u, v): c for (u, v), c in lam.items() if u in keep and v in keep}

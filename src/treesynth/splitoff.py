@@ -3,32 +3,48 @@
 A split at the active node s replaces one unit of capacity on each of (s, u)
 and (s, w) with a unit on (u, w); splitting a pair with u == w just removes
 two units of (s, u), since a loop adds no connectivity. Amounts are chosen so
-the pairwise connectivity snapshot taken when s became active keeps holding
-among all other nodes.
+the pairwise connectivity of the initial graph keeps holding among all other
+nodes of positive degree.
+
+Split-off starts from a capacitated tree, which is its own Gomory-Hu tree.
+A split never raises a cut and an admissible one keeps every demand, so each
+pair of nodes that still have degree keeps its initial connectivity: the
+demands are computed once per solve and restricted at each activation.
 """
 
 from itertools import combinations_with_replacement
 
 from .errors import SolverInternalError, UnknownNode
-from .maxflow import CapacitatedMultigraph, connectivity_snapshot, max_flow
+from .maxflow import CapacitatedMultigraph, all_pairs_connectivity, max_flow
 from .model import Realization, node_pair
+
+
+def connectivity_snapshot(graph, active_node, connectivity):
+    """The pairs of `connectivity` among positive-degree nodes other than one.
+
+    `connectivity` maps node pairs to their connectivity, as
+    `all_pairs_connectivity` returns it; no flow runs here.
+    """
+    if active_node not in graph:
+        raise UnknownNode(f"unknown node {active_node!r}")
+    keep = {v for v in graph.nodes if v != active_node and graph.degree(v) > 0}
+    return {(u, v): c for (u, v), c in connectivity.items() if u in keep and v in keep}
 
 
 class SplitState:
     """Mutable bookkeeping while one node is being eliminated.
 
     `demands` maps node pairs (never touching the active node) to the
-    connectivity that must survive every split: the snapshot of the graph at
-    activation. `events` records executed splits as (u, w, amount) triples in
-    order.
+    connectivity that must survive every split: `connectivity`, the initial
+    graph's pairwise connectivity, restricted to the nodes that have degree
+    at activation. `events` records executed splits as (u, w, amount)
+    triples in order.
     """
 
-    def __init__(self, graph, active_node):
-        if active_node not in graph:
-            raise UnknownNode(f"unknown node {active_node!r}")
+    def __init__(self, graph, active_node, connectivity):
         self.graph = graph
         self.active = active_node
-        self.demands = connectivity_snapshot(graph, active_node)
+        self.demands = connectivity_snapshot(graph, active_node, connectivity)
         self._checks = _dominant_demands(self.demands)
         self.events = []
 
@@ -140,10 +156,10 @@ def split_node(state):
     splits each pair at its maximum admissible amount, skipping pairs that
     have lost their capacity to the node. One pass is enough: a split never
     raises a cut value, so a refused pair stays refused, and a pair split at
-    its maximum admits no further unit. The demand snapshot keeps holding
-    after every step. Raises SolverInternalError when degree is left after the
-    pass, which means the input graph broke a precondition (some demand cut
-    of value 0 or 1).
+    its maximum admits no further unit. The demands keep holding after every
+    step. Raises SolverInternalError when degree is left after the pass,
+    which means the input graph broke a precondition (some demand cut of
+    value 0 or 1).
     """
     graph, s = state.graph, state.active
     assert graph.degree(s) % 2 == 0, f"odd degree at {s!r}"
@@ -182,16 +198,19 @@ def extract_realization(graph, terminals):
 def realize_capacity(instance, capacity):
     """Run the full elimination: expand, split out each inner node, extract.
 
-    Inner nodes are processed in ascending identifier order, each against a
-    fresh connectivity snapshot. Returns (realization, trace) where trace is
-    a tuple of (node, u, w, amount) split records.
+    Inner nodes are processed in ascending identifier order; each one's
+    demands restrict the expanded graph's connectivity, computed once before
+    the first split. Returns (realization, trace) where trace is a tuple of
+    (node, u, w, amount) split records.
     """
     graph = expand_capacity_graph(instance, capacity)
+    inner = sorted(instance.inner_nodes())
+    connectivity = all_pairs_connectivity(graph) if any(graph.degree(s) for s in inner) else {}
     trace = []
-    for s in sorted(instance.inner_nodes()):
+    for s in inner:
         if graph.degree(s) == 0:
             continue
-        state = SplitState(graph, s)
+        state = SplitState(graph, s, connectivity)
         split_node(state)
         trace.extend((s, u, w, amount) for u, w, amount in state.events)
     return extract_realization(graph, instance.terminals), tuple(trace)

@@ -25,7 +25,7 @@ from treesynth import (
 )
 from treesynth.cli import run
 from treesynth.join import ParityInstance, brute_force_join, parity_sets, satisfies_parity
-from treesynth.maxflow import connectivity_snapshot, max_flow
+from treesynth.maxflow import all_pairs_connectivity, max_flow
 from treesynth.model import MetricTree
 from treesynth.splitoff import expand_capacity_graph
 from treesynth.verify import capacity_projection, uniform_integer_formula, verify_feasible_capacity
@@ -88,8 +88,20 @@ def _apply(graph, s, u, w, amount):
         graph.add_capacity(u, w, amount)
 
 
+def _flow_snapshot(graph, node):
+    """Max-flow connectivity among the positive-degree nodes other than node."""
+    keep = {v for v in graph.nodes if v != node and graph.degree(v) > 0}
+    lam = all_pairs_connectivity(graph)
+    return {(x, y): c for (x, y), c in lam.items() if x in keep and y in keep}
+
+
 def _replay(instance, solution, check_demands):
-    """Re-run the recorded splits and check every stated invariant."""
+    """Re-run the recorded splits and check every stated invariant.
+
+    With check_demands, each activation's demands are recomputed by max-flow
+    on the current graph, compared with the least capacity on the tree path
+    of each pair, and checked after every split.
+    """
     tree = instance.tree
     graph = expand_capacity_graph(instance, solution.capacity)
     out = {
@@ -99,9 +111,15 @@ def _replay(instance, solution, check_demands):
         "demands": True,
         "steps": 0,
         "checked_demands": check_demands,
+        "snapshot_pairs": 0,
+        "bottleneck_mismatches": 0,
     }
     for node, events in groupby(solution.trace, key=lambda e: e[0]):
-        demands = connectivity_snapshot(graph, node) if check_demands else None
+        demands = _flow_snapshot(graph, node) if check_demands else {}
+        for (x, y), d in demands.items():
+            out["snapshot_pairs"] += 1
+            if d != min(solution.capacity[e] for e in tree.path(x, y)):
+                out["bottleneck_mismatches"] += 1
         for _, u, w, amount in events:
             out["steps"] += 1
             if graph.degree(node) % 2:
@@ -112,10 +130,9 @@ def _replay(instance, solution, check_demands):
                 out["monotone"] = False
             if graph.degree(node) % 2:
                 out["even"] = False
-            if demands is not None:
-                for (x, y), d in demands.items():
-                    if max_flow(graph, x, y) < d:
-                        out["demands"] = False
+            for (x, y), d in demands.items():
+                if max_flow(graph, x, y) < d:
+                    out["demands"] = False
         if graph.degree(node) != 0:
             out["even"] = False
     out["end"] = _potential(tree, graph) == instance.realization_cost(
@@ -274,14 +291,18 @@ def test_criterion_06_split_invariants(corpus, replayed, acceptance_log):
     bad_demands = sum(1 for r in replayed if not r["demands"])
     spot_checked = sum(1 for r in replayed if r["checked_demands"])
     steps = sum(r["steps"] for r in replayed)
-    ok = bad_monotone == 0 and bad_even == 0 and bad_demands == 0
+    pairs = sum(r["snapshot_pairs"] for r in replayed)
+    mismatches = sum(r["bottleneck_mismatches"] for r in replayed)
+    ok = bad_monotone == 0 and bad_even == 0 and bad_demands == 0 and mismatches == 0
     _report(
         acceptance_log,
         6,
-        "splits never raise the potential, keep degrees even, honor demands",
+        "splits never raise the potential, keep degrees even, honor demands "
+        "equal to tree-path bottlenecks",
         ok,
         f"{steps} splits over {len(runs)} runs, demands spot-checked by "
-        f"max-flow on {spot_checked} small instances",
+        f"max-flow on {spot_checked} small instances, {mismatches} of {pairs} "
+        f"demands differ from the tree-path bottleneck",
     )
 
 
@@ -358,8 +379,8 @@ def test_criterion_09_projection_round_trip(corpus, acceptance_log):
     )
 
 
-def test_criterion_10_scale_ceiling(acceptance_log):
-    instance = _generated(seed=424242, terminals=30, inner=10, rmin=2, rmax=10)
+def _scale_ceiling(acceptance_log, terminals, inner):
+    instance = _generated(seed=424242, terminals=terminals, inner=inner, rmin=2, rmax=10)
     start = time.perf_counter()
     solution = solve(instance)
     elapsed = time.perf_counter() - start
@@ -367,8 +388,16 @@ def test_criterion_10_scale_ceiling(acceptance_log):
     _report(
         acceptance_log,
         10,
-        "a 30-terminal, 10-inner-node instance solves inside the ceiling",
+        f"a {terminals}-terminal, {inner}-inner-node instance solves inside the ceiling",
         elapsed < 60 and feasible,
         f"{elapsed:.1f}s < 60s, cost {solution.cost}, "
         f"{len(solution.trace)} splits, feasible={feasible}",
     )
+
+
+def test_criterion_10_scale_ceiling(acceptance_log):
+    _scale_ceiling(acceptance_log, terminals=30, inner=10)
+
+
+def test_criterion_10_deeper_scale_ceiling(acceptance_log):
+    _scale_ceiling(acceptance_log, terminals=60, inner=20)

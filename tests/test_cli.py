@@ -1,5 +1,6 @@
 """Command-line interface, the JSON instance format, and the generator."""
 
+import copy
 import json
 import os
 import subprocess
@@ -7,10 +8,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesynth import (
     InvalidInstance,
     ParseError,
+    TreeSynthError,
     build_instance,
     generate_document,
     parse_instance,
@@ -28,6 +32,9 @@ from treesynth.cli import (
 from helpers import caterpillar_instance, fixture_path, random_instance, star_instance
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# nested deeper than the JSON decoder's recursion allows
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def doc_text(instance):
@@ -74,6 +81,10 @@ class TestParseInstance:
     def test_rejects_bad_json(self):
         with pytest.raises(ParseError):
             parse_instance("{nope")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="invalid JSON: maximum recursion depth"):
+            parse_instance(DEEP_JSON)
 
     def test_rejects_wrong_version(self):
         doc = json.loads(doc_text(star_instance({("a", "b"): 2})))
@@ -291,6 +302,13 @@ class TestSolveCommand:
         code, out, err = run_cli(capsys, "solve", fixture_path("half_star.json"))
         assert (code, out, err) == (4, "", "internal invariant failure: RuntimeError: boom\n")
 
+    def test_deeply_nested_document_exits_1(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        code, out, err = run_cli(capsys, "solve", str(deep))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid JSON: maximum recursion depth")
+
     def test_malformed_instance_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": "insp-json-v1"}')
@@ -425,6 +443,13 @@ class TestVerifyCommand:
         assert code == 1
         assert "duplicate" in err
 
+    def test_deeply_nested_realization_exits_1(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        code, out, err = run_cli(capsys, "verify", fixture_path("half_star.json"), str(deep))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: invalid JSON in {deep}: maximum recursion depth")
+
     @pytest.mark.parametrize("s, t", [(1, "a"), ("a", ["b"]), (None, "b")])
     def test_non_string_endpoints_are_parse_errors(self, tmp_path, capsys, s, t):
         entries = tmp_path / "odd.json"
@@ -473,6 +498,13 @@ class TestGenCommand:
         code, _, err = run_cli(capsys, "gen", "--terminals", "0")
         assert code == 1
 
+    def test_negative_length_pool_exits_1(self, capsys):
+        # a negative length would give a document the parser rejects
+        with pytest.raises(ValueError, match="length pool entries cannot be negative"):
+            generate_document(terminals=3, inner=0, rmin=2, rmax=2, seed=0, lengths=("1", "-1/2"))
+        code, out, err = run_cli(capsys, "gen", "--terminals", "3", "--lengths=-1")
+        assert (code, out, err) == (1, "", "error: length pool entries cannot be negative\n")
+
 
 class TestArgumentParsing:
     def test_help_exits_0(self, capsys):
@@ -517,3 +549,60 @@ def test_pipeline_round_trip(tmp_path, capsys):
     verified = json.loads(out)
     assert verified["status"] == "ok"
     assert verified["cost"] == solved["cost"]
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(-(10**30), 10**30),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["u", "v", "s", "t", "r", "y", "length", "x"]), st.integers(-3, 3), max_size=2),
+)
+
+
+def _slots(doc):
+    """(container, key) for every value inside a JSON document."""
+    out = []
+    stack = [doc]
+    while stack:
+        container = stack.pop()
+        for key in list(container) if isinstance(container, dict) else range(len(container)):
+            out.append((container, key))
+            if isinstance(container[key], (dict, list)):
+                stack.append(container[key])
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_documents_raise_only_package_errors(data):
+    """A `gen` document with keys, values or list entries changed parses or
+    fails with one of the package's own exceptions, never another one."""
+    doc = generate_document(
+        terminals=data.draw(st.integers(2, 5)),
+        inner=data.draw(st.integers(0, 2)),
+        rmin=2,
+        rmax=4,
+        seed=data.draw(st.integers(0, 50)),
+    )
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(doc)
+        if not slots:
+            break
+        container, key = data.draw(st.sampled_from(slots))
+        op = data.draw(st.sampled_from(["drop", "replace", "add"]))
+        if op == "drop":
+            del container[key]
+        elif op == "replace":
+            container[key] = data.draw(JUNK)
+        elif isinstance(container, list):
+            entry = data.draw(st.one_of(st.just(copy.deepcopy(container[key])), JUNK))
+            container.insert(key, entry)
+        else:
+            container[data.draw(st.text(max_size=3))] = data.draw(JUNK)
+    try:
+        parse_instance(json.dumps(doc))
+    except TreeSynthError:
+        pass

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesynth import Realization, SolverInternalError, UnknownNode, build_instance
-from treesynth.maxflow import CapacitatedMultigraph, max_flow
+from treesynth.maxflow import CapacitatedMultigraph, all_pairs_connectivity, max_flow
 from treesynth.splitoff import (
     SplitState,
     _dominant_demands,
     admissible_amount,
+    connectivity_snapshot,
     expand_capacity_graph,
     extract_realization,
     realize_capacity,
@@ -107,37 +108,66 @@ class TestExpandCapacityGraph:
         assert "c" not in graph.neighbors("hub")
 
 
+class TestConnectivitySnapshot:
+    def test_paths_through_the_excluded_node_still_count(self):
+        g = CapacitatedMultigraph("asb", {("a", "s"): 2, ("s", "b"): 2})
+        assert connectivity_snapshot(g, "s", all_pairs_connectivity(g)) == {("a", "b"): 2}
+
+    def test_zero_degree_nodes_are_dropped(self):
+        g = CapacitatedMultigraph("asbd", {("a", "s"): 2, ("s", "b"): 2})
+        snap = connectivity_snapshot(g, "s", all_pairs_connectivity(g))
+        assert set(snap) == {("a", "b")}
+
+    def test_too_few_nodes_left(self):
+        g = CapacitatedMultigraph("as", {("a", "s"): 2})
+        assert connectivity_snapshot(g, "s", all_pairs_connectivity(g)) == {}
+
+    def test_unknown_exclude(self):
+        with pytest.raises(UnknownNode, match="unknown node 'zz'"):
+            connectivity_snapshot(CapacitatedMultigraph("ab"), "zz", {})
+
+    def test_restricts_the_given_map_without_flows(self):
+        # the map is read, not recomputed: its values pass through, and pairs
+        # touching the active node or a node without degree are dropped
+        g = CapacitatedMultigraph("abcs", {("a", "s"): 2, ("b", "s"): 2})
+        given_map = {("a", "b"): 7, ("a", "c"): 5, ("a", "s"): 2}
+        assert connectivity_snapshot(g, "s", given_map) == {("a", "b"): 7}
+
+
 class TestSplitState:
     def test_default_snapshot(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h")
+        state = SplitState(g, "h", all_pairs_connectivity(g))
         assert state.demands == {("a", "b"): 2, ("a", "c"): 2, ("b", "c"): 2}
         assert state.events == []
         with pytest.raises(UnknownNode, match="unknown node 'zz'"):
-            SplitState(g, "zz")
+            SplitState(g, "zz", all_pairs_connectivity(g))
 
 
 class TestAdmissibleAmount:
     def test_uniform_star_allows_one_unit(self):
-        state = SplitState(star_graph({"a": 2, "b": 2, "c": 2}), "h")
+        g = star_graph({"a": 2, "b": 2, "c": 2})
+        state = SplitState(g, "h", all_pairs_connectivity(g))
         assert admissible_amount(state, "a", "b") == 1
 
     def test_two_leaf_star_splits_completely(self):
-        state = SplitState(star_graph({"a": 3, "b": 3}), "h")
+        g = star_graph({"a": 3, "b": 3})
+        state = SplitState(g, "h", all_pairs_connectivity(g))
         assert admissible_amount(state, "a", "b") == 3
 
     def test_loop_pair_blocked_by_through_demand(self):
-        state = SplitState(star_graph({"a": 2, "b": 2}), "h")
+        g = star_graph({"a": 2, "b": 2})
+        state = SplitState(g, "h", all_pairs_connectivity(g))
         assert admissible_amount(state, "a", "a") == 0
 
     def test_loop_pair_on_sole_neighbor_burns_half(self):
         g = star_graph({"a": 4})
-        state = SplitState(g, "h")
+        state = SplitState(g, "h", all_pairs_connectivity(g))
         assert admissible_amount(state, "a", "a") == 2
 
     def test_probing_leaves_the_graph_unchanged(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h")
+        state = SplitState(g, "h", all_pairs_connectivity(g))
         admissible_amount(state, "a", "b")
         admissible_amount(state, "a", "a")
         untouched = star_graph({"a": 2, "b": 2, "c": 2})
@@ -148,7 +178,7 @@ class TestAdmissibleAmount:
         g2 = CapacitatedMultigraph(list(g.nodes) + ["d"])
         for (u, v), c in g.positive_pairs():
             g2.set_capacity(u, v, c)
-        state = SplitState(g2, "h")
+        state = SplitState(g2, "h", all_pairs_connectivity(g2))
         with pytest.raises(UnknownNode, match="'d' does not neighbor 'h'"):
             admissible_amount(state, "a", "d")
         with pytest.raises(UnknownNode, match="is the active node"):
@@ -156,14 +186,15 @@ class TestAdmissibleAmount:
 
     def test_partial_amount_on_skewed_star(self):
         # splitting a-b beyond 2 units would strand a from c
-        state = SplitState(star_graph({"a": 3, "b": 3, "c": 2}), "h")
+        g = star_graph({"a": 3, "b": 3, "c": 2})
+        state = SplitState(g, "h", all_pairs_connectivity(g))
         assert admissible_amount(state, "a", "b") == 2
 
 
 class TestSplitNode:
     def test_uniform_star_becomes_a_triangle(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h")
+        state = SplitState(g, "h", all_pairs_connectivity(g))
         split_node(state)
         assert state.events == [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)]
         assert dict(g.positive_pairs()) == {
@@ -174,7 +205,7 @@ class TestSplitNode:
 
     def test_skewed_star_keeps_the_heavy_pair(self):
         g = star_graph({"a": 3, "b": 3, "c": 2})
-        state = SplitState(g, "h")
+        state = SplitState(g, "h", all_pairs_connectivity(g))
         split_node(state)
         assert state.events == [("a", "b", 2), ("a", "c", 1), ("b", "c", 1)]
         assert dict(g.positive_pairs()) == {
@@ -185,8 +216,9 @@ class TestSplitNode:
 
     def test_connectivities_survive(self):
         g = star_graph({"a": 4, "b": 4, "c": 2, "d": 2})
-        demands = SplitState(g, "h").demands
-        split_node(SplitState(g, "h"))
+        state = SplitState(g, "h", all_pairs_connectivity(g))
+        demands = dict(state.demands)
+        split_node(state)
         assert g.degree("h") == 0
         for (x, y), d in demands.items():
             assert max_flow(g, x, y) >= d
@@ -196,7 +228,7 @@ class TestSplitNode:
         # this is the configuration the capacity >= 2 precondition excludes
         g = star_graph({"a": 1, "b": 1, "c": 1, "d": 1})
         with pytest.raises(SolverInternalError, match="no admissible split remains at 'h'"):
-            split_node(SplitState(g, "h"))
+            split_node(SplitState(g, "h", all_pairs_connectivity(g)))
 
 
 class TestExtractRealization:
@@ -256,8 +288,9 @@ def test_split_preserves_snapshot_connectivities(data):
     if sum(caps.values()) % 2:
         caps["x0"] += 1
     g = star_graph(caps)
-    demands = SplitState(g, "h").demands
-    split_node(SplitState(g, "h"))
+    state = SplitState(g, "h", all_pairs_connectivity(g))
+    demands = dict(state.demands)
+    split_node(state)
     assert g.degree("h") == 0
     for (x, y), d in demands.items():
         assert max_flow(g, x, y) >= d
