@@ -2,9 +2,10 @@
 """Sweep small random instances and compare the solver to exhaustive search.
 
 Every instance is solved twice: by the polynomial pipeline and by the
-brute-force enumerator. Any cost disagreement is printed with the full
-instance document so it can be replayed. Exits nonzero on the first batch
-with disagreements.
+brute-force enumerator, and the solver's realization is audited by max-flow.
+A cost disagreement or a failed audit is printed with the full instance
+document so it can be replayed. Exits nonzero on the first batch with
+disagreements.
 
     python3 scripts/oracle_sweep.py --count 200 --rmax 3
 """
@@ -18,7 +19,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from treesynth import brute_force_insp, generate_document, parse_instance, solve
+from treesynth import brute_force_insp, generate_document, parse_instance, solve, verify_realization
 
 
 def main():
@@ -43,11 +44,13 @@ def main():
             seed=args.seed * 100_000 + i,
         )
         instance = parse_instance(json.dumps(doc))
-        fast = solve(instance).cost
+        solution = solve(instance)
+        fast = solution.cost
         slow = instance.realization_cost(brute_force_insp(instance))
-        if fast != slow:
+        deficits = verify_realization(instance, solution.realization)
+        if fast != slow or deficits:
             disagreements += 1
-            print(f"DISAGREEMENT at instance {i}: solver {fast}, exhaustive {slow}")
+            print(f"DISAGREEMENT at instance {i}: solver {fast}, exhaustive {slow}, deficits {deficits}")
             print(json.dumps(doc, indent=2))
     elapsed = time.perf_counter() - start
     print(

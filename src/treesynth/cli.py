@@ -9,6 +9,7 @@ invariant failure.
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -439,7 +440,15 @@ def run(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed standard output: send what is still buffered to
+        # the null device, so the flush at interpreter exit does not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _diag(f"error: cannot write output: {exc}")
+        return 1
     except PreconditionViolated as exc:
         _diag(f"precondition violated: {exc}")
         return 2

@@ -6,85 +6,75 @@ two units of (s, u), since a loop adds no connectivity. Amounts are chosen so
 the pairwise connectivity of the initial graph keeps holding among all other
 nodes of positive degree.
 
-Split-off starts from a capacitated tree, which is its own Gomory-Hu tree.
-A split never raises a cut and an admissible one keeps every demand, so each
-pair of nodes that still have degree keeps its initial connectivity: the
-demands are computed once per solve and restricted at each activation.
+Split-off starts from a capacitated tree, which is its own Gomory-Hu tree:
+the connectivity of two nodes is the least capacity on their tree path. A
+split never raises a cut and an admissible one keeps every demand, so each
+pair of nodes that still have degree keeps that initial connectivity, and
+every activation reads its demands off the tree.
 """
 
 from itertools import combinations_with_replacement
 
 from .errors import SolverInternalError, UnknownNode
-from .maxflow import CapacitatedMultigraph, all_pairs_connectivity, max_flow
-from .model import Realization, node_pair
+from .maxflow import CapacitatedMultigraph, max_flow
+from .model import Realization
 
 
-def connectivity_snapshot(graph, active_node, connectivity):
-    """The pairs of `connectivity` among positive-degree nodes other than one.
+def connectivity_snapshot(graph, active_node, tree_edges):
+    """Checks (x, y, lam) that imply every demand at one activation.
 
-    `connectivity` maps node pairs to their connectivity, as
-    `all_pairs_connectivity` returns it; no flow runs here.
+    `tree_edges` are the ((u, v), capacity) pairs of the initial tree. They
+    are joined in descending capacity order; each join of two components
+    that hold kept nodes (positive degree in `graph`, not the active node)
+    emits a check between a kept node of each side at that capacity: the
+    least on their tree path, so their initial connectivity. The checks form
+    a maximum spanning forest of the demands, and any graph has
+    lam(x, y) >= min(lam(x, z), lam(z, y)), so they imply every demand.
     """
     if active_node not in graph:
         raise UnknownNode(f"unknown node {active_node!r}")
-    keep = {v for v in graph.nodes if v != active_node and graph.degree(v) > 0}
-    return {(u, v): c for (u, v), c in connectivity.items() if u in keep and v in keep}
+    up = {v: v for v in graph.nodes}
+    # component root -> one kept node of that component
+    kept = {v: v for v in graph.nodes if v != active_node and graph.degree(v) > 0}
+
+    def find(v):
+        while up[v] != v:
+            up[v] = up[up[v]]
+            v = up[v]
+        return v
+
+    checks = []
+    for (u, v), c in sorted(tree_edges, key=lambda edge: -edge[1]):
+        ru, rv = find(u), find(v)
+        sides = [kept.pop(r) for r in (ru, rv) if r in kept]
+        up[ru] = rv
+        if sides:
+            kept[rv] = sides[0]
+        if len(sides) == 2:
+            checks.append((sides[0], sides[1], c))
+    return checks
 
 
 class SplitState:
     """Mutable bookkeeping while one node is being eliminated.
 
-    `demands` maps node pairs (never touching the active node) to the
-    connectivity that must survive every split: `connectivity`, the initial
-    graph's pairwise connectivity, restricted to the nodes that have degree
-    at activation. `events` records executed splits as (u, w, amount)
-    triples in order.
+    `demands` lists (x, y, lam) checks, never touching the active node, whose
+    connectivity must survive every split: `connectivity_snapshot` reads them
+    off `tree_edges`, the capacitated tree split-off started from, for the
+    nodes that have degree at activation. `events` records executed splits
+    as (u, w, amount) triples in order.
     """
 
-    def __init__(self, graph, active_node, connectivity):
+    def __init__(self, graph, active_node, tree_edges):
         self.graph = graph
         self.active = active_node
-        self.demands = connectivity_snapshot(graph, active_node, connectivity)
-        self._checks = _dominant_demands(self.demands)
+        self.demands = connectivity_snapshot(graph, active_node, tree_edges)
         self.events = []
-
-
-def _dominant_demands(demands):
-    """Spanning subset of demand pairs whose satisfaction implies all of them.
-
-    Connectivity of any graph obeys lam(x, y) >= min(lam(x, z), lam(z, y)),
-    and on a maximum-weight spanning tree of the demand map every tree path
-    bottleneck is at least the direct demand, so checking the tree pairs is
-    exact. Cuts the per-split flow checks from quadratic to linear.
-    """
-    nodes = sorted({x for p in demands for x in p})
-    if len(nodes) < 2:
-        return []
-    start = nodes[0]
-    best = {v: (demands.get(node_pair(start, v), 0), start) for v in nodes[1:]}
-    out = []
-    while best:
-        top = None
-        for v, (w, _) in best.items():
-            if top is None or w > best[top][0]:
-                top = v
-        weight, anchor = best.pop(top)
-        if weight > 0:
-            out.append((anchor, top, weight))
-        for v in best:
-            cand = demands.get(node_pair(top, v), 0)
-            if cand > best[v][0]:
-                best[v] = (cand, top)
-    return out
 
 
 def expand_capacity_graph(instance, capacity):
     """Capacitated graph on the tree nodes with the tree edges as its edges."""
-    graph = CapacitatedMultigraph(instance.tree.nodes)
-    for (u, v), c in capacity.items():
-        if c > 0:
-            graph.set_capacity(u, v, c)
-    return graph
+    return CapacitatedMultigraph(instance.tree.nodes, capacity)
 
 
 def _apply_split(graph, s, u, w, amount):
@@ -98,7 +88,7 @@ def _apply_split(graph, s, u, w, amount):
 
 def _demands_hold(state):
     graph = state.graph
-    for x, y, needed in state._checks:
+    for x, y, needed in state.demands:
         if max_flow(graph, x, y) < needed:
             return False
     return True
@@ -199,18 +189,17 @@ def realize_capacity(instance, capacity):
     """Run the full elimination: expand, split out each inner node, extract.
 
     Inner nodes are processed in ascending identifier order; each one's
-    demands restrict the expanded graph's connectivity, computed once before
-    the first split. Returns (realization, trace) where trace is a tuple of
+    demands are read off the expanded graph's tree edges, taken before the
+    first split. Returns (realization, trace) where trace is a tuple of
     (node, u, w, amount) split records.
     """
     graph = expand_capacity_graph(instance, capacity)
-    inner = sorted(instance.inner_nodes())
-    connectivity = all_pairs_connectivity(graph) if any(graph.degree(s) for s in inner) else {}
+    tree_edges = list(graph.positive_pairs())
     trace = []
-    for s in inner:
+    for s in sorted(instance.inner_nodes()):
         if graph.degree(s) == 0:
             continue
-        state = SplitState(graph, s, connectivity)
+        state = SplitState(graph, s, tree_edges)
         split_node(state)
         trace.extend((s, u, w, amount) for u, w, amount in state.events)
     return extract_realization(graph, instance.terminals), tuple(trace)

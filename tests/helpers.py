@@ -17,6 +17,23 @@ def fixture_path(name):
     return os.path.join(FIXTURE_DIR, name)
 
 
+def forest_bottleneck(checks, x, y):
+    """Least weight on the x-y path of a forest of (u, v, w) edges, 0 if none."""
+    adj = {}
+    for u, v, w in checks:
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    best = {x: None}
+    stack = [x]
+    while stack:
+        node = stack.pop()
+        for nxt, w in adj.get(node, ()):
+            if nxt not in best:
+                best[nxt] = w if best[node] is None else min(best[node], w)
+                stack.append(nxt)
+    return best.get(y) or 0
+
+
 def star_instance(rmap, length="1/2", hub="hub"):
     """Star with the given requirement dict {(a, b): r} and one inner hub."""
     terminals = sorted({x for pair in rmap for x in pair})

@@ -26,11 +26,11 @@ from treesynth import (
 from treesynth.cli import run
 from treesynth.join import ParityInstance, brute_force_join, parity_sets, satisfies_parity
 from treesynth.maxflow import all_pairs_connectivity, max_flow
-from treesynth.model import MetricTree
-from treesynth.splitoff import expand_capacity_graph
+from treesynth.model import MetricTree, node_pair
+from treesynth.splitoff import connectivity_snapshot, expand_capacity_graph
 from treesynth.verify import capacity_projection, uniform_integer_formula, verify_feasible_capacity
 
-from helpers import fixture_path, star_instance, uniform_star
+from helpers import fixture_path, forest_bottleneck, star_instance, uniform_star
 
 LENGTH_POOL = ("0", "1/2", "1", "2", "7/3")
 
@@ -100,10 +100,13 @@ def _replay(instance, solution, check_demands):
 
     With check_demands, each activation's demands are recomputed by max-flow
     on the current graph, compared with the least capacity on the tree path
-    of each pair, and checked after every split.
+    of each pair and with the solver's own checks (each check's weight, and
+    the check forest's bottleneck for every pair), and checked after every
+    split.
     """
     tree = instance.tree
     graph = expand_capacity_graph(instance, solution.capacity)
+    tree_edges = list(graph.positive_pairs())
     out = {
         "start": _potential(tree, graph) == solution.capacity.cost(),
         "monotone": True,
@@ -113,6 +116,8 @@ def _replay(instance, solution, check_demands):
         "checked_demands": check_demands,
         "snapshot_pairs": 0,
         "bottleneck_mismatches": 0,
+        "solver_checks": 0,
+        "check_mismatches": 0,
     }
     for node, events in groupby(solution.trace, key=lambda e: e[0]):
         demands = _flow_snapshot(graph, node) if check_demands else {}
@@ -120,6 +125,15 @@ def _replay(instance, solution, check_demands):
             out["snapshot_pairs"] += 1
             if d != min(solution.capacity[e] for e in tree.path(x, y)):
                 out["bottleneck_mismatches"] += 1
+        if check_demands:
+            checks = connectivity_snapshot(graph, node, tree_edges)
+            out["solver_checks"] += len(checks)
+            for x, y, w in checks:
+                if demands.get(node_pair(x, y)) != w:
+                    out["check_mismatches"] += 1
+            for (x, y), d in demands.items():
+                if forest_bottleneck(checks, x, y) < d:
+                    out["check_mismatches"] += 1
         for _, u, w, amount in events:
             out["steps"] += 1
             if graph.degree(node) % 2:
@@ -293,16 +307,25 @@ def test_criterion_06_split_invariants(corpus, replayed, acceptance_log):
     steps = sum(r["steps"] for r in replayed)
     pairs = sum(r["snapshot_pairs"] for r in replayed)
     mismatches = sum(r["bottleneck_mismatches"] for r in replayed)
-    ok = bad_monotone == 0 and bad_even == 0 and bad_demands == 0 and mismatches == 0
+    checks = sum(r["solver_checks"] for r in replayed)
+    check_mismatches = sum(r["check_mismatches"] for r in replayed)
+    ok = (
+        bad_monotone == 0
+        and bad_even == 0
+        and bad_demands == 0
+        and mismatches == 0
+        and check_mismatches == 0
+    )
     _report(
         acceptance_log,
         6,
         "splits never raise the potential, keep degrees even, honor demands "
-        "equal to tree-path bottlenecks",
+        "equal to tree-path bottlenecks and implied by the solver's checks",
         ok,
         f"{steps} splits over {len(runs)} runs, demands spot-checked by "
         f"max-flow on {spot_checked} small instances, {mismatches} of {pairs} "
-        f"demands differ from the tree-path bottleneck",
+        f"demands differ from the tree-path bottleneck, {check_mismatches} "
+        f"mismatches between {checks} solver checks and the max-flow demands",
     )
 
 

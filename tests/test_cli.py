@@ -532,6 +532,23 @@ def test_module_entry_point_runs():
     json.loads(proc.stdout)
 
 
+def test_closed_output_pipe_exits_1_with_one_line():
+    # the document is far larger than a pipe buffer, so the write fails
+    # once the reader has gone
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treesynth", "gen", "--terminals", "60", "--inner", "0", "--seed", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
 def test_pipeline_round_trip(tmp_path, capsys):
     instance_file = tmp_path / "instance.json"
     result_file = tmp_path / "result.json"

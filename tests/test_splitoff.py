@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesynth import Realization, SolverInternalError, UnknownNode, build_instance
+from treesynth import Realization, SolverInternalError, UnknownNode, build_instance, maxflow
 from treesynth.maxflow import CapacitatedMultigraph, all_pairs_connectivity, max_flow
 from treesynth.splitoff import (
     SplitState,
-    _dominant_demands,
     admissible_amount,
     connectivity_snapshot,
     expand_capacity_graph,
@@ -20,7 +19,7 @@ from treesynth.splitoff import (
 )
 from treesynth.model import node_pair
 
-from helpers import star_instance, uniform_star
+from helpers import forest_bottleneck, star_instance, uniform_star
 
 
 def star_graph(caps):
@@ -29,61 +28,6 @@ def star_graph(caps):
     for leaf, c in caps.items():
         g.set_capacity("h", leaf, c)
     return g
-
-
-class TestDominantDemands:
-    def test_empty(self):
-        assert _dominant_demands({}) == []
-
-    def test_single_pair(self):
-        assert _dominant_demands({("a", "b"): 3}) == [("a", "b", 3)]
-
-    def test_zero_demands_are_dropped(self):
-        assert _dominant_demands({("a", "b"): 0}) == []
-
-    def test_keeps_a_maximum_spanning_tree(self):
-        checks = _dominant_demands({("a", "b"): 3, ("a", "c"): 5, ("b", "c"): 4})
-        assert {(node_pair(x, y), w) for x, y, w in checks} == {
-            (("a", "c"), 5),
-            (("b", "c"), 4),
-        }
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_tree_bottlenecks_dominate_every_demand(self, data):
-        n = data.draw(st.integers(2, 7))
-        names = [f"n{i}" for i in range(n)]
-        demands = {}
-        for x, y in combinations(names, 2):
-            d = data.draw(st.integers(0, 6))
-            if d:
-                demands[(x, y)] = d
-        checks = _dominant_demands(demands)
-        # kept pairs form a forest and never invent new demand mass
-        assert len(checks) <= max(0, len({v for p in demands for v in p}) - 1)
-        for x, y, w in checks:
-            assert demands[node_pair(x, y)] == w
-        # bottleneck over the kept forest covers each dropped demand exactly
-        adj = {}
-        for x, y, w in checks:
-            adj.setdefault(x, []).append((y, w))
-            adj.setdefault(y, []).append((x, w))
-
-        def bottleneck(src, dst):
-            best = {src: None}
-            stack = [src]
-            while stack:
-                node = stack.pop()
-                for nxt, w in adj.get(node, ()):
-                    cand = w if best[node] is None else min(best[node], w)
-                    if nxt not in best or (best[nxt] or 0) < cand:
-                        best[nxt] = cand
-                        stack.append(nxt)
-            return best.get(dst)
-
-        for (x, y), d in demands.items():
-            b = bottleneck(x, y)
-            assert b is not None and b >= d
 
 
 class TestExpandCapacityGraph:
@@ -108,66 +52,141 @@ class TestExpandCapacityGraph:
         assert "c" not in graph.neighbors("hub")
 
 
+def tree_edges(g):
+    return list(g.positive_pairs())
+
+
+def normalized(checks):
+    return {(node_pair(x, y), w) for x, y, w in checks}
+
+
+class TestDominantDemands:
+    """The snapshot's checks: a maximum spanning forest of the demands."""
+
+    def test_empty(self):
+        g = CapacitatedMultigraph("ab")
+        assert connectivity_snapshot(g, "a", []) == []
+
+    def test_single_pair(self):
+        g = CapacitatedMultigraph("abs", {("a", "b"): 3})
+        assert normalized(connectivity_snapshot(g, "s", tree_edges(g))) == {(("a", "b"), 3)}
+
+    def test_zero_demands_are_dropped(self):
+        # a and b lie in different components of the tree: lam(a, b) = 0
+        g = CapacitatedMultigraph("abcs", {("a", "s"): 2, ("b", "c"): 3})
+        assert normalized(connectivity_snapshot(g, "s", tree_edges(g))) == {(("b", "c"), 3)}
+
+    def test_keeps_a_maximum_spanning_tree(self):
+        # lam(b, c) = 4 and lam(a, b) = lam(a, c) = 3: the heavy pair stays
+        g = CapacitatedMultigraph("abcs", {("a", "s"): 3, ("b", "s"): 5, ("c", "s"): 4})
+        checks = normalized(connectivity_snapshot(g, "s", tree_edges(g)))
+        assert (("b", "c"), 4) in checks
+        assert len(checks) == 2 and {w for _, w in checks} == {3, 4}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_tree_bottlenecks_dominate_every_demand(self, data):
+        # random capacitated tree; zero edges split it into components
+        n = data.draw(st.integers(2, 9))
+        names = [f"n{i}" for i in range(n)]
+        caps = {}
+        for i in range(1, n):
+            caps[(names[data.draw(st.integers(0, i - 1))], names[i])] = data.draw(st.integers(0, 6))
+        tree = CapacitatedMultigraph(names, caps)
+        lam = all_pairs_connectivity(tree)
+        active = data.draw(st.sampled_from(names))
+        # nodes already split off keep no degree in the current graph
+        gone = set(data.draw(st.lists(st.sampled_from(names), max_size=n)))
+        graph = CapacitatedMultigraph(
+            names, {e: c for e, c in caps.items() if not gone.intersection(e)}
+        )
+        kept = {v for v in names if v != active and graph.degree(v) > 0}
+        checks = connectivity_snapshot(graph, active, tree_edges(tree))
+        # every weight is the pair's connectivity in the tree
+        for x, y, w in checks:
+            assert x in kept and y in kept and x != y
+            assert w == lam[node_pair(x, y)]
+        # the checks form a forest over the kept nodes
+        component = {v: {v} for v in kept}
+        for x, y, _ in checks:
+            assert component[x] is not component[y]
+            merged = component[x] | component[y]
+            for v in merged:
+                component[v] = merged
+        # its path bottleneck covers every demand among kept nodes
+        for x, y in combinations(sorted(kept), 2):
+            assert forest_bottleneck(checks, x, y) >= lam[(x, y)]
+
+
 class TestConnectivitySnapshot:
     def test_paths_through_the_excluded_node_still_count(self):
         g = CapacitatedMultigraph("asb", {("a", "s"): 2, ("s", "b"): 2})
-        assert connectivity_snapshot(g, "s", all_pairs_connectivity(g)) == {("a", "b"): 2}
+        assert normalized(connectivity_snapshot(g, "s", tree_edges(g))) == {(("a", "b"), 2)}
+
+    def test_paths_through_eliminated_nodes_still_count(self):
+        # e was split off after the tree was read: it has no degree left,
+        # but the tree path a-e-b still sets the demand of a and b
+        tree = [(("a", "e"), 3), (("b", "e"), 2)]
+        g = CapacitatedMultigraph("abes", {("a", "s"): 2, ("b", "s"): 2, ("a", "b"): 1})
+        assert normalized(connectivity_snapshot(g, "s", tree)) == {(("a", "b"), 2)}
 
     def test_zero_degree_nodes_are_dropped(self):
         g = CapacitatedMultigraph("asbd", {("a", "s"): 2, ("s", "b"): 2})
-        snap = connectivity_snapshot(g, "s", all_pairs_connectivity(g))
-        assert set(snap) == {("a", "b")}
+        assert normalized(connectivity_snapshot(g, "s", tree_edges(g))) == {(("a", "b"), 2)}
 
     def test_too_few_nodes_left(self):
         g = CapacitatedMultigraph("as", {("a", "s"): 2})
-        assert connectivity_snapshot(g, "s", all_pairs_connectivity(g)) == {}
+        assert connectivity_snapshot(g, "s", tree_edges(g)) == []
 
     def test_unknown_exclude(self):
         with pytest.raises(UnknownNode, match="unknown node 'zz'"):
-            connectivity_snapshot(CapacitatedMultigraph("ab"), "zz", {})
+            connectivity_snapshot(CapacitatedMultigraph("ab"), "zz", [])
 
-    def test_restricts_the_given_map_without_flows(self):
-        # the map is read, not recomputed: its values pass through, and pairs
-        # touching the active node or a node without degree are dropped
-        g = CapacitatedMultigraph("abcs", {("a", "s"): 2, ("b", "s"): 2})
-        given_map = {("a", "b"): 7, ("a", "c"): 5, ("a", "s"): 2}
-        assert connectivity_snapshot(g, "s", given_map) == {("a", "b"): 7}
+    def test_reads_the_given_tree_edges_without_flows(self, monkeypatch):
+        # weights come from the tree edges passed in, not from the graph's
+        # current capacities, and no flow recomputes them
+        monkeypatch.setattr(maxflow, "_dinic", None)
+        g = CapacitatedMultigraph("abs", {("a", "s"): 2, ("b", "s"): 2})
+        tree = [(("a", "s"), 7), (("b", "s"), 9)]
+        assert normalized(connectivity_snapshot(g, "s", tree)) == {(("a", "b"), 7)}
 
 
 class TestSplitState:
     def test_default_snapshot(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", all_pairs_connectivity(g))
-        assert state.demands == {("a", "b"): 2, ("a", "c"): 2, ("b", "c"): 2}
+        state = SplitState(g, "h", tree_edges(g))
+        checks = normalized(state.demands)
+        assert len(checks) == 2 and {w for _, w in checks} == {2}
+        assert {v for pair, _ in checks for v in pair} == {"a", "b", "c"}
         assert state.events == []
         with pytest.raises(UnknownNode, match="unknown node 'zz'"):
-            SplitState(g, "zz", all_pairs_connectivity(g))
+            SplitState(g, "zz", tree_edges(g))
 
 
 class TestAdmissibleAmount:
     def test_uniform_star_allows_one_unit(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", all_pairs_connectivity(g))
+        state = SplitState(g, "h", tree_edges(g))
         assert admissible_amount(state, "a", "b") == 1
 
     def test_two_leaf_star_splits_completely(self):
         g = star_graph({"a": 3, "b": 3})
-        state = SplitState(g, "h", all_pairs_connectivity(g))
+        state = SplitState(g, "h", tree_edges(g))
         assert admissible_amount(state, "a", "b") == 3
 
     def test_loop_pair_blocked_by_through_demand(self):
         g = star_graph({"a": 2, "b": 2})
-        state = SplitState(g, "h", all_pairs_connectivity(g))
+        state = SplitState(g, "h", tree_edges(g))
         assert admissible_amount(state, "a", "a") == 0
 
     def test_loop_pair_on_sole_neighbor_burns_half(self):
         g = star_graph({"a": 4})
-        state = SplitState(g, "h", all_pairs_connectivity(g))
+        state = SplitState(g, "h", tree_edges(g))
         assert admissible_amount(state, "a", "a") == 2
 
     def test_probing_leaves_the_graph_unchanged(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", all_pairs_connectivity(g))
+        state = SplitState(g, "h", tree_edges(g))
         admissible_amount(state, "a", "b")
         admissible_amount(state, "a", "a")
         untouched = star_graph({"a": 2, "b": 2, "c": 2})
@@ -178,7 +197,7 @@ class TestAdmissibleAmount:
         g2 = CapacitatedMultigraph(list(g.nodes) + ["d"])
         for (u, v), c in g.positive_pairs():
             g2.set_capacity(u, v, c)
-        state = SplitState(g2, "h", all_pairs_connectivity(g2))
+        state = SplitState(g2, "h", tree_edges(g2))
         with pytest.raises(UnknownNode, match="'d' does not neighbor 'h'"):
             admissible_amount(state, "a", "d")
         with pytest.raises(UnknownNode, match="is the active node"):
@@ -187,14 +206,14 @@ class TestAdmissibleAmount:
     def test_partial_amount_on_skewed_star(self):
         # splitting a-b beyond 2 units would strand a from c
         g = star_graph({"a": 3, "b": 3, "c": 2})
-        state = SplitState(g, "h", all_pairs_connectivity(g))
+        state = SplitState(g, "h", tree_edges(g))
         assert admissible_amount(state, "a", "b") == 2
 
 
 class TestSplitNode:
     def test_uniform_star_becomes_a_triangle(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", all_pairs_connectivity(g))
+        state = SplitState(g, "h", tree_edges(g))
         split_node(state)
         assert state.events == [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)]
         assert dict(g.positive_pairs()) == {
@@ -205,7 +224,7 @@ class TestSplitNode:
 
     def test_skewed_star_keeps_the_heavy_pair(self):
         g = star_graph({"a": 3, "b": 3, "c": 2})
-        state = SplitState(g, "h", all_pairs_connectivity(g))
+        state = SplitState(g, "h", tree_edges(g))
         split_node(state)
         assert state.events == [("a", "b", 2), ("a", "c", 1), ("b", "c", 1)]
         assert dict(g.positive_pairs()) == {
@@ -216,19 +235,21 @@ class TestSplitNode:
 
     def test_connectivities_survive(self):
         g = star_graph({"a": 4, "b": 4, "c": 2, "d": 2})
-        state = SplitState(g, "h", all_pairs_connectivity(g))
-        demands = dict(state.demands)
+        state = SplitState(g, "h", tree_edges(g))
+        lam = all_pairs_connectivity(g)
         split_node(state)
         assert g.degree("h") == 0
-        for (x, y), d in demands.items():
+        for x, y, d in state.demands:
             assert max_flow(g, x, y) >= d
+        for x, y in combinations("abcd", 2):
+            assert max_flow(g, x, y) >= lam[(x, y)]
 
     def test_unit_legs_are_cut_edges_and_block_splitting(self):
         # every leg is a bridge, so any split strands the remaining legs;
         # this is the configuration the capacity >= 2 precondition excludes
         g = star_graph({"a": 1, "b": 1, "c": 1, "d": 1})
         with pytest.raises(SolverInternalError, match="no admissible split remains at 'h'"):
-            split_node(SplitState(g, "h", all_pairs_connectivity(g)))
+            split_node(SplitState(g, "h", tree_edges(g)))
 
 
 class TestExtractRealization:
@@ -288,9 +309,11 @@ def test_split_preserves_snapshot_connectivities(data):
     if sum(caps.values()) % 2:
         caps["x0"] += 1
     g = star_graph(caps)
-    state = SplitState(g, "h", all_pairs_connectivity(g))
-    demands = dict(state.demands)
+    state = SplitState(g, "h", tree_edges(g))
+    lam = all_pairs_connectivity(g)
     split_node(state)
     assert g.degree("h") == 0
-    for (x, y), d in demands.items():
+    for x, y, d in state.demands:
         assert max_flow(g, x, y) >= d
+    for x, y in combinations(sorted(caps), 2):
+        assert max_flow(g, x, y) >= lam[(x, y)]

@@ -6,9 +6,10 @@ as the benchmark does and runs a traced solve and audit.
 """
 
 import importlib.util
+import json
 import os
 
-from treesynth import cli, model, solver, splitoff, verify
+from treesynth import cli, maxflow, model, solver, splitoff, verify
 
 from helpers import fixture_path
 
@@ -47,3 +48,23 @@ def test_tracer_installs_counts_and_restores():
         assert tracer.calls[name] >= 1, name
     assert tracer.counts["splitoff.activations"] >= 1
     assert tracer.counts["maxflow.runs"] >= 1
+
+
+def test_flow_count_matches_dinic_calls(monkeypatch):
+    # every max-flow run of a traced solve and audit shows in maxflow.runs
+    calls = []
+    dinic = maxflow._dinic
+
+    def counted(*args):
+        calls.append(args)
+        return dinic(*args)
+
+    monkeypatch.setattr(maxflow, "_dinic", counted)
+    doc = cli.generate_document(12, 4, 2, 6, 1)
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        instance = cli.parse_instance(json.dumps(doc))
+        solution = solver.solve(instance)
+        assert verify.verify_realization(instance, solution.realization) == []
+    assert solution.trace
+    assert tracer.counts["maxflow.runs"] == len(calls) > 0
