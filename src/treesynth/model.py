@@ -267,11 +267,30 @@ class Instance:
         """Per-edge cut requirements: the fractional-relaxation support capacity.
 
         A tree edge's cut separates exactly the pairs whose path crosses it,
-        so each edge gets the largest requirement routed over it.
+        so each edge gets the largest requirement routed over it. A maximum
+        spanning forest of the requirements holds a largest requirement across
+        every cut, so only the paths of its pairs are walked: pairs joined by
+        union-find in descending requirement order.
         """
         if self._base is None:
             values = dict.fromkeys(self.tree.edges, 0)
-            for (s, t), r in self.requirements.pairs():
+            up = {t: t for t in self.terminals}
+
+            def find(v):
+                while up[v] != v:
+                    up[v] = up[up[v]]
+                    v = up[v]
+                return v
+
+            joins = len(self.terminals) - 1
+            for (s, t), r in sorted(self.requirements.pairs(), key=lambda item: -item[1]):
+                if joins == 0:
+                    break
+                rs, rt = find(s), find(t)
+                if rs == rt:
+                    continue
+                up[rs] = rt
+                joins -= 1
                 for e in self.tree.path(s, t):
                     if r > values[e]:
                         values[e] = r

@@ -11,6 +11,13 @@ the connectivity of two nodes is the least capacity on their tree path. A
 split never raises a cut and an admissible one keeps every demand, so each
 pair of nodes that still have degree keeps that initial connectivity, and
 every activation reads its demands off the tree.
+
+A probe confirms by max-flow only the demands a split could break: it lowers
+just the cuts that hold u and w but not s, and those already carry both
+incident capacities, so a demand at or below that floor minus the loss holds
+without a flow (`admissible_amount` gives the argument). Probes try the full
+amount before a single unit, and a demand that fails moves to the front of
+the list, where the next failing probe meets it first.
 """
 
 from itertools import combinations_with_replacement
@@ -61,8 +68,8 @@ class SplitState:
     `demands` lists (x, y, lam) checks, never touching the active node, whose
     connectivity must survive every split: `connectivity_snapshot` reads them
     off `tree_edges`, the capacitated tree split-off started from, for the
-    nodes that have degree at activation. `events` records executed splits
-    as (u, w, amount) triples in order.
+    nodes that have degree at activation; `_demands_hold` reorders them.
+    `events` records executed splits as (u, w, amount) triples in order.
     """
 
     def __init__(self, graph, active_node, tree_edges):
@@ -86,10 +93,18 @@ def _apply_split(graph, s, u, w, amount):
         graph.add_capacity(u, w, amount)
 
 
-def _demands_hold(state):
-    graph = state.graph
-    for x, y, needed in state.demands:
-        if max_flow(graph, x, y) < needed:
+def _demands_hold(state, safe):
+    """Whether every demand above `safe` holds by max-flow in the graph.
+
+    Demands up to `safe` are known to hold and run no flow. The first demand
+    that fails moves to the front of `state.demands`: probes at one
+    activation tend to fail on the same demand, so the next failing probe
+    stops on its first flow. Order never changes the answer, only its cost.
+    """
+    graph, demands = state.graph, state.demands
+    for i, (x, y, needed) in enumerate(demands):
+        if needed > safe and max_flow(graph, x, y) < needed:
+            demands.insert(0, demands.pop(i))
             return False
     return True
 
@@ -98,9 +113,18 @@ def admissible_amount(state, u, w):
     """Largest amount the pair (u, w) can be split at the active node.
 
     Bounded by the incident capacities (half of one capacity when u == w) and
-    by demand preservation, which is monotone in the amount, so a binary
-    search over flow checks finds the maximum. Returns 0 for unsplittable
+    by demand preservation, which is monotone in the amount. The full amount
+    is tried first, since most pairs split completely, then one unit, then a
+    binary search between them finds the maximum. Returns 0 for unsplittable
     pairs; raises UnknownNode when u or w has no capacity to the node.
+
+    Splitting `a` units lowers only the cuts X with u, w in X and s not in X,
+    each by exactly 2a (the new (u, w) capacity stays inside X). Before the
+    split such an X is crossed by (s, u) and (s, w), so its value is at least
+    z(s, u) + z(s, w), or z(s, u) when u == w. Every other cut keeps its
+    value and the demands held before the split, so a demand
+    r <= z(s, u) + z(s, w) - 2a (z(s, u) - 2a when u == w) cannot fail and
+    `_demands_hold` skips its flow.
     """
     graph, s = state.graph, state.active
     if u == s or w == s:
@@ -118,17 +142,20 @@ def admissible_amount(state, u, w):
         # so removing capacity from (s, u) cannot hurt any demand
         return cap
 
+    # least value, before the split, of any cut the split lowers
+    floor = zu if u == w else zu + zw
+
     def splittable(amount):
         _apply_split(graph, s, u, w, amount)
         try:
-            return _demands_hold(state)
+            return _demands_hold(state, floor - 2 * amount)
         finally:
             _apply_split(graph, s, u, w, -amount)
 
-    if not splittable(1):
-        return 0
-    if cap == 1 or splittable(cap):
+    if splittable(cap):
         return cap
+    if cap == 1 or not splittable(1):
+        return 0
     lo, hi = 1, cap - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2

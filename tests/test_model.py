@@ -198,6 +198,33 @@ def test_base_capacity_is_the_cut_requirement_of_every_edge(instance):
         assert base[e] == instance.cut_requirement(instance.cut_side(e))
 
 
+@st.composite
+def requirement_shapes(draw):
+    """Instances over any nonempty terminal subset (non-terminal leaves are
+    pruned), with random, all-zero or all-equal requirements."""
+    tree = draw(metric_trees(min_nodes=1, max_nodes=9))
+    terminals = draw(st.lists(st.sampled_from(tree.nodes), min_size=1, unique=True))
+    shape = draw(st.sampled_from(["random", "zero", "equal"]))
+    equal = draw(st.integers(1, 6))
+    requirements = []
+    for a in range(len(terminals)):
+        for b in range(a + 1, len(terminals)):
+            r = {"random": draw(st.integers(0, 6)), "zero": 0, "equal": equal}[shape]
+            requirements.append((terminals[a], terminals[b], r))
+    edges = [(u, v, tree.lengths[(u, v)]) for u, v in tree.edges]
+    return build_instance(terminals, tree.nodes, edges, requirements)
+
+
+@given(requirement_shapes())
+def test_base_capacity_is_the_largest_requirement_on_each_path(instance):
+    # reference: walk the tree path of every requirement pair
+    expected = dict.fromkeys(instance.tree.edges, 0)
+    for (s, t), r in instance.requirements.pairs():
+        for e in instance.tree.path(s, t):
+            expected[e] = max(expected[e], r)
+    assert dict(instance.base_capacity().items()) == expected
+
+
 class TestRequirementMatrix:
     def test_defaults_to_zero(self):
         matrix = RequirementMatrix([("a", "b", 3)])

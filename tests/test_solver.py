@@ -1,5 +1,6 @@
 """End-to-end solver behavior and its closed-form cost."""
 
+import hashlib
 import os
 from fractions import Fraction
 
@@ -27,6 +28,13 @@ from helpers import (
     uniform_star,
     zero_bridge_instance,
 )
+
+# sha256 of repr((sorted realization items, str(cost), trace)) for the
+# `treesynth gen --seed 1` ladder instances, pinned before any check pruning
+LADDER_DIGESTS = {
+    (30, 10): "db3c107d366f8c2b2dd0b4eb615f91ed664082d342688d59a604596bfcf5d0a1",
+    (60, 20): "22aaf820768da77a5989a4a8511596546eef21f90fb304d4d14c3c8b69441536",
+}
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -193,3 +201,10 @@ def test_readme_library_example_runs_as_written():
     namespace = {}
     exec(example, namespace)
     assert namespace["sol"].cost == 3
+
+
+@pytest.mark.parametrize("terminals,inner", sorted(LADDER_DIGESTS))
+def test_ladder_outputs_and_traces_are_unchanged(terminals, inner):
+    solution = solve(random_instance(1, terminals=terminals, inner=inner))
+    blob = repr((sorted(solution.realization.items()), str(solution.cost), solution.trace))
+    assert hashlib.sha256(blob.encode()).hexdigest() == LADDER_DIGESTS[(terminals, inner)]

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesynth import Realization, SolverInternalError, UnknownNode, build_instance, maxflow
+from treesynth import (
+    Realization,
+    SolverInternalError,
+    UnknownNode,
+    build_instance,
+    maxflow,
+    solve,
+    splitoff,
+)
 from treesynth.maxflow import CapacitatedMultigraph, all_pairs_connectivity, max_flow
 from treesynth.splitoff import (
     SplitState,
@@ -19,7 +27,13 @@ from treesynth.splitoff import (
 )
 from treesynth.model import node_pair
 
-from helpers import forest_bottleneck, star_instance, uniform_star
+from helpers import (
+    forest_bottleneck,
+    random_instance,
+    solvable_instances,
+    star_instance,
+    uniform_star,
+)
 
 
 def star_graph(caps):
@@ -317,3 +331,74 @@ def test_split_preserves_snapshot_connectivities(data):
         assert max_flow(g, x, y) >= d
     for x, y in combinations(sorted(caps), 2):
         assert max_flow(g, x, y) >= lam[(x, y)]
+
+
+def _split_copy(graph, s, u, w, amount):
+    """A copy of graph with `amount` units of (s, u), (s, w) split off."""
+    g = CapacitatedMultigraph(graph.nodes, dict(graph.positive_pairs()))
+    if u == w:
+        g.add_capacity(s, u, -2 * amount)
+    else:
+        g.add_capacity(s, u, -amount)
+        g.add_capacity(s, w, -amount)
+        g.add_capacity(u, w, amount)
+    return g
+
+
+def reference_amount(state, u, w):
+    """Admissible amount with every demand checked by max-flow on a copy:
+    one unit first, then the full amount, then a binary search."""
+    graph, s = state.graph, state.active
+    zu, zw = graph.capacity(s, u), graph.capacity(s, w)
+    cap = zu // 2 if u == w else min(zu, zw)
+
+    def holds(amount):
+        g = _split_copy(graph, s, u, w, amount)
+        return all(max_flow(g, x, y) >= r for x, y, r in state.demands)
+
+    if cap == 0 or not holds(1):
+        return 0
+    if holds(cap):
+        return cap
+    lo, hi = 1, cap - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@settings(max_examples=60, deadline=None)
+@given(solvable_instances(max_terminals=8, max_inner=4, rmax=10))
+def test_every_probe_matches_the_all_flows_reference(instance):
+    real = splitoff.admissible_amount
+
+    def checked(state, u, w):
+        expected = reference_amount(state, u, w)
+        got = real(state, u, w)
+        assert got == expected, (state.active, u, w)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitoff, "admissible_amount", checked)
+        solve(instance)
+
+
+def test_checks_the_safe_bound_skips_hold_by_max_flow():
+    skipped = []
+    real = splitoff._demands_hold
+
+    def checked(state, safe):
+        for x, y, needed in state.demands:
+            if needed <= safe:
+                skipped.append((x, y))
+                assert max_flow(state.graph, x, y) >= needed, (state.active, x, y, needed, safe)
+        return real(state, safe)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitoff, "_demands_hold", checked)
+        for seed in range(30):
+            solve(random_instance(seed, terminals=10, inner=4, rmax=10))
+    assert skipped
