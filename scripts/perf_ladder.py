@@ -2,9 +2,9 @@
 """Max-flow counts and solve times of two source trees, side by side.
 
 For each tree it solves the `treesynth gen --seed 1` ladder (30/10, 60/20,
-100/40, 150/60 terminals/inner nodes) and the 128 steiner-split inputs of
-`bench/run.py` (seed 1), counting `_dinic` calls by wrapping
-`maxflow._dinic`. Every solve-path flow is a split-off check flow, so the
+100/40, 150/60 terminals/inner nodes) and the steiner-split inputs of
+`bench/run.py` (seed 1, taken from that workload's own set-up), counting
+`_dinic` calls by wrapping `maxflow._dinic`. Every solve-path flow is a split-off check flow, so the
 steiner-split count per operation is the check flows per operation. Solve
 times are the median of REPEATS runs. Each tree is measured in its own
 process; outputs must agree byte for byte or the script exits 1.
@@ -14,26 +14,45 @@ process; outputs must agree byte for byte or the script exits 1.
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
-import random
 import statistics
 import subprocess
 import sys
 import time
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+BENCH = os.path.join(ROOT, "bench")
 LADDER = ((30, 10), (60, 20), (100, 40), (150, 60))
 REPEATS = 3
-# bench/run.py's steiner-split inputs: 16 documents for each of 12..19 terminals
-STEINER_SIZES = [(k, k // 3) for k in range(12, 20) for _ in range(16)]
+
+
+def load_bench():
+    """bench/run.py as a module, bound to the treesynth already imported.
+
+    run.py puts this checkout's src first on sys.path, but `treesynth` is
+    already in sys.modules by then, so its imports resolve to the tree under
+    measurement.
+    """
+    sys.path.insert(0, BENCH)
+    spec = importlib.util.spec_from_file_location("bench_run", os.path.join(BENCH, "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def measure(src):
     """Counts, times and an output digest for the solver under `src`."""
     sys.path.insert(0, src)
+    import treesynth
     from treesynth import generate_document, maxflow, parse_instance, solve
+
+    assert treesynth.__file__.startswith(os.path.join(src, "")), treesynth.__file__
+    bench = load_bench()
+    assert bench.cli.__file__.startswith(os.path.join(src, "")), bench.cli.__file__
 
     calls = [0]
     dinic = maxflow._dinic
@@ -45,10 +64,10 @@ def measure(src):
     maxflow._dinic = counted
     digest = hashlib.sha256()
 
-    def run(doc):
+    def run(text):
         calls[0] = 0
         start = time.perf_counter()
-        solution = solve(parse_instance(json.dumps(doc)))
+        solution = solve(parse_instance(text))
         elapsed = time.perf_counter() - start
         blob = repr((sorted(solution.realization.items()), str(solution.cost), solution.trace))
         digest.update(blob.encode())
@@ -56,17 +75,16 @@ def measure(src):
 
     ladder = {}
     for k, m in LADDER:
-        doc = generate_document(k, m, 2, 6, 1)
-        runs = [run(doc) for _ in range(REPEATS)]
+        text = json.dumps(generate_document(k, m, 2, 6, 1))
+        runs = [run(text) for _ in range(REPEATS)]
         ladder[f"{k}x{m}"] = {
             "dinic_calls": runs[0][0],
             "solve_s_median": round(statistics.median(t for _, t in runs), 3),
         }
-    rng = random.Random("steiner-split:1")
-    docs = [generate_document(k, m, 2, 6, rng.randrange(2**31)) for k, m in STEINER_SIZES]
+    docs = [text for _, text in bench.WORKLOADS["steiner-split"]().setup(1)]
     flows, times = [], []
-    for doc in docs:
-        n, t = run(doc)
+    for text in docs:
+        n, t = run(text)
         flows.append(n)
         times.append(t)
     return {

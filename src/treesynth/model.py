@@ -16,6 +16,34 @@ def node_pair(u, v):
     return (u, v) if u <= v else (v, u)
 
 
+def max_spanning_joins(nodes, weighted_pairs):
+    """Kruskal's maximum spanning forest over `nodes`, one join at a time.
+
+    Takes the ((u, v), weight) pairs in descending weight (a stable sort) and
+    yields ((u, v), weight, ru, rv) for each pair that links two union-find
+    components, after the component rooted at ru is merged into rv's. Stops
+    once a single component is left.
+    """
+    up = {v: v for v in nodes}
+
+    def find(v):
+        while up[v] != v:
+            up[v] = up[up[v]]
+            v = up[v]
+        return v
+
+    left = len(up) - 1
+    for (u, v), weight in sorted(weighted_pairs, key=lambda item: -item[1]):
+        if left == 0:
+            return
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            continue
+        up[ru] = rv
+        left -= 1
+        yield (u, v), weight, ru, rv
+
+
 def as_length(value):
     """Coerce an edge length to an exact Fraction.
 
@@ -269,28 +297,11 @@ class Instance:
         A tree edge's cut separates exactly the pairs whose path crosses it,
         so each edge gets the largest requirement routed over it. A maximum
         spanning forest of the requirements holds a largest requirement across
-        every cut, so only the paths of its pairs are walked: pairs joined by
-        union-find in descending requirement order.
+        every cut, so only the paths of its pairs are walked.
         """
         if self._base is None:
             values = dict.fromkeys(self.tree.edges, 0)
-            up = {t: t for t in self.terminals}
-
-            def find(v):
-                while up[v] != v:
-                    up[v] = up[up[v]]
-                    v = up[v]
-                return v
-
-            joins = len(self.terminals) - 1
-            for (s, t), r in sorted(self.requirements.pairs(), key=lambda item: -item[1]):
-                if joins == 0:
-                    break
-                rs, rt = find(s), find(t)
-                if rs == rt:
-                    continue
-                up[rs] = rt
-                joins -= 1
+            for (s, t), r, _, _ in max_spanning_joins(self.terminals, self.requirements.pairs()):
                 for e in self.tree.path(s, t):
                     if r > values[e]:
                         values[e] = r

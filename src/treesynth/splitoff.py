@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 
 from .errors import SolverInternalError, UnknownNode
 from .maxflow import CapacitatedMultigraph, max_flow
-from .model import Realization
+from .model import Realization, max_spanning_joins
 
 
 def connectivity_snapshot(graph, active_node, tree_edges):
@@ -40,21 +40,11 @@ def connectivity_snapshot(graph, active_node, tree_edges):
     """
     if active_node not in graph:
         raise UnknownNode(f"unknown node {active_node!r}")
-    up = {v: v for v in graph.nodes}
     # component root -> one kept node of that component
     kept = {v: v for v in graph.nodes if v != active_node and graph.degree(v) > 0}
-
-    def find(v):
-        while up[v] != v:
-            up[v] = up[up[v]]
-            v = up[v]
-        return v
-
     checks = []
-    for (u, v), c in sorted(tree_edges, key=lambda edge: -edge[1]):
-        ru, rv = find(u), find(v)
+    for _, c, ru, rv in max_spanning_joins(graph.nodes, tree_edges):
         sides = [kept.pop(r) for r in (ru, rv) if r in kept]
-        up[ru] = rv
         if sides:
             kept[rv] = sides[0]
         if len(sides) == 2:
@@ -97,9 +87,10 @@ def _demands_hold(state, safe):
     """Whether every demand above `safe` holds by max-flow in the graph.
 
     Demands up to `safe` are known to hold and run no flow. The first demand
-    that fails moves to the front of `state.demands`: probes at one
-    activation tend to fail on the same demand, so the next failing probe
-    stops on its first flow. Order never changes the answer, only its cost.
+    that fails moves to the front of `state.demands`, since a failing probe
+    mostly fails on the demand the previous one failed on at this activation
+    and then stops on its first flow. Order never changes the answer, only
+    its cost.
     """
     graph, demands = state.graph, state.demands
     for i, (x, y, needed) in enumerate(demands):
