@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Max-flow counts and solve times of two source trees, side by side.
+"""Max-flow counts, parse and solve times of two source trees, side by side.
 
 For each tree it solves the `treesynth gen --seed 1` ladder (30/10, 60/20,
 100/40, 150/60 terminals/inner nodes) and the steiner-split inputs of
 `bench/run.py` (seed 1, taken from that workload's own set-up), counting
-`_dinic` calls by wrapping `maxflow._dinic`. Every solve-path flow is a split-off check flow, so the
-steiner-split count per operation is the check flows per operation. Solve
-times are the median of REPEATS runs. Each tree is measured in its own
-process; outputs must agree byte for byte or the script exits 1.
+`_dinic` calls by wrapping `maxflow._dinic`. Every solve-path flow is a
+split-off check flow, so the steiner-split count per operation is the check
+flows per operation. Solve times are the median of REPEATS runs. On the
+flat-tree inputs of `bench/run.py` (seed 1) it times `parse_instance` and
+`solve` apart: milliseconds per operation, each the median of REPEATS rounds.
+Each tree is measured in its own process; outputs must agree byte for byte
+or the script exits 1.
 
     python3 scripts/perf_ladder.py --before /path/to/old/src > BENCH.json
 """
@@ -64,13 +67,16 @@ def measure(src):
     maxflow._dinic = counted
     digest = hashlib.sha256()
 
+    def record(solution):
+        blob = repr((sorted(solution.realization.items()), str(solution.cost), solution.trace))
+        digest.update(blob.encode())
+
     def run(text):
         calls[0] = 0
         start = time.perf_counter()
         solution = solve(parse_instance(text))
         elapsed = time.perf_counter() - start
-        blob = repr((sorted(solution.realization.items()), str(solution.cost), solution.trace))
-        digest.update(blob.encode())
+        record(solution)
         return calls[0], elapsed
 
     ladder = {}
@@ -87,12 +93,31 @@ def measure(src):
         n, t = run(text)
         flows.append(n)
         times.append(t)
+    flat = [text for _, text in bench.WORKLOADS["flat-tree"]().setup(1)]
+    parse_ms, solve_ms = [], []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        instances = [parse_instance(text) for text in flat]
+        parsed = time.perf_counter()
+        solutions = [solve(instance) for instance in instances]
+        solved = time.perf_counter()
+        parse_ms.append((parsed - start) * 1000 / len(flat))
+        solve_ms.append((solved - parsed) * 1000 / len(flat))
+        for solution in solutions:
+            record(solution)
+        # freed here, so that no round times the release of the last one
+        del instances, solutions
     return {
         "ladder": ladder,
         "steiner_split": {
             "operations": len(docs),
             "check_flows_per_op": round(sum(flows) / len(docs), 1),
             "solve_s_p50": round(statistics.median(times), 4),
+        },
+        "flat_tree": {
+            "operations": len(flat),
+            "parse_ms_median": round(statistics.median(parse_ms), 2),
+            "solve_ms_median": round(statistics.median(solve_ms), 2),
         },
         "output_sha256": digest.hexdigest(),
     }

@@ -68,6 +68,27 @@ def _string_list(raw, where):
     return list(raw)
 
 
+def _entries(raw, where, keys):
+    """Index, endpoints and value of each entry of a list of pair objects.
+
+    `keys` names the two endpoint fields and the value field, in that order.
+    An object with exactly those keys and string endpoints builds no message;
+    the first other entry is re-checked by `_expect_keys` and reported under
+    `where[index]`.
+    """
+    first, second, value = keys
+    fields = frozenset(keys)
+    for k, entry in enumerate(raw):
+        if isinstance(entry, dict) and entry.keys() == fields:
+            a, b = entry[first], entry[second]
+            if isinstance(a, str) and isinstance(b, str):
+                yield k, a, b, entry[value]
+                continue
+        spot = f"{where}[{k}]"
+        _expect_keys(entry, fields, spot)
+        raise ParseError(f"{spot}: endpoints must be strings")
+
+
 def parse_instance(text):
     """Parse an INSP-JSON document into a validated Instance."""
     try:
@@ -82,25 +103,17 @@ def parse_instance(text):
     nodes = _string_list(doc["tree"]["nodes"], "tree.nodes")
     if not isinstance(doc["tree"]["edges"], list):
         raise ParseError("tree.edges: expected a list")
-    edges = []
-    for k, entry in enumerate(doc["tree"]["edges"]):
-        where = f"tree.edges[{k}]"
-        _expect_keys(entry, {"u", "v", "length"}, where)
-        if not isinstance(entry["u"], str) or not isinstance(entry["v"], str):
-            raise ParseError(f"{where}: endpoints must be strings")
-        edges.append((entry["u"], entry["v"], parse_rational(entry["length"], f"{where}.length")))
+    edges = [
+        (u, v, parse_rational(length, f"tree.edges[{k}].length"))
+        for k, u, v, length in _entries(doc["tree"]["edges"], "tree.edges", ("u", "v", "length"))
+    ]
     if not isinstance(doc["requirements"], list):
         raise ParseError("requirements: expected a list")
     requirements = []
-    for k, entry in enumerate(doc["requirements"]):
-        where = f"requirements[{k}]"
-        _expect_keys(entry, {"s", "t", "r"}, where)
-        if not isinstance(entry["s"], str) or not isinstance(entry["t"], str):
-            raise ParseError(f"{where}: endpoints must be strings")
-        r = entry["r"]
-        if isinstance(r, bool) or not isinstance(r, int):
-            raise ParseError(f"{where}.r: expected an integer, got {r!r}")
-        requirements.append((entry["s"], entry["t"], r))
+    for k, s, t, r in _entries(doc["requirements"], "requirements", ("s", "t", "r")):
+        if type(r) is not int and (isinstance(r, bool) or not isinstance(r, int)):
+            raise ParseError(f"requirements[{k}].r: expected an integer, got {r!r}")
+        requirements.append((s, t, r))
     return build_instance(terminals, nodes, edges, requirements)
 
 
@@ -238,17 +251,12 @@ def _realization_entries(doc, where):
     if not isinstance(doc, list):
         raise ParseError(f"{where}: expected a list of realization entries")
     values = {}
-    for k, entry in enumerate(doc):
-        spot = f"{where}[{k}]"
-        _expect_keys(entry, {"s", "t", "y"}, spot)
-        if not isinstance(entry["s"], str) or not isinstance(entry["t"], str):
-            raise ParseError(f"{spot}: endpoints must be strings")
-        y = entry["y"]
+    for k, s, t, y in _entries(doc, where, ("s", "t", "y")):
         if isinstance(y, bool) or not isinstance(y, int):
-            raise ParseError(f"{spot}.y: expected an integer")
-        key = node_pair(entry["s"], entry["t"])
+            raise ParseError(f"{where}[{k}].y: expected an integer")
+        key = node_pair(s, t)
         if key in values:
-            raise ParseError(f"{spot}: duplicate pair {key}")
+            raise ParseError(f"{where}[{k}]: duplicate pair {key}")
         values[key] = y
     return values
 
@@ -325,8 +333,9 @@ def _cmd_bound(args):
 
 def _parse_node_list(raw, instance, label):
     names = [x for x in (part.strip() for part in raw.split(",")) if x]
+    nodes = set(instance.tree.nodes)
     for name in names:
-        if name not in set(instance.tree.nodes):
+        if name not in nodes:
             raise ParseError(f"--{label}: {name!r} is not a tree node")
     return frozenset(names)
 

@@ -7,6 +7,7 @@ after construction.
 
 from collections import deque
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InvalidInstance, UnknownNode
 
@@ -33,7 +34,7 @@ def max_spanning_joins(nodes, weighted_pairs):
         return v
 
     left = len(up) - 1
-    for (u, v), weight in sorted(weighted_pairs, key=lambda item: -item[1]):
+    for (u, v), weight in sorted(weighted_pairs, key=itemgetter(1), reverse=True):
         if left == 0:
             return
         ru, rv = find(u), find(v)
@@ -189,21 +190,23 @@ class RequirementMatrix:
 
     def __init__(self, triples=()):
         values = {}
-        seen = set()
+        zeros = False
         for s, t, r in triples:
-            if s == t:
-                raise InvalidInstance(f"requirement pairs {s!r} with itself")
-            if isinstance(r, bool) or not isinstance(r, int):
-                raise InvalidInstance(f"requirement r({s!r},{t!r}) must be an int, got {r!r}")
-            if r < 0:
-                raise InvalidInstance(f"requirement r({s!r},{t!r}) is negative")
+            if s == t or type(r) is not int or r <= 0:
+                if s == t:
+                    raise InvalidInstance(f"requirement pairs {s!r} with itself")
+                if isinstance(r, bool) or not isinstance(r, int):
+                    raise InvalidInstance(f"requirement r({s!r},{t!r}) must be an int, got {r!r}")
+                if r < 0:
+                    raise InvalidInstance(f"requirement r({s!r},{t!r}) is negative")
+                zeros = zeros or r == 0
             e = node_pair(s, t)
-            if e in seen:
+            size = len(values)
+            values[e] = r
+            if len(values) == size:
                 raise InvalidInstance(f"pair {e[0]}-{e[1]} appears twice")
-            seen.add(e)
-            if r > 0:
-                values[e] = r
-        self.values = values
+        # zeros stay in `values` until here so that they count as seen pairs
+        self.values = {e: r for e, r in values.items() if r > 0} if zeros else values
 
     def get(self, s, t):
         return self.values.get(node_pair(s, t), 0)
@@ -248,7 +251,7 @@ class Instance:
                 raise InvalidInstance(
                     f"tree leaf {leaf!r} is not a terminal; build_instance prunes these"
                 )
-        for (s, t), _ in requirements.pairs():
+        for s, t in requirements.values:
             if s not in self.terminal_set or t not in self.terminal_set:
                 raise UnknownNode(f"requirement references non-terminal {s!r}-{t!r}")
         self.tree = tree

@@ -138,6 +138,144 @@ class TestParseInstance:
             parse_instance(json.dumps(doc))
 
 
+# Bad entries for the pair lists. Each case maps the entry it replaces and the
+# list's (endpoint, endpoint, value) keys to the entries put in its place; a
+# value case replaces the value field instead. The expected exceptions and
+# messages are pinned literally: the parser's fast path for well-formed
+# entries must leave every error as it was.
+STRUCTURE_CASES = {
+    "non-object": lambda e, a, b, v: [list(e.values())],
+    "missing key": lambda e, a, b, v: [{x: e[x] for x in e if x != v}],
+    "unknown key": lambda e, a, b, v: [{**e, "w": 1}],
+    "non-string endpoint": lambda e, a, b, v: [{**e, b: 7}],
+    "self pair": lambda e, a, b, v: [{**e, b: e[a]}],
+    "reversed duplicate": lambda e, a, b, v: [{**e, a: e[b], b: e[a]}, e],
+    "zero duplicate": lambda e, a, b, v: [{**e, v: 0}, e],
+}
+ENTRY_KEYS = {"tree.edges": ("u", "v", "length"), "requirements": ("s", "t", "r")}
+
+ENTRY_ERRORS = {
+    ("tree.edges", 0, "non-object"): (ParseError, "tree.edges[0]: expected an object"),
+    ("tree.edges", 0, "missing key"): (ParseError, "tree.edges[0]: missing fields ['length']"),
+    ("tree.edges", 0, "unknown key"): (ParseError, "tree.edges[0]: unknown fields ['w']"),
+    ("tree.edges", 0, "non-string endpoint"): (ParseError, "tree.edges[0]: endpoints must be strings"),
+    ("tree.edges", 0, "self pair"): (InvalidInstance, "self-loop at 't0'"),
+    ("tree.edges", 0, "reversed duplicate"): (InvalidInstance, "duplicate edge t0-t1"),
+    ("tree.edges", 0, "zero duplicate"): (InvalidInstance, "duplicate edge t0-t1"),
+    ("tree.edges", 0, True): (ParseError, "tree.edges[0].length: expected a number, got a boolean"),
+    ("tree.edges", 0, "x"): (ParseError, "tree.edges[0].length: cannot read 'x' as a rational"),
+    ("tree.edges", 0, 2.5): (ParseError, 'tree.edges[0].length: floats are inexact; quote it, e.g. "1/2" or "0.5"'),
+    ("tree.edges", 0, None): (ParseError, "tree.edges[0].length: expected an int or string, got NoneType"),
+    ("tree.edges", 0, "-1"): (InvalidInstance, "edge t0-t1 has negative length -1"),
+    ("tree.edges", 5, "non-object"): (ParseError, "tree.edges[5]: expected an object"),
+    ("tree.edges", 5, "missing key"): (ParseError, "tree.edges[5]: missing fields ['length']"),
+    ("tree.edges", 5, "unknown key"): (ParseError, "tree.edges[5]: unknown fields ['w']"),
+    ("tree.edges", 5, "non-string endpoint"): (ParseError, "tree.edges[5]: endpoints must be strings"),
+    ("tree.edges", 5, "self pair"): (InvalidInstance, "self-loop at 't0'"),
+    ("tree.edges", 5, "reversed duplicate"): (InvalidInstance, "duplicate edge t0-t6"),
+    ("tree.edges", 5, "zero duplicate"): (InvalidInstance, "duplicate edge t0-t6"),
+    ("tree.edges", 5, True): (ParseError, "tree.edges[5].length: expected a number, got a boolean"),
+    ("tree.edges", 5, "x"): (ParseError, "tree.edges[5].length: cannot read 'x' as a rational"),
+    ("tree.edges", 5, 2.5): (ParseError, 'tree.edges[5].length: floats are inexact; quote it, e.g. "1/2" or "0.5"'),
+    ("tree.edges", 5, None): (ParseError, "tree.edges[5].length: expected an int or string, got NoneType"),
+    ("tree.edges", 5, "-1"): (InvalidInstance, "edge t0-t6 has negative length -1"),
+    ("requirements", 0, "non-object"): (ParseError, "requirements[0]: expected an object"),
+    ("requirements", 0, "missing key"): (ParseError, "requirements[0]: missing fields ['r']"),
+    ("requirements", 0, "unknown key"): (ParseError, "requirements[0]: unknown fields ['w']"),
+    ("requirements", 0, "non-string endpoint"): (ParseError, "requirements[0]: endpoints must be strings"),
+    ("requirements", 0, "self pair"): (InvalidInstance, "requirement pairs 't0' with itself"),
+    ("requirements", 0, "reversed duplicate"): (InvalidInstance, "pair t0-t1 appears twice"),
+    ("requirements", 0, "zero duplicate"): (InvalidInstance, "pair t0-t1 appears twice"),
+    ("requirements", 0, True): (ParseError, "requirements[0].r: expected an integer, got True"),
+    ("requirements", 0, "2"): (ParseError, "requirements[0].r: expected an integer, got '2'"),
+    ("requirements", 0, 2.0): (ParseError, "requirements[0].r: expected an integer, got 2.0"),
+    ("requirements", 0, None): (ParseError, "requirements[0].r: expected an integer, got None"),
+    ("requirements", 0, -1): (InvalidInstance, "requirement r('t0','t1') is negative"),
+    ("requirements", 5, "non-object"): (ParseError, "requirements[5]: expected an object"),
+    ("requirements", 5, "missing key"): (ParseError, "requirements[5]: missing fields ['r']"),
+    ("requirements", 5, "unknown key"): (ParseError, "requirements[5]: unknown fields ['w']"),
+    ("requirements", 5, "non-string endpoint"): (ParseError, "requirements[5]: endpoints must be strings"),
+    ("requirements", 5, "self pair"): (InvalidInstance, "requirement pairs 't0' with itself"),
+    ("requirements", 5, "reversed duplicate"): (InvalidInstance, "pair t0-t6 appears twice"),
+    ("requirements", 5, "zero duplicate"): (InvalidInstance, "pair t0-t6 appears twice"),
+    ("requirements", 5, True): (ParseError, "requirements[5].r: expected an integer, got True"),
+    ("requirements", 5, "2"): (ParseError, "requirements[5].r: expected an integer, got '2'"),
+    ("requirements", 5, 2.0): (ParseError, "requirements[5].r: expected an integer, got 2.0"),
+    ("requirements", 5, None): (ParseError, "requirements[5].r: expected an integer, got None"),
+    ("requirements", 5, -1): (InvalidInstance, "requirement r('t0','t6') is negative"),
+}
+
+# standard error of `verify` on a bare realization list; {path} is its file
+REALIZATION_ERRORS = {
+    (0, "non-object"): "error: realization[0]: expected an object\n",
+    (0, "missing key"): "error: realization[0]: missing fields ['y']\n",
+    (0, "unknown key"): "error: realization[0]: unknown fields ['w']\n",
+    (0, "non-string endpoint"): "error: realization[0]: endpoints must be strings\n",
+    (0, "self pair"): "error: {path}: realization pairs 't0' with itself\n",
+    (0, "reversed duplicate"): "error: realization[1]: duplicate pair ('t0', 't1')\n",
+    (0, "zero duplicate"): "error: realization[1]: duplicate pair ('t0', 't1')\n",
+    (0, True): "error: realization[0].y: expected an integer\n",
+    (0, "2"): "error: realization[0].y: expected an integer\n",
+    (0, 2.0): "error: realization[0].y: expected an integer\n",
+    (0, None): "error: realization[0].y: expected an integer\n",
+    (0, -1): "error: {path}: realization value on ('t0', 't1') is negative\n",
+    (5, "non-object"): "error: realization[5]: expected an object\n",
+    (5, "missing key"): "error: realization[5]: missing fields ['y']\n",
+    (5, "unknown key"): "error: realization[5]: unknown fields ['w']\n",
+    (5, "non-string endpoint"): "error: realization[5]: endpoints must be strings\n",
+    (5, "self pair"): "error: {path}: realization pairs 't0' with itself\n",
+    (5, "reversed duplicate"): "error: realization[6]: duplicate pair ('t0', 't6')\n",
+    (5, "zero duplicate"): "error: realization[6]: duplicate pair ('t0', 't6')\n",
+    (5, True): "error: realization[5].y: expected an integer\n",
+    (5, "2"): "error: realization[5].y: expected an integer\n",
+    (5, 2.0): "error: realization[5].y: expected an integer\n",
+    (5, None): "error: realization[5].y: expected an integer\n",
+    (5, -1): "error: {path}: realization value on ('t0', 't6') is negative\n",
+}
+
+
+def _with_bad_entry(entries, k, case, keys):
+    if case in STRUCTURE_CASES:
+        entries[k:k + 1] = STRUCTURE_CASES[case](entries[k], *keys)
+    else:
+        entries[k] = {**entries[k], keys[2]: case}
+
+
+def _entry_error_document():
+    """A flat 8-terminal `gen` document: 7 tree edges and 28 requirements."""
+    return generate_document(8, 0, 2, 6, seed=3)
+
+
+class TestEntryErrors:
+    @pytest.mark.parametrize("field, k, case", list(ENTRY_ERRORS), ids=repr)
+    def test_each_bad_entry_keeps_its_error(self, field, k, case):
+        doc = _entry_error_document()
+        entries = doc["tree"]["edges"] if field == "tree.edges" else doc["requirements"]
+        _with_bad_entry(entries, k, case, ENTRY_KEYS[field])
+        kind, message = ENTRY_ERRORS[field, k, case]
+        with pytest.raises(TreeSynthError) as info:
+            parse_instance(json.dumps(doc))
+        assert (type(info.value), str(info.value)) == (kind, message)
+
+    @pytest.mark.parametrize("k, case", list(REALIZATION_ERRORS), ids=repr)
+    def test_each_bad_realization_entry_keeps_its_error(self, tmp_path, capsys, k, case):
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps(_entry_error_document()))
+        entries = [{"s": "t0", "t": f"t{i}", "y": 1} for i in range(1, 8)]
+        _with_bad_entry(entries, k, case, ("s", "t", "y"))
+        realization = tmp_path / "realization.json"
+        realization.write_text(json.dumps(entries))
+        code, out, err = run_cli(capsys, "verify", str(instance), str(realization))
+        assert (code, out, err) == (1, "", REALIZATION_ERRORS[k, case].format(path=realization))
+
+    def test_entry_format_errors_come_before_model_errors(self):
+        doc = _entry_error_document()
+        doc["requirements"][0]["t"] = doc["requirements"][0]["s"]
+        doc["requirements"][5]["r"] = "2"
+        with pytest.raises(ParseError, match=r"^requirements\[5\]\.r: expected an integer, got '2'$"):
+            parse_instance(json.dumps(doc))
+
+
 class TestInstanceHash:
     def test_stable_against_node_and_edge_order(self):
         spokes = [("hub", t, "1/2") for t in ("a", "b", "c")]

@@ -1,5 +1,6 @@
 """Domain model: trees, requirements, instances, capacities, realizations."""
 
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treesynth import Instance, InvalidInstance, Realization, UnknownNode, build_instance
-from treesynth.model import EdgeCapacity, MetricTree, RequirementMatrix, as_length, node_pair
+from treesynth.model import (
+    EdgeCapacity,
+    MetricTree,
+    RequirementMatrix,
+    as_length,
+    max_spanning_joins,
+    node_pair,
+)
 
 from helpers import metric_trees, star_instance
 
@@ -225,6 +233,45 @@ def test_base_capacity_is_the_largest_requirement_on_each_path(instance):
     assert dict(instance.base_capacity().items()) == expected
 
 
+def reference_joins(nodes, weighted_pairs):
+    """Kruskal's joins with the weights sorted by a negated key."""
+    up = {v: v for v in nodes}
+
+    def find(v):
+        while up[v] != v:
+            v = up[v]
+        return v
+
+    joins = []
+    for (u, v), weight in sorted(weighted_pairs, key=lambda item: -item[1]):
+        if len(joins) == len(up) - 1:
+            break
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            up[ru] = rv
+            joins.append(((u, v), weight, ru, rv))
+    return joins
+
+
+@given(st.data())
+def test_max_spanning_joins_keep_input_order_among_ties(data):
+    nodes = [f"n{i}" for i in range(data.draw(st.integers(1, 7)))]
+    pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    weighted_pairs = data.draw(st.lists(st.tuples(pair, st.integers(0, 2)), max_size=20))
+    assert list(max_spanning_joins(nodes, weighted_pairs)) == reference_joins(nodes, weighted_pairs)
+
+
+def test_equal_weights_join_in_input_order():
+    pairs = [(("c", "d"), 1), (("a", "b"), 1), (("b", "c"), 1), (("a", "d"), 1)]
+    joins = [pair for pair, _, _, _ in max_spanning_joins("abcd", pairs)]
+    assert joins == [("c", "d"), ("a", "b"), ("b", "c")]
+
+
+class Level(IntEnum):
+    NONE = 0
+    HIGH = 3
+
+
 class TestRequirementMatrix:
     def test_defaults_to_zero(self):
         matrix = RequirementMatrix([("a", "b", 3)])
@@ -249,6 +296,21 @@ class TestRequirementMatrix:
     def test_rejects_self_pair(self):
         with pytest.raises(InvalidInstance, match="requirement pairs 'a' with itself"):
             RequirementMatrix([("a", "a", 3)])
+
+    def test_zero_entries_count_as_seen_pairs(self):
+        with pytest.raises(InvalidInstance, match="pair a-b appears twice"):
+            RequirementMatrix([("a", "b", 0), ("b", "a", 3)])
+        with pytest.raises(InvalidInstance, match="pair a-b appears twice"):
+            RequirementMatrix([("a", "b", 3), ("b", "a", 0)])
+
+    def test_positive_entries_keep_their_order(self):
+        matrix = RequirementMatrix([("c", "b", 2), ("a", "c", 0), ("a", "b", 1)])
+        assert list(matrix.pairs()) == [(("b", "c"), 2), (("a", "b"), 1)]
+
+    def test_accepts_int_subclasses(self):
+        matrix = RequirementMatrix([("a", "b", Level.HIGH), ("a", "c", Level.NONE)])
+        assert dict(matrix.pairs()) == {("a", "b"): 3}
+        assert matrix.get("b", "a") is Level.HIGH
 
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidInstance):
