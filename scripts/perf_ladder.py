@@ -9,8 +9,11 @@ split-off check flow, so the steiner-split count per operation is the check
 flows per operation. Solve times are the median of REPEATS runs. On the
 flat-tree inputs of `bench/run.py` (seed 1) it times `parse_instance` and
 `solve` apart: milliseconds per operation, each the median of REPEATS rounds.
-Each tree is measured in its own process; outputs must agree byte for byte
-or the script exits 1.
+On the audit-verify inputs of `bench/run.py` (seed 1) it counts `_dinic`
+calls per `verify_realization` and times it, milliseconds per operation as
+the median of REPEATS rounds; the verdicts join the output digest. Each tree
+is measured in its own process; outputs must agree byte for byte or the
+script exits 1.
 
     python3 scripts/perf_ladder.py --before /path/to/old/src > BENCH.json
 """
@@ -51,7 +54,7 @@ def measure(src):
     """Counts, times and an output digest for the solver under `src`."""
     sys.path.insert(0, src)
     import treesynth
-    from treesynth import generate_document, maxflow, parse_instance, solve
+    from treesynth import generate_document, maxflow, parse_instance, solve, verify_realization
 
     assert treesynth.__file__.startswith(os.path.join(src, "")), treesynth.__file__
     bench = load_bench()
@@ -107,6 +110,14 @@ def measure(src):
             record(solution)
         # freed here, so that no round times the release of the last one
         del instances, solutions
+    audits = [(item[1], item[2]) for item in bench.WORKLOADS["audit-verify"]().setup(1)]
+    audit_ms = []
+    for _ in range(REPEATS):
+        calls[0] = 0
+        start = time.perf_counter()
+        verdicts = [verify_realization(instance, realization) for instance, realization in audits]
+        audit_ms.append((time.perf_counter() - start) * 1000 / len(audits))
+    digest.update(repr(verdicts).encode())
     return {
         "ladder": ladder,
         "steiner_split": {
@@ -118,6 +129,11 @@ def measure(src):
             "operations": len(flat),
             "parse_ms_median": round(statistics.median(parse_ms), 2),
             "solve_ms_median": round(statistics.median(solve_ms), 2),
+        },
+        "audit_verify": {
+            "operations": len(audits),
+            "dinic_calls_per_op": round(calls[0] / len(audits), 1),
+            "verify_ms_median": round(statistics.median(audit_ms), 3),
         },
         "output_sha256": digest.hexdigest(),
     }

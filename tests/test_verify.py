@@ -1,5 +1,7 @@
 """Independent checkers and the exhaustive reference solver."""
 
+import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -7,18 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesynth import (
+    PreconditionViolated,
     Realization,
     TooLarge,
     UnknownNode,
     brute_force_insp,
     build_instance,
     fractional_lower_bound,
+    solve,
     verify_realization,
 )
-from treesynth.model import EdgeCapacity
+from treesynth import maxflow
+from treesynth.maxflow import CapacitatedMultigraph, max_flow
+from treesynth.model import EdgeCapacity, node_pair
 from treesynth.verify import capacity_projection, uniform_integer_formula, verify_feasible_capacity
 
-from helpers import solvable_instances, star_instance, uniform_star, zero_bridge_instance
+from helpers import (
+    random_instance,
+    solvable_instances,
+    star_instance,
+    uniform_star,
+    zero_bridge_instance,
+)
 
 
 def star_332():
@@ -53,6 +65,130 @@ class TestVerifyRealization:
     def test_empty_realization_reports_the_full_deficit(self):
         instance = star_instance({("a", "b"): 2})
         assert verify_realization(instance, Realization({})) == [("a", "b", 2)]
+
+
+def per_pair_violations(instance, realization):
+    """Reference audit: one exact max-flow per requirement pair, in sorted order."""
+    graph = CapacitatedMultigraph(instance.terminals, dict(realization.items()))
+    violations = []
+    for (s, t), r in sorted(instance.requirements.pairs()):
+        flow = max_flow(graph, s, t)
+        if flow < r:
+            violations.append((s, t, r - flow))
+    return violations
+
+
+@contextmanager
+def counted_flows():
+    """A list that gets one entry per max-flow run inside the block."""
+    calls = []
+    dinic = maxflow._dinic
+
+    def counted(*args):
+        calls.append(args)
+        return dinic(*args)
+
+    maxflow._dinic = counted
+    try:
+        yield calls
+    finally:
+        maxflow._dinic = dinic
+
+
+def intact_values(instance):
+    """The solver's realization, or each requirement on its own pair when the
+    solver refuses the instance (a cut requirement below 2)."""
+    try:
+        return dict(solve(instance).realization.items())
+    except PreconditionViolated:
+        return dict(instance.requirements.pairs())
+
+
+def damaged_values(values, units, rng):
+    """`values` with `units` units taken off randomly chosen positive pairs."""
+    values = dict(values)
+    for _ in range(units):
+        positive = sorted(p for p, c in values.items() if c)
+        if not positive:
+            break
+        values[rng.choice(positive)] -= 1
+    return {p: c for p, c in values.items() if c}
+
+
+def random_values(instance, rng):
+    """Random capacities on random terminal pairs."""
+    terminals = instance.terminals
+    values = {}
+    for _ in range(rng.randint(0, 2 * len(terminals))):
+        a, b = rng.sample(terminals, 2)
+        values[node_pair(a, b)] = rng.randint(1, 4)
+    return values
+
+
+def assert_matches_per_pair(instance, values):
+    """Compare with the reference; the audit runs at most one flow per pair."""
+    realization = Realization(values)
+    with counted_flows() as calls:
+        verdict = verify_realization(instance, realization)
+    assert len(calls) <= len(instance.requirements.pairs())
+    assert verdict == per_pair_violations(instance, realization)
+    return verdict
+
+
+class TestForestAudit:
+    """verify_realization against the per-pair reference, and its flow count."""
+
+    def test_seeded_sweep_matches_per_pair_flows(self):
+        rng = random.Random(10)
+        deficits = 0
+        for seed in range(60):
+            k = rng.randint(2, 14)
+            rmin = (0, 1, 2)[seed % 3]
+            instance = random_instance(seed, k, rng.randint(0, k // 2), rmin=rmin, rmax=rng.randint(2, 6))
+            intact = intact_values(instance)
+            assert assert_matches_per_pair(instance, intact) == []
+            candidates = [{}, random_values(instance, rng)]
+            candidates += [damaged_values(intact, units, rng) for units in (1, 2, 3)]
+            for values in candidates:
+                deficits += bool(assert_matches_per_pair(instance, values))
+        # most damaged, random and empty realizations fall short somewhere
+        assert deficits > 150
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 9),
+        st.integers(0, 3),
+        st.sampled_from((0, 1, 2)),
+        st.integers(2, 5),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(("intact", "damaged", "random", "empty")),
+    )
+    def test_matches_per_pair_flows(self, k, m, rmin, rmax, seed, kind):
+        rng = random.Random(seed)
+        instance = random_instance(seed, k, m, rmin=rmin, rmax=rmax)
+        values = {
+            "intact": lambda: intact_values(instance),
+            "damaged": lambda: damaged_values(intact_values(instance), rng.randint(1, 3), rng),
+            "random": lambda: random_values(instance, rng),
+            "empty": dict,
+        }[kind]()
+        assert_matches_per_pair(instance, values)
+
+    def test_intact_ladder_solution_runs_one_flow_per_forest_join(self):
+        # the 30/10 rung of `treesynth gen --seed 1`
+        instance = random_instance(1, 30, 10)
+        realization = solve(instance).realization
+        with counted_flows() as calls:
+            assert verify_realization(instance, realization) == []
+        assert len(calls) == 29
+
+    def test_disconnected_requirements_flow_only_inside_components(self):
+        # requirement components {a, b, c} and {d, e}: 2 + 1 forest joins
+        instance = star_instance({("a", "b"): 3, ("b", "c"): 2, ("a", "c"): 2, ("d", "e"): 2})
+        realization = Realization({("a", "b"): 2, ("b", "c"): 1, ("a", "c"): 1, ("d", "e"): 2})
+        with counted_flows() as calls:
+            assert verify_realization(instance, realization) == []
+        assert len(calls) == 3
 
 
 class TestVerifyFeasibleCapacity:
