@@ -5,15 +5,28 @@ For each tree it solves the `treesynth gen --seed 1` ladder (30/10, 60/20,
 100/40, 150/60 terminals/inner nodes) and the steiner-split inputs of
 `bench/run.py` (seed 1, taken from that workload's own set-up), counting
 `_dinic` calls by wrapping `maxflow._dinic`. Every solve-path flow is a
-split-off check flow, so the steiner-split count per operation is the check
-flows per operation. Solve times are the median of REPEATS runs. On the
+split-off flow: a check flow, or the merged cut of a neighbor pair. On the
 flat-tree inputs of `bench/run.py` (seed 1) it times `parse_instance` and
-`solve` apart: milliseconds per operation, each the median of REPEATS rounds.
-On the audit-verify inputs of `bench/run.py` (seed 1) it counts `_dinic`
-calls per `verify_realization` and times it, milliseconds per operation as
-the median of REPEATS rounds; the verdicts join the output digest. Each tree
-is measured in its own process; outputs must agree byte for byte or the
-script exits 1.
+`solve` apart, milliseconds per operation. On the audit-verify inputs of
+`bench/run.py` (seed 1) it counts `_dinic` calls per `verify_realization`
+and times it, milliseconds per operation; the verdicts join the output
+digest.
+
+A fixed corpus of CORPUS small `gen` instances (6-24 terminals, a third as
+many inner nodes, rmax 3, 6 or 9) reaches the probe outcomes the ladder
+does not. For the ladder and the corpus it tallies the split-off probes:
+`passed` and `flow_refused` count the `_demands_hold` calls by their answer,
+and `cut_refused` counts the pairs whose merged cut X* (the side of the least
+{u, w}-s cut) refuses an amount their incident capacities allow, with no
+flow: X* refuses every amount above (mu - R) // 2, with mu the cut's value
+and R the largest demand it separates.
+
+Each tree is measured in ROUNDS processes, alternating before and after and
+which of them goes first, so the host's speed drift lands on both sides.
+Counts and digests must agree between the rounds of a side; every time (a
+key ending in `_s` or `_ms`) is reported as the median and min-max spread
+over the rounds. Outputs of the
+two trees must agree byte for byte or the script exits 1.
 
     python3 scripts/perf_ladder.py --before /path/to/old/src > BENCH.json
 """
@@ -33,7 +46,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 BENCH = os.path.join(ROOT, "bench")
 LADDER = ((30, 10), (60, 20), (100, 40), (150, 60))
-REPEATS = 3
+CORPUS = 300
+ROUNDS = 5
 
 
 def load_bench():
@@ -50,11 +64,54 @@ def load_bench():
     return module
 
 
+def corpus_documents(generate_document):
+    for seed in range(CORPUS):
+        k = 6 + seed % 19
+        yield generate_document(k, k // 3, 2, (3, 6, 9)[seed % 3], seed)
+
+
+def tally_probes(splitoff):
+    """Count probe outcomes by wrapping split-off's module-level names."""
+    tally = {"cut_refused": 0, "flow_refused": 0, "passed": 0}
+    cuts = []
+    active = [None]
+    amount, flow, hold = splitoff.admissible_amount, splitoff.max_flow, splitoff._demands_hold
+
+    def counted_flow(graph, *args):
+        result = flow(graph, *args)
+        # check flows never touch the active node; the merged cut ends there
+        if args[-1] == active[0]:
+            cuts.append(result)
+        return result
+
+    def counted_hold(state, safe):
+        held = hold(state, safe)
+        tally["passed" if held else "flow_refused"] += 1
+        return held
+
+    def counted_amount(state, u, w):
+        active[0] = state.active
+        cuts.clear()
+        zu, zw = state.graph.capacity(state.active, u), state.graph.capacity(state.active, w)
+        got = amount(state, u, w)
+        if cuts:
+            mu, side = cuts[0]
+            crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
+            if (mu - crossing) // 2 < (zu // 2 if u == w else min(zu, zw)):
+                tally["cut_refused"] += 1
+        return got
+
+    splitoff.admissible_amount = counted_amount
+    splitoff.max_flow = counted_flow
+    splitoff._demands_hold = counted_hold
+    return tally
+
+
 def measure(src):
     """Counts, times and an output digest for the solver under `src`."""
     sys.path.insert(0, src)
     import treesynth
-    from treesynth import generate_document, maxflow, parse_instance, solve, verify_realization
+    from treesynth import generate_document, maxflow, parse_instance, solve, splitoff, verify_realization
 
     assert treesynth.__file__.startswith(os.path.join(src, "")), treesynth.__file__
     bench = load_bench()
@@ -68,6 +125,7 @@ def measure(src):
         return dinic(*args)
 
     maxflow._dinic = counted
+    tally = tally_probes(splitoff)
     digest = hashlib.sha256()
 
     def record(solution):
@@ -84,12 +142,9 @@ def measure(src):
 
     ladder = {}
     for k, m in LADDER:
-        text = json.dumps(generate_document(k, m, 2, 6, 1))
-        runs = [run(text) for _ in range(REPEATS)]
-        ladder[f"{k}x{m}"] = {
-            "dinic_calls": runs[0][0],
-            "solve_s_median": round(statistics.median(t for _, t in runs), 3),
-        }
+        n, t = run(json.dumps(generate_document(k, m, 2, 6, 1)))
+        ladder[f"{k}x{m}"] = {"dinic_calls": n, "solve_s": round(t, 3)}
+    ladder["probes"] = dict(tally)
     docs = [text for _, text in bench.WORKLOADS["steiner-split"]().setup(1)]
     flows, times = [], []
     for text in docs:
@@ -97,46 +152,58 @@ def measure(src):
         flows.append(n)
         times.append(t)
     flat = [text for _, text in bench.WORKLOADS["flat-tree"]().setup(1)]
-    parse_ms, solve_ms = [], []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        instances = [parse_instance(text) for text in flat]
-        parsed = time.perf_counter()
-        solutions = [solve(instance) for instance in instances]
-        solved = time.perf_counter()
-        parse_ms.append((parsed - start) * 1000 / len(flat))
-        solve_ms.append((solved - parsed) * 1000 / len(flat))
-        for solution in solutions:
-            record(solution)
-        # freed here, so that no round times the release of the last one
-        del instances, solutions
+    start = time.perf_counter()
+    instances = [parse_instance(text) for text in flat]
+    parsed = time.perf_counter()
+    solutions = [solve(instance) for instance in instances]
+    solved = time.perf_counter()
+    for solution in solutions:
+        record(solution)
+    # freed here, so that no timing covers the release of the last one
+    del instances, solutions
     audits = [(item[1], item[2]) for item in bench.WORKLOADS["audit-verify"]().setup(1)]
-    audit_ms = []
-    for _ in range(REPEATS):
-        calls[0] = 0
-        start = time.perf_counter()
-        verdicts = [verify_realization(instance, realization) for instance, realization in audits]
-        audit_ms.append((time.perf_counter() - start) * 1000 / len(audits))
+    calls[0] = 0
+    start_audit = time.perf_counter()
+    verdicts = [verify_realization(instance, realization) for instance, realization in audits]
+    audit_s = time.perf_counter() - start_audit
     digest.update(repr(verdicts).encode())
+    audit_calls = calls[0]
+    tally.update(dict.fromkeys(tally, 0))
+    corpus_calls = 0
+    for doc in corpus_documents(generate_document):
+        corpus_calls += run(json.dumps(doc))[0]
     return {
         "ladder": ladder,
         "steiner_split": {
             "operations": len(docs),
-            "check_flows_per_op": round(sum(flows) / len(docs), 1),
-            "solve_s_p50": round(statistics.median(times), 4),
+            "flows_per_op": round(sum(flows) / len(docs), 1),
+            "solve_p50_s": round(statistics.median(times), 4),
         },
         "flat_tree": {
             "operations": len(flat),
-            "parse_ms_median": round(statistics.median(parse_ms), 2),
-            "solve_ms_median": round(statistics.median(solve_ms), 2),
+            "parse_ms": round((parsed - start) * 1000 / len(flat), 2),
+            "solve_ms": round((solved - parsed) * 1000 / len(flat), 2),
         },
         "audit_verify": {
             "operations": len(audits),
-            "dinic_calls_per_op": round(calls[0] / len(audits), 1),
-            "verify_ms_median": round(statistics.median(audit_ms), 3),
+            "dinic_calls_per_op": round(audit_calls / len(audits), 1),
+            "verify_ms": round(audit_s * 1000 / len(audits), 3),
         },
+        "corpus": {"instances": CORPUS, "dinic_calls": corpus_calls, "probes": dict(tally)},
         "output_sha256": digest.hexdigest(),
     }
+
+
+def merge(rounds, where="result"):
+    """One side's rounds: counts must agree, times become median and spread."""
+    first = rounds[0]
+    if isinstance(first, dict):
+        return {key: merge([r[key] for r in rounds], key) for key in first}
+    if where.endswith(("_s", "_ms")):
+        return {"median": statistics.median(rounds), "min": min(rounds), "max": max(rounds)}
+    if any(r != first for r in rounds):
+        raise ValueError(f"{where} differs between rounds of one tree: {rounds}")
+    return first
 
 
 def main():
@@ -156,14 +223,24 @@ def main():
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
         },
-        "repeats": REPEATS,
+        "rounds": ROUNDS,
     }
-    for name, src in (("before", args.before), ("after", SRC)):
-        out = subprocess.run(
-            [sys.executable, __file__, "--measure", os.path.abspath(src)],
-            check=True, capture_output=True, text=True,
-        ).stdout
-        result[name] = json.loads(out)
+    rounds = {"before": [], "after": []}
+    trees = (("before", args.before), ("after", SRC))
+    for i in range(ROUNDS):
+        # each side goes first in every other round
+        for name, src in trees[:: 1 if i % 2 == 0 else -1]:
+            out = subprocess.run(
+                [sys.executable, __file__, "--measure", os.path.abspath(src)],
+                check=True, capture_output=True, text=True,
+            ).stdout
+            rounds[name].append(json.loads(out))
+    try:
+        for name, runs in rounds.items():
+            result[name] = merge(runs)
+    except ValueError as exc:
+        print(f"perf_ladder: {exc}", file=sys.stderr)
+        return 1
     print(json.dumps(result, indent=2))
     if result["before"]["output_sha256"] != result["after"]["output_sha256"]:
         print("perf_ladder: outputs differ between the two trees", file=sys.stderr)

@@ -84,21 +84,25 @@ class CapacitatedMultigraph:
                 yield node_pair(self.nodes[self._to[a + 1]], self.nodes[self._to[a]]), self._cap[a]
 
 
-def _dinic(graph, source, sink):
-    """Max flow between two nodes of a CapacitatedMultigraph.
+def _dinic(graph, sources, sink):
+    """Max flow from a set of nodes to another node of a CapacitatedMultigraph.
 
-    Returns (value, source_side) where source_side is the residual cut side
-    containing the source, so callers get a minimum cut for free.
+    Every source starts at level 0 and the blocking flow searches from each
+    in turn, so the sources act as one merged node. Returns (value,
+    source_side) where source_side is the residual cut side holding the
+    sources, so callers get a minimum cut for free.
     """
     names, head, to = graph.nodes, graph._head, graph._to
     cap = graph._cap[:]
     n = len(names)
-    s, t = graph._index[source], graph._index[sink]
+    starts = [graph._index[v] for v in sources]
+    t = graph._index[sink]
     flow = 0
     while True:
         level = [-1] * n
-        level[s] = 0
-        queue = deque([s])
+        for s in starts:
+            level[s] = 0
+        queue = deque(starts)
         while queue:
             x = queue.popleft()
             for a in head[x]:
@@ -110,46 +114,53 @@ def _dinic(graph, source, sink):
             side = frozenset(names[i] for i in range(n) if level[i] >= 0)
             return flow, side
         pointer = [0] * n
-        while True:
-            # depth-first search for one augmenting path in the level graph,
-            # kept as an explicit arc stack so path length is unbounded
-            path = []
-            x = s
-            while x != t:
-                arcs = head[x]
-                while pointer[x] < len(arcs):
-                    a = arcs[pointer[x]]
-                    if cap[a] > 0 and level[to[a]] == level[x] + 1:
-                        break
-                    pointer[x] += 1
-                else:
-                    if x == s:
-                        break
-                    # dead end: retreat and skip the arc that led here
-                    x = to[path.pop() ^ 1]
-                    pointer[x] += 1
-                    continue
-                path.append(a)
-                x = to[a]
-            if x != t:
-                break
-            moved = min(cap[a] for a in path)
-            for a in path:
-                cap[a] -= moved
-                cap[a ^ 1] += moved
-            flow += moved
+        for s in starts:
+            while True:
+                # depth-first search for one augmenting path in the level
+                # graph, kept as an explicit arc stack so path length is
+                # unbounded
+                path = []
+                x = s
+                while x != t:
+                    arcs = head[x]
+                    while pointer[x] < len(arcs):
+                        a = arcs[pointer[x]]
+                        if cap[a] > 0 and level[to[a]] == level[x] + 1:
+                            break
+                        pointer[x] += 1
+                    else:
+                        if not path:
+                            break
+                        # dead end: retreat and skip the arc that led here
+                        x = to[path.pop() ^ 1]
+                        pointer[x] += 1
+                        continue
+                    path.append(a)
+                    x = to[a]
+                if x != t:
+                    break
+                moved = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= moved
+                    cap[a ^ 1] += moved
+                flow += moved
 
 
-def max_flow(graph, s, t):
-    """Exact undirected max-flow value between two distinct nodes."""
-    if s not in graph:
-        raise UnknownNode(f"unknown node {s!r}")
-    if t not in graph:
-        raise UnknownNode(f"unknown node {t!r}")
-    if s == t:
-        raise UnknownNode(f"flow endpoints must differ, got {s!r} twice")
-    value, _ = _dinic(graph, s, t)
-    return value
+def max_flow(graph, sources, sink):
+    """Exact undirected max flow from the node set `sources` to `sink`.
+
+    Returns (value, side): the value of the least cut with every source on
+    one side and the sink on the other, and the side of one such cut that
+    holds the sources.
+    """
+    if not sources:
+        raise UnknownNode("a flow needs at least one source")
+    for v in (*sources, sink):
+        if v not in graph:
+            raise UnknownNode(f"unknown node {v!r}")
+    if sink in sources:
+        raise UnknownNode(f"flow endpoints must differ, got {sink!r} on both sides")
+    return _dinic(graph, sources, sink)
 
 
 def all_pairs_connectivity(graph):
@@ -166,7 +177,7 @@ def all_pairs_connectivity(graph):
     for i in range(1, len(names)):
         u = names[i]
         p = parent[u]
-        w, side = _dinic(graph, u, p)
+        w, side = _dinic(graph, (u,), p)
         for v in names[i + 1 :]:
             if parent[v] == p and v in side:
                 parent[v] = u

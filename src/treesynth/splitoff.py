@@ -12,12 +12,12 @@ split never raises a cut and an admissible one keeps every demand, so each
 pair of nodes that still have degree keeps that initial connectivity, and
 every activation reads its demands off the tree.
 
-A probe confirms by max-flow only the demands a split could break: it lowers
-just the cuts that hold u and w but not s, and those already carry both
-incident capacities, so a demand at or below that floor minus the loss holds
-without a flow (`admissible_amount` gives the argument). Probes try the full
-amount before a single unit, and a demand that fails moves to the front of
-the list, where the next failing probe meets it first.
+Splitting `a` units of a pair lowers exactly the cuts that hold u and w but
+not s, each by 2a. One max-flow from {u, w} to s before the first probe gives
+the least such cut, of value mu, and its side X*. A probe fails with no flow
+when X* separates a demand above mu - 2a, and otherwise confirms by max-flow
+only the demands above mu - 2a (`admissible_amount` gives the argument). So
+the largest amount X* allows is probed first, and usually settles the pair.
 """
 
 from itertools import combinations_with_replacement
@@ -58,7 +58,7 @@ class SplitState:
     `demands` lists (x, y, lam) checks, never touching the active node, whose
     connectivity must survive every split: `connectivity_snapshot` reads them
     off `tree_edges`, the capacitated tree split-off started from, for the
-    nodes that have degree at activation; `_demands_hold` reorders them.
+    nodes that have degree at activation.
     `events` records executed splits as (u, w, amount) triples in order.
     """
 
@@ -86,36 +86,37 @@ def _apply_split(graph, s, u, w, amount):
 def _demands_hold(state, safe):
     """Whether every demand above `safe` holds by max-flow in the graph.
 
-    Demands up to `safe` are known to hold and run no flow. The first demand
-    that fails moves to the front of `state.demands`, since a failing probe
-    mostly fails on the demand the previous one failed on at this activation
-    and then stops on its first flow. Order never changes the answer, only
-    its cost.
+    Demands up to `safe` are known to hold and run no flow.
     """
-    graph, demands = state.graph, state.demands
-    for i, (x, y, needed) in enumerate(demands):
-        if needed > safe and max_flow(graph, x, y) < needed:
-            demands.insert(0, demands.pop(i))
-            return False
-    return True
+    graph = state.graph
+    return all(r <= safe or max_flow(graph, (x,), y)[0] >= r for x, y, r in state.demands)
 
 
 def admissible_amount(state, u, w):
     """Largest amount the pair (u, w) can be split at the active node.
 
     Bounded by the incident capacities (half of one capacity when u == w) and
-    by demand preservation, which is monotone in the amount. The full amount
-    is tried first, since most pairs split completely, then one unit, then a
-    binary search between them finds the maximum. Returns 0 for unsplittable
-    pairs; raises UnknownNode when u or w has no capacity to the node.
+    by demand preservation, which is monotone in the amount. Returns 0 for
+    unsplittable pairs; raises UnknownNode when u or w has no capacity to the
+    node.
 
     Splitting `a` units lowers only the cuts X with u, w in X and s not in X,
-    each by exactly 2a (the new (u, w) capacity stays inside X). Before the
-    split such an X is crossed by (s, u) and (s, w), so its value is at least
-    z(s, u) + z(s, w), or z(s, u) when u == w. Every other cut keeps its
-    value and the demands held before the split, so a demand
-    r <= z(s, u) + z(s, w) - 2a (z(s, u) - 2a when u == w) cannot fail and
-    `_demands_hold` skips its flow.
+    each by exactly 2a: (s, u) and (s, w) cross X and the new (u, w) capacity
+    stays inside it. A cut that splits u from w trades a unit of (s, u) or
+    (s, w) for one of (u, w), and one with u, w and s on a side is untouched.
+    One max-flow from {u, w} to s gives mu, the least value of a lowered cut
+    before the split, and X*, the side of one such cut; when u == w it runs
+    from u alone, so mu = lam(u, s). Then:
+
+    - X* is an (x, y) cut of value mu - 2a after the split for every demand
+      it separates, so with R the largest of those demands (0 if none) any
+      a > (mu - R) / 2 fails without a flow.
+    - Every lowered cut keeps at least mu - 2a and every other cut keeps its
+      value, and the demands held before the split, so a demand
+      r <= mu - 2a cannot fail and `_demands_hold` skips its flow.
+
+    The search probes top = min(cap, (mu - R) // 2) first, which most pairs
+    pass, and binary-searches below it only when a flow refuses top.
     """
     graph, s = state.graph, state.active
     if u == s or w == s:
@@ -132,22 +133,22 @@ def admissible_amount(state, u, w):
         # sole neighbor: no simple path between other nodes crosses s,
         # so removing capacity from (s, u) cannot hurt any demand
         return cap
-
-    # least value, before the split, of any cut the split lowers
-    floor = zu if u == w else zu + zw
+    mu, side = max_flow(graph, (u,) if u == w else (u, w), s)
+    crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
 
     def splittable(amount):
         _apply_split(graph, s, u, w, amount)
         try:
-            return _demands_hold(state, floor - 2 * amount)
+            return _demands_hold(state, mu - 2 * amount)
         finally:
             _apply_split(graph, s, u, w, -amount)
 
-    if splittable(cap):
-        return cap
-    if cap == 1 or not splittable(1):
+    top = min(cap, (mu - crossing) // 2)
+    if top <= 0:
         return 0
-    lo, hi = 1, cap - 1
+    if splittable(top):
+        return top
+    lo, hi = 0, top - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if splittable(mid):

@@ -42,7 +42,7 @@ def verify_realization(instance, realization):
     terminals = instance.terminals
     graph = CapacitatedMultigraph(terminals, dict(realization.items()))
     pairs = sorted(instance.requirements.pairs())
-    flows = {p: max_flow(graph, *p) for p, _, _, _ in max_spanning_joins(terminals, pairs)}
+    flows = {p: max_flow(graph, p[:1], p[1])[0] for p, _, _, _ in max_spanning_joins(terminals, pairs)}
     partners = {v: [] for v in terminals}
     for (s, t), _ in pairs:
         partners[s].append(t)
@@ -65,7 +65,7 @@ def verify_realization(instance, realization):
     violations = []
     for (s, t), r in pairs:
         if r > bound[(s, t)]:
-            flow = flows[(s, t)] if (s, t) in flows else max_flow(graph, s, t)
+            flow = flows[(s, t)] if (s, t) in flows else max_flow(graph, (s,), t)[0]
             if flow < r:
                 violations.append((s, t, r - flow))
     return violations

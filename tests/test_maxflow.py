@@ -74,41 +74,58 @@ class TestCapacitatedMultigraph:
 class TestMaxFlow:
     def test_triangle_doubles_the_direct_edge(self):
         g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1})
-        assert max_flow(g, "a", "b") == 2
+        assert max_flow(g, ("a",), "b")[0] == 2
 
     def test_star_bottleneck(self):
         g = graph_of("abch", {("a", "h"): 3, ("b", "h"): 3, ("c", "h"): 2})
-        assert max_flow(g, "a", "b") == 3
-        assert max_flow(g, "a", "c") == 2
+        assert max_flow(g, ("a",), "b")[0] == 3
+        assert max_flow(g, ("a",), "c")[0] == 2
 
     def test_path_bottleneck(self):
         g = graph_of("abc", {("a", "b"): 5, ("b", "c"): 2})
-        assert max_flow(g, "a", "c") == 2
+        assert max_flow(g, ("a",), "c")[0] == 2
 
     def test_disconnected_pair(self):
         g = graph_of("abcd", {("a", "b"): 5, ("c", "d"): 5})
-        assert max_flow(g, "a", "c") == 0
+        assert max_flow(g, ("a",), "c")[0] == 0
 
     def test_removed_pairs_carry_no_flow(self):
         g = graph_of("abc", {("a", "b"): 9, ("a", "c"): 1, ("b", "c"): 1})
         g.set_capacity("a", "b", 0)
-        assert max_flow(g, "a", "b") == max_flow(g, "b", "a") == 1
+        assert max_flow(g, ("a",), "b")[0] == max_flow(g, ("b",), "a")[0] == 1
         g.set_capacity("a", "b", 2)
-        assert max_flow(g, "a", "b") == 3
+        assert max_flow(g, ("a",), "b")[0] == 3
 
     def test_endpoint_errors(self):
         g = graph_of("ab", {("a", "b"): 1})
         with pytest.raises(UnknownNode, match="flow endpoints must differ"):
-            max_flow(g, "a", "a")
+            max_flow(g, ("a",), "a")
         with pytest.raises(UnknownNode):
-            max_flow(g, "a", "zz")
+            max_flow(g, ("a",), "zz")
+
+    def test_source_set_errors(self):
+        g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1})
+        with pytest.raises(UnknownNode, match="unknown node 'zz'"):
+            max_flow(g, ("a", "zz"), "c")
+        with pytest.raises(UnknownNode, match="unknown node 'zz'"):
+            max_flow(g, ("a", "b"), "zz")
+        with pytest.raises(UnknownNode, match="at least one source"):
+            max_flow(g, (), "c")
+        with pytest.raises(UnknownNode, match="flow endpoints must differ"):
+            max_flow(g, ("a", "c"), "c")
+
+    def test_sources_merge_into_one_node(self):
+        # b and c each reach t by 1 alone, and by 2 together
+        g = graph_of("abct", {("a", "b"): 5, ("b", "t"): 1, ("c", "t"): 1})
+        assert max_flow(g, ("b",), "t") == (1, frozenset("ab"))
+        assert max_flow(g, ("b", "c"), "t") == (2, frozenset("abc"))
 
     def test_two_disjoint_routes_add_up(self):
         g = graph_of(
             "sxyt",
             {("s", "x"): 2, ("x", "t"): 2, ("s", "y"): 3, ("y", "t"): 1},
         )
-        assert max_flow(g, "s", "t") == 3
+        assert max_flow(g, ("s",), "t")[0] == 3
 
 
 class TestAllPairsConnectivity:
@@ -132,10 +149,10 @@ class TestAllPairsConnectivity:
 
 
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, max_nodes=6):
     # sparse graphs as often as dense ones: a wrong flow-tree parent only
     # shows when some pair is not directly joined
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max_nodes))
     names = [f"n{i}" for i in range(n)]
     g = CapacitatedMultigraph(names)
     zeros = draw(st.sampled_from([0, 5]))
@@ -151,7 +168,7 @@ def small_graphs(draw):
 def test_flow_tree_agrees_with_direct_flows(g):
     lam = all_pairs_connectivity(g)
     for u, v in combinations(g.nodes, 2):
-        assert lam[(u, v)] == max_flow(g, u, v)
+        assert lam[(u, v)] == max_flow(g, (u,), v)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,7 +194,7 @@ def test_flow_is_bounded_by_every_cut(g):
     source = nodes[0]
     rest = nodes[1:]
     for t in rest:
-        value = max_flow(g, source, t)
+        value = max_flow(g, (source,), t)[0]
         best = None
         for mask in range(2 ** len(rest)):
             side = {source} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
@@ -190,3 +207,34 @@ def test_flow_is_bounded_by_every_cut(g):
             )
             best = cut if best is None else min(best, cut)
         assert value == best
+
+
+def cut_value(g, side):
+    return sum(c for (u, v), c in g.positive_pairs() if (u in side) != (v in side))
+
+
+@st.composite
+def source_sets(draw):
+    """A graph of at most 7 nodes, a nonempty source tuple and a sink apart."""
+    g = draw(small_graphs(max_nodes=7))
+    sink = draw(st.sampled_from(g.nodes))
+    others = [v for v in g.nodes if v != sink]
+    sources = draw(st.lists(st.sampled_from(others), min_size=1, max_size=len(others), unique=True))
+    return g, tuple(sources), sink
+
+
+@settings(max_examples=80, deadline=None)
+@given(source_sets())
+def test_multi_source_flow_is_the_least_cut_around_the_sources(problem):
+    g, sources, sink = problem
+    capacities = dict(g.positive_pairs())
+    rest = [v for v in g.nodes if v not in sources and v != sink]
+    best = min(
+        cut_value(g, set(sources) | {rest[i] for i in range(len(rest)) if mask >> i & 1})
+        for mask in range(2 ** len(rest))
+    )
+    value, side = max_flow(g, sources, sink)
+    assert value == best
+    assert set(sources) <= side and sink not in side
+    assert cut_value(g, side) == value
+    assert dict(g.positive_pairs()) == capacities

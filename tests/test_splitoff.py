@@ -254,9 +254,9 @@ class TestSplitNode:
         split_node(state)
         assert g.degree("h") == 0
         for x, y, d in state.demands:
-            assert max_flow(g, x, y) >= d
+            assert max_flow(g, (x,), y)[0] >= d
         for x, y in combinations("abcd", 2):
-            assert max_flow(g, x, y) >= lam[(x, y)]
+            assert max_flow(g, (x,), y)[0] >= lam[(x, y)]
 
     def test_unit_legs_are_cut_edges_and_block_splitting(self):
         # every leg is a bridge, so any split strands the remaining legs;
@@ -328,9 +328,9 @@ def test_split_preserves_snapshot_connectivities(data):
     split_node(state)
     assert g.degree("h") == 0
     for x, y, d in state.demands:
-        assert max_flow(g, x, y) >= d
+        assert max_flow(g, (x,), y)[0] >= d
     for x, y in combinations(sorted(caps), 2):
-        assert max_flow(g, x, y) >= lam[(x, y)]
+        assert max_flow(g, (x,), y)[0] >= lam[(x, y)]
 
 
 def _split_copy(graph, s, u, w, amount):
@@ -354,7 +354,7 @@ def reference_amount(state, u, w):
 
     def holds(amount):
         g = _split_copy(graph, s, u, w, amount)
-        return all(max_flow(g, x, y) >= r for x, y, r in state.demands)
+        return all(max_flow(g, (x,), y)[0] >= r for x, y, r in state.demands)
 
     if cap == 0 or not holds(1):
         return 0
@@ -386,6 +386,44 @@ def test_every_probe_matches_the_all_flows_reference(instance):
         solve(instance)
 
 
+def test_every_refusal_by_the_merged_cut_is_refused_by_the_reference():
+    # X*, the side of the least {u, w}-s cut mu, refuses every amount above
+    # (mu - R) // 2 with no flow, R the largest demand it separates
+    refusals = []
+    cuts = []
+    active = [None]
+    real_amount, real_flow = splitoff.admissible_amount, splitoff.max_flow
+
+    def flow(graph, sources, sink):
+        result = real_flow(graph, sources, sink)
+        if sink == active[0]:
+            cuts.append(result)
+        return result
+
+    def checked(state, u, w):
+        active[0] = state.active
+        cuts.clear()
+        expected = reference_amount(state, u, w)
+        got = real_amount(state, u, w)
+        assert len(cuts) <= 1, (state.active, u, w)
+        if cuts:
+            mu, side = cuts[0]
+            crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
+            refused = (mu - crossing) // 2 + 1
+            zu, zw = state.graph.capacity(state.active, u), state.graph.capacity(state.active, w)
+            if refused <= (zu // 2 if u == w else min(zu, zw)):
+                refusals.append((state.active, u, w))
+                assert expected < refused, (state.active, u, w, mu, crossing)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitoff, "admissible_amount", checked)
+        mp.setattr(splitoff, "max_flow", flow)
+        for seed in range(30):
+            solve(random_instance(seed, terminals=10, inner=4, rmax=(3, 6, 9)[seed % 3]))
+    assert refusals
+
+
 def test_checks_the_safe_bound_skips_hold_by_max_flow():
     skipped = []
     real = splitoff._demands_hold
@@ -394,7 +432,7 @@ def test_checks_the_safe_bound_skips_hold_by_max_flow():
         for x, y, needed in state.demands:
             if needed <= safe:
                 skipped.append((x, y))
-                assert max_flow(state.graph, x, y) >= needed, (state.active, x, y, needed, safe)
+                assert max_flow(state.graph, (x,), y)[0] >= needed, (state.active, x, y, needed, safe)
         return real(state, safe)
 
     with pytest.MonkeyPatch.context() as mp:

@@ -72,7 +72,7 @@ def per_pair_violations(instance, realization):
     graph = CapacitatedMultigraph(instance.terminals, dict(realization.items()))
     violations = []
     for (s, t), r in sorted(instance.requirements.pairs()):
-        flow = max_flow(graph, s, t)
+        flow = max_flow(graph, (s,), t)[0]
         if flow < r:
             violations.append((s, t, r - flow))
     return violations
