@@ -10,7 +10,8 @@ flat-tree inputs of `bench/run.py` (seed 1) it times `parse_instance` and
 `solve` apart, milliseconds per operation. On the audit-verify inputs of
 `bench/run.py` (seed 1) it counts `_dinic` calls per `verify_realization`
 and times it, milliseconds per operation; the verdicts join the output
-digest.
+digest. `flow_us` is the mean time of one `_dinic` call, in microseconds,
+on the ladder, steiner-split and audit-verify inputs.
 
 A fixed corpus of CORPUS small `gen` instances (6-24 terminals, a third as
 many inner nodes, rmax 3, 6 or 9) reaches the probe outcomes the ladder
@@ -24,9 +25,9 @@ and R the largest demand it separates.
 Each tree is measured in ROUNDS processes, alternating before and after and
 which of them goes first, so the host's speed drift lands on both sides.
 Counts and digests must agree between the rounds of a side; every time (a
-key ending in `_s` or `_ms`) is reported as the median and min-max spread
-over the rounds. Outputs of the
-two trees must agree byte for byte or the script exits 1.
+key ending in `_s`, `_ms` or `_us`) is reported as the median and min-max
+spread over the rounds. Outputs of the two trees must agree byte for byte or
+the script exits 1.
 
     python3 scripts/perf_ladder.py --before /path/to/old/src > BENCH.json
 """
@@ -79,8 +80,9 @@ def tally_probes(splitoff):
 
     def counted_flow(graph, *args):
         result = flow(graph, *args)
-        # check flows never touch the active node; the merged cut ends there
-        if args[-1] == active[0]:
+        # check flows never touch the active node; the merged cut ends there.
+        # args is (sources, sink) or (sources, sink, limit)
+        if args[1] == active[0]:
             cuts.append(result)
         return result
 
@@ -118,11 +120,19 @@ def measure(src):
     assert bench.cli.__file__.startswith(os.path.join(src, "")), bench.cli.__file__
 
     calls = [0]
+    flow_s = [0.0]
     dinic = maxflow._dinic
 
     def counted(*args):
         calls[0] += 1
-        return dinic(*args)
+        start = time.perf_counter()
+        result = dinic(*args)
+        flow_s[0] += time.perf_counter() - start
+        return result
+
+    def flow_us(seconds, n):
+        """Mean microseconds per `_dinic` call."""
+        return round(seconds * 1e6 / max(n, 1), 2)
 
     maxflow._dinic = counted
     tally = tally_probes(splitoff)
@@ -133,24 +143,25 @@ def measure(src):
         digest.update(blob.encode())
 
     def run(text):
-        calls[0] = 0
+        calls[0], flow_s[0] = 0, 0.0
         start = time.perf_counter()
         solution = solve(parse_instance(text))
         elapsed = time.perf_counter() - start
         record(solution)
-        return calls[0], elapsed
+        return calls[0], elapsed, flow_s[0]
 
     ladder = {}
     for k, m in LADDER:
-        n, t = run(json.dumps(generate_document(k, m, 2, 6, 1)))
-        ladder[f"{k}x{m}"] = {"dinic_calls": n, "solve_s": round(t, 3)}
+        n, t, f = run(json.dumps(generate_document(k, m, 2, 6, 1)))
+        ladder[f"{k}x{m}"] = {"dinic_calls": n, "solve_s": round(t, 3), "flow_us": flow_us(f, n)}
     ladder["probes"] = dict(tally)
     docs = [text for _, text in bench.WORKLOADS["steiner-split"]().setup(1)]
-    flows, times = [], []
+    flows, times, split_flow_s = [], [], 0.0
     for text in docs:
-        n, t = run(text)
+        n, t, f = run(text)
         flows.append(n)
         times.append(t)
+        split_flow_s += f
     flat = [text for _, text in bench.WORKLOADS["flat-tree"]().setup(1)]
     start = time.perf_counter()
     instances = [parse_instance(text) for text in flat]
@@ -162,12 +173,12 @@ def measure(src):
     # freed here, so that no timing covers the release of the last one
     del instances, solutions
     audits = [(item[1], item[2]) for item in bench.WORKLOADS["audit-verify"]().setup(1)]
-    calls[0] = 0
+    calls[0], flow_s[0] = 0, 0.0
     start_audit = time.perf_counter()
     verdicts = [verify_realization(instance, realization) for instance, realization in audits]
     audit_s = time.perf_counter() - start_audit
     digest.update(repr(verdicts).encode())
-    audit_calls = calls[0]
+    audit_calls, audit_flow_s = calls[0], flow_s[0]
     tally.update(dict.fromkeys(tally, 0))
     corpus_calls = 0
     for doc in corpus_documents(generate_document):
@@ -178,6 +189,7 @@ def measure(src):
             "operations": len(docs),
             "flows_per_op": round(sum(flows) / len(docs), 1),
             "solve_p50_s": round(statistics.median(times), 4),
+            "flow_us": flow_us(split_flow_s, sum(flows)),
         },
         "flat_tree": {
             "operations": len(flat),
@@ -188,6 +200,7 @@ def measure(src):
             "operations": len(audits),
             "dinic_calls_per_op": round(audit_calls / len(audits), 1),
             "verify_ms": round(audit_s * 1000 / len(audits), 3),
+            "flow_us": flow_us(audit_flow_s, audit_calls),
         },
         "corpus": {"instances": CORPUS, "dinic_calls": corpus_calls, "probes": dict(tally)},
         "output_sha256": digest.hexdigest(),
@@ -199,7 +212,7 @@ def merge(rounds, where="result"):
     first = rounds[0]
     if isinstance(first, dict):
         return {key: merge([r[key] for r in rounds], key) for key in first}
-    if where.endswith(("_s", "_ms")):
+    if where.endswith(("_s", "_ms", "_us")):
         return {"median": statistics.median(rounds), "min": min(rounds), "max": max(rounds)}
     if any(r != first for r in rounds):
         raise ValueError(f"{where} differs between rounds of one tree: {rounds}")

@@ -4,6 +4,11 @@ Parallel edges collapse into one integer capacity per unordered pair of
 distinct nodes. The graph keeps the arc arrays Dinic's algorithm runs on:
 each pair that ever carried capacity owns two mutually reverse arcs, both
 holding the pair's current capacity (0 once it is removed).
+
+`max_flow` does only the work its caller needs. A Dinic phase labels nodes
+until it reaches the sink and searches no node at the sink's level but the
+sink. A flow with a `limit` stops once it carries that much, with no cut
+side; any other returns the residual closure of the sources as its side.
 """
 
 from collections import deque
@@ -84,13 +89,11 @@ class CapacitatedMultigraph:
                 yield node_pair(self.nodes[self._to[a + 1]], self.nodes[self._to[a]]), self._cap[a]
 
 
-def _dinic(graph, sources, sink):
-    """Max flow from a set of nodes to another node of a CapacitatedMultigraph.
+def _dinic(graph, sources, sink, limit=None):
+    """Dinic max flow from a set of nodes to another node; see `max_flow`.
 
     Every source starts at level 0 and the blocking flow searches from each
-    in turn, so the sources act as one merged node. Returns (value,
-    source_side) where source_side is the residual cut side holding the
-    sources, so callers get a minimum cut for free.
+    in turn, so the sources act as one merged node.
     """
     names, head, to = graph.nodes, graph._head, graph._to
     cap = graph._cap[:]
@@ -103,16 +106,22 @@ def _dinic(graph, sources, sink):
         for s in starts:
             level[s] = 0
         queue = deque(starts)
-        while queue:
+        while queue and level[t] < 0:
             x = queue.popleft()
+            d = level[x] + 1
             for a in head[x]:
                 y = to[a]
                 if cap[a] > 0 and level[y] < 0:
-                    level[y] = level[x] + 1
+                    level[y] = d
                     queue.append(y)
-        if level[t] < 0:
-            side = frozenset(names[i] for i in range(n) if level[i] >= 0)
-            return flow, side
+        last = level[t]
+        if last < 0:
+            return flow, frozenset(names[i] for i in range(n) if level[i] >= 0)
+        # a node at the sink's level other than the sink leads nowhere: hide it
+        for y in queue:
+            if level[y] == last:
+                level[y] = n
+        level[t] = last
         pointer = [0] * n
         for s in starts:
             while True:
@@ -122,21 +131,20 @@ def _dinic(graph, sources, sink):
                 path = []
                 x = s
                 while x != t:
-                    arcs = head[x]
-                    while pointer[x] < len(arcs):
-                        a = arcs[pointer[x]]
-                        if cap[a] > 0 and level[to[a]] == level[x] + 1:
-                            break
-                        pointer[x] += 1
-                    else:
+                    arcs, i, d = head[x], pointer[x], level[x] + 1
+                    m = len(arcs)
+                    while i < m and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == d):
+                        i += 1
+                    pointer[x] = i
+                    if i == m:
                         if not path:
                             break
                         # dead end: retreat and skip the arc that led here
                         x = to[path.pop() ^ 1]
                         pointer[x] += 1
                         continue
-                    path.append(a)
-                    x = to[a]
+                    path.append(arcs[i])
+                    x = to[arcs[i]]
                 if x != t:
                     break
                 moved = min(cap[a] for a in path)
@@ -144,14 +152,18 @@ def _dinic(graph, sources, sink):
                     cap[a] -= moved
                     cap[a ^ 1] += moved
                 flow += moved
+                if limit is not None and flow >= limit:
+                    return flow, None
 
 
-def max_flow(graph, sources, sink):
+def max_flow(graph, sources, sink, limit=None):
     """Exact undirected max flow from the node set `sources` to `sink`.
 
-    Returns (value, side): the value of the least cut with every source on
-    one side and the sink on the other, and the side of one such cut that
-    holds the sources.
+    Returns (value, side): the least value of a cut with every source on one
+    side and the sink on the other, and the least such side, the residual
+    closure of the sources (the same for every maximum flow). With an int
+    `limit` >= 1 the flow stops on reaching it and returns (value, None),
+    value >= limit; a value below `limit` is exact and has its side.
     """
     if not sources:
         raise UnknownNode("a flow needs at least one source")
@@ -160,7 +172,9 @@ def max_flow(graph, sources, sink):
             raise UnknownNode(f"unknown node {v!r}")
     if sink in sources:
         raise UnknownNode(f"flow endpoints must differ, got {sink!r} on both sides")
-    return _dinic(graph, sources, sink)
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
+        raise ValueError(f"a flow limit must be an int of at least 1, got {limit!r}")
+    return _dinic(graph, sources, sink, limit)
 
 
 def all_pairs_connectivity(graph):

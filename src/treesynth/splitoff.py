@@ -89,7 +89,7 @@ def _demands_hold(state, safe):
     Demands up to `safe` are known to hold and run no flow.
     """
     graph = state.graph
-    return all(r <= safe or max_flow(graph, (x,), y)[0] >= r for x, y, r in state.demands)
+    return all(r <= safe or max_flow(graph, (x,), y, r)[0] >= r for x, y, r in state.demands)
 
 
 def admissible_amount(state, u, w):

@@ -33,8 +33,9 @@ def verify_realization(instance, realization):
     has lam(s, t) >= min(lam(s, z), lam(z, t)), so the least of those flows on
     a pair's forest path bounds its connectivity from below; a second Kruskal
     pass over the flows finds that bound at the join that first links s and t.
-    A pair within its bound holds, and only the others get an exact flow.
-    Violations come in sorted pair order; an empty list means feasible.
+    A pair within its bound holds. The others get a flow that stops at their
+    requirement, exact when it falls short. Violations come in sorted pair
+    order; an empty list means feasible.
     """
     for (u, v), _ in realization.items():
         if u not in instance.terminal_set or v not in instance.terminal_set:
@@ -65,7 +66,7 @@ def verify_realization(instance, realization):
     violations = []
     for (s, t), r in pairs:
         if r > bound[(s, t)]:
-            flow = flows[(s, t)] if (s, t) in flows else max_flow(graph, (s,), t)[0]
+            flow = flows[(s, t)] if (s, t) in flows else max_flow(graph, (s,), t, r)[0]
             if flow < r:
                 violations.append((s, t, r - flow))
     return violations

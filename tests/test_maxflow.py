@@ -120,6 +120,12 @@ class TestMaxFlow:
         assert max_flow(g, ("b",), "t") == (1, frozenset("ab"))
         assert max_flow(g, ("b", "c"), "t") == (2, frozenset("abc"))
 
+    def test_limit_errors(self):
+        g = graph_of("ab", {("a", "b"): 1})
+        for limit in (0, -1, True, 1.5):
+            with pytest.raises(ValueError, match="a flow limit must be an int of at least 1"):
+                max_flow(g, ("a",), "b", limit)
+
     def test_two_disjoint_routes_add_up(self):
         g = graph_of(
             "sxyt",
@@ -229,12 +235,29 @@ def test_multi_source_flow_is_the_least_cut_around_the_sources(problem):
     g, sources, sink = problem
     capacities = dict(g.positive_pairs())
     rest = [v for v in g.nodes if v not in sources and v != sink]
-    best = min(
-        cut_value(g, set(sources) | {rest[i] for i in range(len(rest)) if mask >> i & 1})
-        for mask in range(2 ** len(rest))
-    )
+    sides = [set(sources) | {rest[i] for i in range(len(rest)) if mask >> i & 1} for mask in range(2 ** len(rest))]
+    best = min(cut_value(g, candidate) for candidate in sides)
     value, side = max_flow(g, sources, sink)
     assert value == best
     assert set(sources) <= side and sink not in side
     assert cut_value(g, side) == value
+    # the last phase labels the whole residual closure of the sources, which
+    # lies inside every min-cut side around them
+    assert side == set.intersection(*(c for c in sides if cut_value(g, c) == best))
+    assert dict(g.positive_pairs()) == capacities
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_a_limited_flow_answers_whether_it_reaches_the_limit(g):
+    capacities = dict(g.positive_pairs())
+    for s, t in combinations(g.nodes, 2):
+        exact = max_flow(g, (s,), t)
+        for limit in range(1, exact[0] + 2):
+            value, side = max_flow(g, (s,), t, limit)
+            assert (value >= limit) == (exact[0] >= limit)
+            if value < limit:
+                assert (value, side) == exact
+            else:
+                assert side is None
     assert dict(g.positive_pairs()) == capacities

@@ -394,8 +394,8 @@ def test_every_refusal_by_the_merged_cut_is_refused_by_the_reference():
     active = [None]
     real_amount, real_flow = splitoff.admissible_amount, splitoff.max_flow
 
-    def flow(graph, sources, sink):
-        result = real_flow(graph, sources, sink)
+    def flow(graph, sources, sink, *limit):
+        result = real_flow(graph, sources, sink, *limit)
         if sink == active[0]:
             cuts.append(result)
         return result
