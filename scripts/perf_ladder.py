@@ -22,6 +22,9 @@ and `cut_refused` counts the pairs whose merged cut X* (the side of the least
 flow: X* refuses every amount above (mu - R) // 2, with mu the cut's value
 and R the largest demand it separates.
 
+The output digest covers each solved instance's `cli.instance_hash` and its
+realization, cost and split trace.
+
 Each tree is measured in ROUNDS processes, alternating before and after and
 which of them goes first, so the host's speed drift lands on both sides.
 Counts and digests must agree between the rounds of a side; every time (a
@@ -114,6 +117,7 @@ def measure(src):
     sys.path.insert(0, src)
     import treesynth
     from treesynth import generate_document, maxflow, parse_instance, solve, splitoff, verify_realization
+    from treesynth.cli import instance_hash
 
     assert treesynth.__file__.startswith(os.path.join(src, "")), treesynth.__file__
     bench = load_bench()
@@ -138,16 +142,17 @@ def measure(src):
     tally = tally_probes(splitoff)
     digest = hashlib.sha256()
 
-    def record(solution):
-        blob = repr((sorted(solution.realization.items()), str(solution.cost), solution.trace))
-        digest.update(blob.encode())
+    def record(instance, solution):
+        blob = (instance_hash(instance), sorted(solution.realization.items()), str(solution.cost), solution.trace)
+        digest.update(repr(blob).encode())
 
     def run(text):
         calls[0], flow_s[0] = 0, 0.0
         start = time.perf_counter()
-        solution = solve(parse_instance(text))
+        instance = parse_instance(text)
+        solution = solve(instance)
         elapsed = time.perf_counter() - start
-        record(solution)
+        record(instance, solution)
         return calls[0], elapsed, flow_s[0]
 
     ladder = {}
@@ -168,8 +173,8 @@ def measure(src):
     parsed = time.perf_counter()
     solutions = [solve(instance) for instance in instances]
     solved = time.perf_counter()
-    for solution in solutions:
-        record(solution)
+    for instance, solution in zip(instances, solutions):
+        record(instance, solution)
     # freed here, so that no timing covers the release of the last one
     del instances, solutions
     audits = [(item[1], item[2]) for item in bench.WORKLOADS["audit-verify"]().setup(1)]

@@ -76,6 +76,8 @@ def _entries(raw, where, keys):
     the first other entry is re-checked by `_expect_keys` and reported under
     `where[index]`.
     """
+    if not isinstance(raw, list):
+        raise ParseError(f"{where}: expected a list")
     first, second, value = keys
     fields = frozenset(keys)
     for k, entry in enumerate(raw):
@@ -101,14 +103,10 @@ def parse_instance(text):
     terminals = _string_list(doc["terminals"], "terminals")
     _expect_keys(doc["tree"], {"nodes", "edges"}, "tree")
     nodes = _string_list(doc["tree"]["nodes"], "tree.nodes")
-    if not isinstance(doc["tree"]["edges"], list):
-        raise ParseError("tree.edges: expected a list")
     edges = [
         (u, v, parse_rational(length, f"tree.edges[{k}].length"))
         for k, u, v, length in _entries(doc["tree"]["edges"], "tree.edges", ("u", "v", "length"))
     ]
-    if not isinstance(doc["requirements"], list):
-        raise ParseError("requirements: expected a list")
     requirements = []
     for k, s, t, r in _entries(doc["requirements"], "requirements", ("s", "t", "r")):
         if type(r) is not int and (isinstance(r, bool) or not isinstance(r, int)):
@@ -140,18 +138,9 @@ def instance_document(instance):
 def instance_hash(instance):
     """Stable hex digest of the instance content, order-insensitive where possible."""
     doc = instance_document(instance)
-    canonical = {
-        "version": doc["version"],
-        "terminals": doc["terminals"],
-        "tree": {
-            "nodes": sorted(doc["tree"]["nodes"]),
-            "edges": sorted(
-                doc["tree"]["edges"], key=lambda e: (e["u"], e["v"])
-            ),
-        },
-        "requirements": doc["requirements"],
-    }
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    doc["tree"]["nodes"].sort()
+    doc["tree"]["edges"].sort(key=lambda e: (e["u"], e["v"]))
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -248,8 +237,6 @@ def _load_instance(path):
 
 
 def _realization_entries(doc, where):
-    if not isinstance(doc, list):
-        raise ParseError(f"{where}: expected a list of realization entries")
     values = {}
     for k, s, t, y in _entries(doc, where, ("s", "t", "y")):
         if isinstance(y, bool) or not isinstance(y, int):
@@ -275,19 +262,12 @@ def _load_realization(path):
         if "realization" not in doc:
             raise ParseError(f"{path}: no 'realization' field")
         declared_hash = doc.get("instance_hash")
-        entries = _realization_entries(doc["realization"], "realization")
-    else:
-        entries = _realization_entries(doc, "realization")
+        doc = doc["realization"]
+    entries = _realization_entries(doc, "realization")
     try:
         return Realization(entries), declared_hash
     except TreeSynthError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def _realization_rows(realization):
-    return [
-        {"s": s, "t": t, "y": y} for (s, t), y in sorted(realization.items())
-    ]
 
 
 def _cmd_solve(args):
@@ -306,7 +286,9 @@ def _cmd_solve(args):
                 {"u": u, "v": v, "c": c} for (u, v), c in sorted(solution.capacity.items())
             ],
             "join": [{"u": u, "v": v} for (u, v) in sorted(solution.join.edges)],
-            "realization": _realization_rows(solution.realization),
+            "realization": [
+                {"s": s, "t": t, "y": y} for (s, t), y in sorted(solution.realization.items())
+            ],
         }
     )
     return 0
@@ -331,22 +313,16 @@ def _cmd_bound(args):
     return 0
 
 
-def _parse_node_list(raw, instance, label):
-    names = [x for x in (part.strip() for part in raw.split(",")) if x]
-    nodes = set(instance.tree.nodes)
-    for name in names:
-        if name not in nodes:
-            raise ParseError(f"--{label}: {name!r} is not a tree node")
-    return frozenset(names)
+def _comma_list(raw):
+    """The nonempty stripped items of a comma-separated option value."""
+    return [x for x in (part.strip() for part in raw.split(",")) if x]
 
 
 def _cmd_join(args):
     instance = _load_instance(args.instance)
-    even = _parse_node_list(args.even, instance, "even")
-    odd = _parse_node_list(args.odd, instance, "odd")
-    if even & odd:
-        raise ParseError(f"nodes cannot be both even and odd: {sorted(even & odd)}")
-    result = min_cost_ij_join(ParityInstance(instance.tree, even, odd))
+    # ParityInstance refuses unknown and overlapping nodes with a ValueError
+    parity = ParityInstance(instance.tree, _comma_list(args.even), _comma_list(args.odd))
+    result = min_cost_ij_join(parity)
     if result is None:
         _emit({"status": "infeasible"})
         return 0
@@ -385,14 +361,13 @@ def _cmd_verify(args):
 
 
 def _cmd_gen(args):
-    lengths = [x.strip() for x in args.lengths.split(",") if x.strip()]
     doc = generate_document(
         terminals=args.terminals,
         inner=args.inner,
         rmin=args.rmin,
         rmax=args.rmax,
         seed=args.seed,
-        lengths=lengths,
+        lengths=_comma_list(args.lengths),
     )
     _emit(doc)
     return 0
@@ -464,10 +439,7 @@ def run(argv=None):
     except (SolverInternalError, AssertionError) as exc:
         _diag(f"internal invariant failure: {exc}")
         return 4
-    except TreeSynthError as exc:
-        _diag(f"error: {exc}")
-        return 1
-    except ValueError as exc:
+    except (TreeSynthError, ValueError) as exc:
         _diag(f"error: {exc}")
         return 1
     except Exception as exc:

@@ -53,9 +53,7 @@ def parity_sets(instance, capacity):
     """
     even = []
     odd = []
-    for v in instance.tree.nodes:
-        if instance.is_terminal(v):
-            continue
+    for v in instance.inner_nodes():
         if capacity.load(v) % 2 == 0:
             even.append(v)
         else:
@@ -63,7 +61,7 @@ def parity_sets(instance, capacity):
     return ParityInstance(instance.tree, frozenset(even), frozenset(odd))
 
 
-def satisfies_parity(tree, even_set, odd_set, edges):
+def satisfies_parity(even_set, odd_set, edges):
     """Check an edge selection against parity constraints."""
     degree = Counter()
     for u, v in edges:
@@ -141,7 +139,7 @@ def min_cost_ij_join(p):
         return None
     cost, mask = answer
     edges = tuple(e for i, e in enumerate(tree.edges) if mask >> i & 1)
-    assert satisfies_parity(tree, p.even_set, p.odd_set, edges)
+    assert satisfies_parity(p.even_set, p.odd_set, edges)
     return JoinResult(edges=edges, cost=cost)
 
 

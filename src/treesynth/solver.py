@@ -38,22 +38,24 @@ def check_preconditions(instance):
     return [(e, base[e]) for e in instance.tree.edges if base[e] <= 1]
 
 
-def _min_parity_join(instance, base):
+def _base_and_join(instance):
+    """Base capacity and minimum parity join; PreconditionViolated if undefined."""
+    bad = check_preconditions(instance)
+    if bad:
+        raise PreconditionViolated(bad)
+    base = instance.base_capacity()
     join = min_cost_ij_join(parity_sets(instance, base))
     if join is None:
         # every tree leaf is a terminal and terminals are free, so a
         # satisfying selection always exists on a pruned instance
         raise SolverInternalError("parity join infeasible on a pruned tree")
-    return join
+    return base, join
 
 
 def optimal_cost_formula(instance):
     """Closed-form minimum cost: lower bound plus the cheapest parity fix."""
-    bad = check_preconditions(instance)
-    if bad:
-        raise PreconditionViolated(bad)
-    base = instance.base_capacity()
-    return base.cost() + _min_parity_join(instance, base).cost
+    base, join = _base_and_join(instance)
+    return base.cost() + join.cost
 
 
 def solve(instance):
@@ -65,11 +67,7 @@ def solve(instance):
     equal the closed-form optimum exactly or SolverInternalError aborts the
     run.
     """
-    bad = check_preconditions(instance)
-    if bad:
-        raise PreconditionViolated(bad)
-    base = instance.base_capacity()
-    join = _min_parity_join(instance, base)
+    base, join = _base_and_join(instance)
     capacity = base.bump(join.edges)
     problems = verify_feasible_capacity(instance, capacity)
     if problems:

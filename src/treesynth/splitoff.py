@@ -69,11 +69,6 @@ class SplitState:
         self.events = []
 
 
-def expand_capacity_graph(instance, capacity):
-    """Capacitated graph on the tree nodes with the tree edges as its edges."""
-    return CapacitatedMultigraph(instance.tree.nodes, capacity)
-
-
 def _apply_split(graph, s, u, w, amount):
     if u == w:
         graph.add_capacity(s, u, -2 * amount)
@@ -197,22 +192,19 @@ def extract_realization(graph, terminals):
     for v in graph.nodes:
         if v not in terminal_set and graph.degree(v) > 0:
             raise SolverInternalError(f"{v!r} still has degree {graph.degree(v)}")
-    values = {}
-    for (u, v), c in graph.positive_pairs():
-        if u in terminal_set and v in terminal_set:
-            values[(u, v)] = c
-    return Realization(values)
+    # every non-terminal has degree 0, so each positive pair joins two terminals
+    return Realization(graph.positive_pairs())
 
 
 def realize_capacity(instance, capacity):
-    """Run the full elimination: expand, split out each inner node, extract.
+    """Run the full elimination: build the graph, split out each inner node, extract.
 
     Inner nodes are processed in ascending identifier order; each one's
-    demands are read off the expanded graph's tree edges, taken before the
+    demands are read off the graph's tree edges, taken before the
     first split. Returns (realization, trace) where trace is a tuple of
     (node, u, w, amount) split records.
     """
-    graph = expand_capacity_graph(instance, capacity)
+    graph = CapacitatedMultigraph(instance.tree.nodes, capacity)
     tree_edges = list(graph.positive_pairs())
     trace = []
     for s in sorted(instance.inner_nodes()):

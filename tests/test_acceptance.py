@@ -25,9 +25,9 @@ from treesynth import (
 )
 from treesynth.cli import run
 from treesynth.join import ParityInstance, brute_force_join, parity_sets, satisfies_parity
-from treesynth.maxflow import all_pairs_connectivity, max_flow
+from treesynth.maxflow import CapacitatedMultigraph, all_pairs_connectivity, max_flow
 from treesynth.model import MetricTree, node_pair
-from treesynth.splitoff import connectivity_snapshot, expand_capacity_graph
+from treesynth.splitoff import connectivity_snapshot
 from treesynth.verify import capacity_projection, uniform_integer_formula, verify_feasible_capacity
 
 from helpers import fixture_path, forest_bottleneck, star_instance, uniform_star
@@ -105,7 +105,7 @@ def _replay(instance, solution, check_demands):
     split.
     """
     tree = instance.tree
-    graph = expand_capacity_graph(instance, solution.capacity)
+    graph = CapacitatedMultigraph(tree.nodes, solution.capacity)
     tree_edges = list(graph.positive_pairs())
     out = {
         "start": _potential(tree, graph) == solution.capacity.cost(),
@@ -285,8 +285,8 @@ def test_criterion_05_join_oracle(acceptance_log):
         if fast.cost != slow.cost:
             disagreements += 1
         elif not (
-            satisfies_parity(tree, even, odd, fast.edges)
-            and satisfies_parity(tree, even, odd, slow.edges)
+            satisfies_parity(even, odd, fast.edges)
+            and satisfies_parity(even, odd, slow.edges)
         ):
             disagreements += 1
     _report(

@@ -515,6 +515,7 @@ class TestJoinCommand:
             "hub",
         )
         assert code == 1
+        assert "hub" in err
 
 
 class TestVerifyCommand:

@@ -38,10 +38,9 @@ class TestParityInstance:
 
 class TestSatisfiesParity:
     def test_counts_degrees(self):
-        tree = path3()
-        assert satisfies_parity(tree, {"p2"}, {"p1", "p3"}, [("p1", "p2"), ("p2", "p3")])
-        assert not satisfies_parity(tree, {"p2"}, {"p1", "p3"}, [("p1", "p2")])
-        assert satisfies_parity(tree, set(), set(), [])
+        assert satisfies_parity({"p2"}, {"p1", "p3"}, [("p1", "p2"), ("p2", "p3")])
+        assert not satisfies_parity({"p2"}, {"p1", "p3"}, [("p1", "p2")])
+        assert satisfies_parity(set(), set(), [])
 
 
 class TestMinCostJoin:
@@ -173,7 +172,7 @@ def test_join_matches_brute_force_exactly(case):
     assert fast.cost == slow.cost
     # identical tie-break, so the edge sets agree too
     assert fast.edges == slow.edges
-    assert satisfies_parity(tree, even, odd, fast.edges)
+    assert satisfies_parity(even, odd, fast.edges)
 
 
 @settings(max_examples=100, deadline=None)

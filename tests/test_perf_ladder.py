@@ -1,0 +1,54 @@
+"""The perf ladder's probe tally still binds to split-off's names.
+
+`scripts/perf_ladder.py` rebinds `splitoff.admissible_amount`,
+`splitoff.max_flow` and `splitoff._demands_hold` to count probe outcomes;
+renaming one of them breaks the script's `--before` comparison, so this test
+loads the script and tallies one small solve.
+"""
+
+import importlib.util
+import json
+import os
+
+from treesynth import cli, solver, splitoff
+
+PERF_LADDER = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "perf_ladder.py"
+)
+NAMES = ("admissible_amount", "max_flow", "_demands_hold")
+
+
+def load_perf_ladder():
+    spec = importlib.util.spec_from_file_location("perf_ladder", PERF_LADDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tally_counts_the_probes_of_a_solve():
+    originals = {name: getattr(splitoff, name) for name in NAMES}
+    text = json.dumps(cli.generate_document(12, 4, 2, 6, 1))
+    untallied = solver.solve(cli.parse_instance(text))
+    probes, holds = [], []
+
+    def counted_amount(state, u, w):
+        probes.append((u, w))
+        return originals["admissible_amount"](state, u, w)
+
+    def counted_hold(state, safe):
+        holds.append(safe)
+        return originals["_demands_hold"](state, safe)
+
+    try:
+        # the tally wraps these counters, so both see the same calls
+        splitoff.admissible_amount, splitoff._demands_hold = counted_amount, counted_hold
+        tally = load_perf_ladder().tally_probes(splitoff)
+        solution = solver.solve(cli.parse_instance(text))
+    finally:
+        for name, original in originals.items():
+            setattr(splitoff, name, original)
+    assert solution.trace == untallied.trace
+    assert set(tally) == {"cut_refused", "flow_refused", "passed"}
+    assert tally["passed"] > 0
+    assert tally["passed"] + tally["flow_refused"] == len(holds)
+    assert tally["cut_refused"] <= len(probes)

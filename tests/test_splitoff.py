@@ -20,7 +20,6 @@ from treesynth.splitoff import (
     SplitState,
     admissible_amount,
     connectivity_snapshot,
-    expand_capacity_graph,
     extract_realization,
     realize_capacity,
     split_node,
@@ -45,9 +44,11 @@ def star_graph(caps):
 
 
 class TestExpandCapacityGraph:
+    """The graph split-off starts from: the tree nodes with their capacities."""
+
     def test_copies_positive_capacities(self):
         instance = star_instance({("a", "b"): 3, ("a", "c"): 2, ("b", "c"): 2})
-        graph = expand_capacity_graph(instance, instance.base_capacity())
+        graph = CapacitatedMultigraph(instance.tree.nodes, instance.base_capacity())
         assert graph.capacity("hub", "a") == 3
         assert graph.capacity("hub", "c") == 2
         assert set(graph.nodes) == {"a", "b", "c", "hub"}
@@ -61,7 +62,7 @@ class TestExpandCapacityGraph:
             [("a", "b", 2)],
         )
         base = instance.base_capacity()
-        graph = expand_capacity_graph(instance, base)
+        graph = CapacitatedMultigraph(instance.tree.nodes, base)
         assert base[("c", "hub")] == 0
         assert "c" not in graph.neighbors("hub")
 
