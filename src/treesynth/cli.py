@@ -14,10 +14,10 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import ParseError, PreconditionViolated, SolverInternalError, TreeSynthError
+from .errors import InvalidInstance, ParseError, PreconditionViolated, SolverInternalError, TreeSynthError
 from .join import ParityInstance, min_cost_ij_join
-from .model import Realization, build_instance, node_pair
-from .solver import check_preconditions, optimal_cost_formula, solve, solve_and_check
+from .model import Realization, as_length, build_instance, node_pair
+from .solver import optimal_cost_formula, solve, solve_and_check
 from .verify import fractional_lower_bound, verify_realization
 
 FORMAT_VERSION = "insp-json-v1"
@@ -42,8 +42,8 @@ def parse_rational(raw, where="value"):
         raise ParseError(f'{where}: floats are inexact; quote it, e.g. "1/2" or "0.5"')
     if isinstance(raw, str):
         try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
+            return as_length(raw)
+        except InvalidInstance as exc:
             raise ParseError(f"{where}: cannot read {raw!r} as a rational") from exc
     raise ParseError(f"{where}: expected an int or string, got {type(raw).__name__}")
 
@@ -95,7 +95,7 @@ def parse_instance(text):
     """Parse an INSP-JSON document into a validated Instance."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     _expect_keys(doc, {"version", "terminals", "tree", "requirements"}, "document")
     if doc["version"] != FORMAT_VERSION:
@@ -236,26 +236,16 @@ def _load_instance(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _realization_entries(doc, where):
-    values = {}
-    for k, s, t, y in _entries(doc, where, ("s", "t", "y")):
-        if isinstance(y, bool) or not isinstance(y, int):
-            raise ParseError(f"{where}[{k}].y: expected an integer")
-        key = node_pair(s, t)
-        if key in values:
-            raise ParseError(f"{where}[{k}]: duplicate pair {key}")
-        values[key] = y
-    return values
-
-
 def _load_realization(path):
     """Read a realization file: either a bare entry list or a solve document."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     declared_hash = None
     if isinstance(doc, dict):
@@ -263,9 +253,16 @@ def _load_realization(path):
             raise ParseError(f"{path}: no 'realization' field")
         declared_hash = doc.get("instance_hash")
         doc = doc["realization"]
-    entries = _realization_entries(doc, "realization")
+    values = {}
+    for k, s, t, y in _entries(doc, "realization", ("s", "t", "y")):
+        if isinstance(y, bool) or not isinstance(y, int):
+            raise ParseError(f"realization[{k}].y: expected an integer")
+        key = node_pair(s, t)
+        if key in values:
+            raise ParseError(f"realization[{k}]: duplicate pair {key}")
+        values[key] = y
     try:
-        return Realization(entries), declared_hash
+        return Realization(values), declared_hash
     except TreeSynthError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -301,14 +298,13 @@ def _cmd_bound(args):
         "instance_hash": instance_hash(instance),
         "fractional_lower_bound": format_rational(fractional_lower_bound(instance)),
     }
-    bad = check_preconditions(instance)
-    if bad:
+    try:
+        doc["integer_cost_formula"] = format_rational(optimal_cost_formula(instance))
+    except PreconditionViolated as exc:
         doc["integer_cost_formula"] = None
         doc["precondition_violations"] = [
-            {"u": u, "v": v, "cut_requirement": r} for (u, v), r in bad
+            {"u": u, "v": v, "cut_requirement": r} for (u, v), r in exc.violations
         ]
-    else:
-        doc["integer_cost_formula"] = format_rational(optimal_cost_formula(instance))
     _emit(doc)
     return 0
 

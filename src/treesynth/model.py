@@ -48,15 +48,20 @@ def max_spanning_joins(nodes, weighted_pairs):
 def as_length(value):
     """Coerce an edge length to an exact Fraction.
 
-    Accepts int, Fraction, or a string like "2", "0.5", "7/3". Floats are
-    rejected so no inexact value can sneak in, and booleans so no flag is
-    read as a length.
+    Accepts int, Fraction, or a string like "2", "0.5", "7/3", "1e3". Floats
+    are rejected so no inexact value can sneak in, and booleans so no flag is
+    read as a length. A decimal exponent beyond +-4300 (the interpreter's
+    default digit limit for int strings) is refused before Fraction expands it.
     """
     if isinstance(value, (float, bool)):
         raise InvalidInstance(
             f"edge length {value!r} is a {type(value).__name__}; pass an int, Fraction, or string"
         )
     try:
+        if isinstance(value, str):
+            _, e, exponent = value.lower().partition("e")
+            if e and abs(int(exponent)) > 4300:
+                raise ValueError("exponent too large")
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InvalidInstance(f"cannot read {value!r} as an exact length") from exc
@@ -268,9 +273,6 @@ class Instance:
         )
 
     __hash__ = None
-
-    def is_terminal(self, v):
-        return v in self.terminal_set
 
     def inner_nodes(self):
         """Tree nodes that are not terminals, in node order."""

@@ -27,23 +27,18 @@ class Solution:
     trace: tuple
 
 
-def check_preconditions(instance):
-    """Tree edges whose cut requirement is 0 or 1, with the offending value.
+def _base_and_join(instance):
+    """Base capacity and minimum parity join.
 
-    An empty list means the instance is solvable by the exact pipeline; a
-    requirement of 1 across some tree cut breaks integral splitting and a
-    requirement of 0 disconnects the problem across that edge.
+    Raises PreconditionViolated with the tree edges whose cut requirement is
+    0 or 1, and the offending values: a requirement of 1 across some tree cut
+    breaks integral splitting and a requirement of 0 disconnects the problem
+    across that edge.
     """
     base = instance.base_capacity()
-    return [(e, base[e]) for e in instance.tree.edges if base[e] <= 1]
-
-
-def _base_and_join(instance):
-    """Base capacity and minimum parity join; PreconditionViolated if undefined."""
-    bad = check_preconditions(instance)
+    bad = [(e, base[e]) for e in instance.tree.edges if base[e] <= 1]
     if bad:
         raise PreconditionViolated(bad)
-    base = instance.base_capacity()
     join = min_cost_ij_join(parity_sets(instance, base))
     if join is None:
         # every tree leaf is a terminal and terminals are free, so a

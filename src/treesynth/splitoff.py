@@ -124,10 +124,6 @@ def admissible_amount(state, u, w):
     cap = zu // 2 if u == w else min(zu, zw)
     if cap == 0:
         return 0
-    if u == w and graph.neighbors(s) == (u,):
-        # sole neighbor: no simple path between other nodes crosses s,
-        # so removing capacity from (s, u) cannot hurt any demand
-        return cap
     mu, side = max_flow(graph, (u,) if u == w else (u, w), s)
     crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
 
@@ -176,7 +172,6 @@ def split_node(state):
             state.events.append((u, w, amount))
     if graph.degree(s) > 0:
         raise SolverInternalError(f"no admissible split remains at {s!r}")
-    return graph
 
 
 def extract_realization(graph, terminals):
@@ -208,8 +203,6 @@ def realize_capacity(instance, capacity):
     tree_edges = list(graph.positive_pairs())
     trace = []
     for s in sorted(instance.inner_nodes()):
-        if graph.degree(s) == 0:
-            continue
         state = SplitState(graph, s, tree_edges)
         split_node(state)
         trace.extend((s, u, w, amount) for u, w, amount in state.events)

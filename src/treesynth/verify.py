@@ -132,26 +132,21 @@ def capacity_projection(instance, realization):
     return EdgeCapacity(instance.tree, values)
 
 
-def brute_force_insp(instance, per_edge_bound=None):
-    """Exhaustive minimum-cost realization with entries in [0, per_edge_bound].
+def brute_force_insp(instance):
+    """Exhaustive minimum-cost realization with entries in [0, max requirement].
 
-    The bound defaults to the largest requirement, which always admits the
-    trivial realization that carries each requirement on its own pair.
-    Candidates are screened against every terminal cut (enumerable at this
-    size), and the winner is re-checked with verify_realization so the two
-    feasibility routes guard each other. Guarded to at most 5 terminals.
+    The bound admits the trivial realization that carries each requirement
+    on its own pair, which seeds the search. Candidates are screened against
+    every terminal cut (enumerable at this size), and the winner is
+    re-checked with verify_realization so the two feasibility routes guard
+    each other. Guarded to at most 5 terminals.
     """
     terminals = instance.terminals
     n = len(terminals)
     if n > BRUTE_FORCE_TERMINAL_LIMIT:
         raise TooLarge(f"{n} terminals; exhaustive search is capped at {BRUTE_FORCE_TERMINAL_LIMIT}")
-    max_r = instance.requirements.max_value()
-    bound = max_r if per_edge_bound is None else int(per_edge_bound)
-    if bound > max_r:
-        raise TooLarge(f"per-edge bound {bound} exceeds the largest requirement {max_r}")
-    if bound < 0:
-        raise ValueError("per-edge bound cannot be negative")
-    if max_r == 0:
+    bound = instance.requirements.max_value()
+    if bound == 0:
         return Realization({})
 
     pairs = [node_pair(a, b) for a, b in combinations(terminals, 2)]
@@ -172,23 +167,17 @@ def brute_force_insp(instance, per_edge_bound=None):
         cuts.append((needed, crossing))
 
     # seed the search with the trivial per-pair realization for early pruning
-    seed = tuple(min(instance.requirements.get(*p), bound) for p in pairs)
-    best = None
-    best_cost = None
-    if all(sum(seed[k] for k in crossing) >= needed for needed, crossing in cuts):
-        best = seed
-        best_cost = sum(w * c for w, c in zip(weights, seed))
+    best = tuple(instance.requirements.get(*p) for p in pairs)
+    best_cost = sum(w * c for w, c in zip(weights, best))
     for combo in product(range(bound + 1), repeat=len(pairs)):
         cost = 0
         for w, c in zip(weights, combo):
             cost += w * c
-        if best_cost is not None and cost >= best_cost:
+        if cost >= best_cost:
             continue
         if all(sum(combo[k] for k in crossing) >= needed for needed, crossing in cuts):
             best = combo
             best_cost = cost
-    if best is None:
-        raise TooLarge(f"no feasible realization with entries bounded by {bound}")
     realization = Realization({p: c for p, c in zip(pairs, best) if c})
     leftover = verify_realization(instance, realization)
     assert not leftover, f"cut screen and flow check disagree: {leftover}"

@@ -86,6 +86,10 @@ class TestParseInstance:
         with pytest.raises(ParseError, match="invalid JSON: maximum recursion depth"):
             parse_instance(DEEP_JSON)
 
+    def test_integer_beyond_the_digit_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="invalid JSON: Exceeds the limit"):
+            parse_instance("[" + "1" * 5000 + "]")
+
     def test_rejects_wrong_version(self):
         doc = json.loads(doc_text(star_instance({("a", "b"): 2})))
         doc["version"] = "insp-json-v2"
@@ -447,6 +451,16 @@ class TestSolveCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: invalid JSON: maximum recursion depth")
 
+    @pytest.mark.parametrize("length", ["1e5000", "1e-5000", "1e1000000000"])
+    def test_huge_exponent_length_exits_1(self, tmp_path, capsys, length):
+        doc = json.loads(doc_text(star_instance({("a", "b"): 2})))
+        doc["tree"]["edges"][0]["length"] = length
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: tree.edges[0].length: cannot read {length!r} as a rational\n"
+
     def test_malformed_instance_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": "insp-json-v1"}')
@@ -588,6 +602,13 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", fixture_path("half_star.json"), str(deep))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: invalid JSON in {deep}: maximum recursion depth")
+
+    def test_integer_beyond_the_digit_limit_exits_1(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text("[" + "1" * 5000 + "]")
+        code, out, err = run_cli(capsys, "verify", fixture_path("half_star.json"), str(huge))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: invalid JSON in {huge}: Exceeds the limit")
 
     @pytest.mark.parametrize("s, t", [(1, "a"), ("a", ["b"]), (None, "b")])
     def test_non_string_endpoints_are_parse_errors(self, tmp_path, capsys, s, t):

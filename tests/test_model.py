@@ -46,6 +46,15 @@ class TestAsLength:
         with pytest.raises(InvalidInstance):
             as_length(None)
 
+    def test_refuses_exponents_beyond_the_digit_limit(self):
+        assert as_length("1e4300") == 10**4300
+        assert as_length("1E-4300") == Fraction(1, 10**4300)
+        for huge in ("1e4301", "1e5000", "1e-5000", "1e1000000000"):
+            with pytest.raises(InvalidInstance, match="cannot read"):
+                as_length(huge)
+        with pytest.raises(InvalidInstance):
+            build_instance(["a", "b"], ["a", "b"], [("a", "b", "1e5000")], [("a", "b", 2)])
+
     def test_rejects_booleans(self):
         with pytest.raises(InvalidInstance, match="edge length True is a bool"):
             as_length(True)
@@ -331,8 +340,7 @@ class TestInstance:
         assert instance.tree.root == "a"
         assert instance.terminals == ("a", "b", "c")
         assert instance.inner_nodes() == ("hub",)
-        assert instance.is_terminal("a")
-        assert not instance.is_terminal("hub")
+        assert instance.terminal_set == {"a", "b", "c"}
 
     def test_build_requires_terminals(self):
         with pytest.raises(InvalidInstance):

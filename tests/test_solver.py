@@ -13,12 +13,12 @@ from treesynth import (
     brute_force_insp,
     build_instance,
     fractional_lower_bound,
+    maxflow,
     optimal_cost_formula,
     solve,
     solve_and_check,
     verify_realization,
 )
-from treesynth.solver import check_preconditions
 
 from helpers import (
     caterpillar_instance,
@@ -35,22 +35,31 @@ LADDER_DIGESTS = {
     (30, 10): "db3c107d366f8c2b2dd0b4eb615f91ed664082d342688d59a604596bfcf5d0a1",
     (60, 20): "22aaf820768da77a5989a4a8511596546eef21f90fb304d4d14c3c8b69441536",
 }
+# most `_dinic` calls a solve of each ladder instance may run
+LADDER_FLOW_BUDGETS = {(30, 10): 412, (60, 20): 1508}
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 class TestCheckPreconditions:
     def test_clean_instance(self):
-        assert check_preconditions(uniform_star(3, 2)) == []
+        instance = build_instance(
+            ["a", "b"], ["a", "b"], [("a", "b", 1)], [("a", "b", 2)]
+        )
+        assert optimal_cost_formula(instance) == 2
 
     def test_zero_requirement_edge(self):
-        assert check_preconditions(zero_bridge_instance()) == [(("u", "v"), 0)]
+        with pytest.raises(PreconditionViolated) as info:
+            optimal_cost_formula(zero_bridge_instance())
+        assert info.value.violations == [(("u", "v"), 0)]
 
     def test_unit_requirement_edge(self):
         instance = build_instance(
             ["a", "b"], ["a", "b"], [("a", "b", 1)], [("a", "b", 1)]
         )
-        assert check_preconditions(instance) == [(("a", "b"), 1)]
+        with pytest.raises(PreconditionViolated) as info:
+            optimal_cost_formula(instance)
+        assert info.value.violations == [(("a", "b"), 1)]
 
 
 class TestOptimalCostFormula:
@@ -208,3 +217,18 @@ def test_ladder_outputs_and_traces_are_unchanged(terminals, inner):
     solution = solve(random_instance(1, terminals=terminals, inner=inner))
     blob = repr((sorted(solution.realization.items()), str(solution.cost), solution.trace))
     assert hashlib.sha256(blob.encode()).hexdigest() == LADDER_DIGESTS[(terminals, inner)]
+
+
+@pytest.mark.parametrize("terminals,inner", sorted(LADDER_FLOW_BUDGETS))
+def test_ladder_solves_stay_within_their_flow_budget(terminals, inner, monkeypatch):
+    calls = []
+    dinic = maxflow._dinic
+
+    def counted(*args):
+        calls.append(args)
+        return dinic(*args)
+
+    instance = random_instance(1, terminals=terminals, inner=inner)
+    monkeypatch.setattr(maxflow, "_dinic", counted)
+    solve(instance)
+    assert len(calls) <= LADDER_FLOW_BUDGETS[(terminals, inner)]

@@ -294,17 +294,6 @@ class TestBruteForceInsp:
         with pytest.raises(TooLarge):
             brute_force_insp(uniform_star(6, 2))
 
-    def test_bound_guards(self):
-        instance = uniform_star(3, 2)
-        with pytest.raises(TooLarge):
-            brute_force_insp(instance, per_edge_bound=3)
-        with pytest.raises(ValueError):
-            brute_force_insp(instance, per_edge_bound=-1)
-
-    def test_infeasible_bound_is_reported(self):
-        with pytest.raises(TooLarge):
-            brute_force_insp(uniform_star(3, 2), per_edge_bound=0)
-
     def test_result_is_always_flow_feasible(self):
         instance = star_instance(
             {("a", "b"): 4, ("a", "c"): 2, ("b", "c"): 3}, length="2"
