@@ -137,10 +137,13 @@ def instance_document(instance):
 
 def instance_hash(instance):
     """Stable hex digest of the instance content, order-insensitive where possible."""
-    doc = instance_document(instance)
-    doc["tree"]["nodes"].sort()
-    doc["tree"]["edges"].sort(key=lambda e: (e["u"], e["v"]))
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    try:
+        doc = instance_document(instance)
+        doc["tree"]["nodes"].sort()
+        doc["tree"]["edges"].sort(key=lambda e: (e["u"], e["v"]))
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    except ValueError as exc:
+        raise _too_long() from exc
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -220,8 +223,21 @@ def generate_document(terminals, inner, rmin, rmax, seed, lengths=DEFAULT_LENGTH
     }
 
 
+def _too_long():
+    """The error for an answer (hash or cost) with an integer too long to print."""
+    return ValueError(
+        f"a value in the answer exceeds the {sys.get_int_max_str_digits():,}-digit limit "
+        "for printing an integer"
+    )
+
+
 def _emit(doc):
-    print(json.dumps(doc, indent=2))
+    """Print `doc` as indented JSON; its Fractions print as `format_rational`."""
+    try:
+        text = json.dumps(doc, indent=2, default=format_rational)
+    except ValueError as exc:
+        raise _too_long() from exc
+    print(text)
 
 
 def _diag(message):
@@ -277,8 +293,8 @@ def _cmd_solve(args):
         {
             "status": "ok",
             "instance_hash": instance_hash(instance),
-            "cost": format_rational(solution.cost),
-            "formula_cost": format_rational(solution.formula_cost),
+            "cost": solution.cost,
+            "formula_cost": solution.formula_cost,
             "capacity": [
                 {"u": u, "v": v, "c": c} for (u, v), c in sorted(solution.capacity.items())
             ],
@@ -296,10 +312,10 @@ def _cmd_bound(args):
     doc = {
         "status": "ok",
         "instance_hash": instance_hash(instance),
-        "fractional_lower_bound": format_rational(fractional_lower_bound(instance)),
+        "fractional_lower_bound": fractional_lower_bound(instance),
     }
     try:
-        doc["integer_cost_formula"] = format_rational(optimal_cost_formula(instance))
+        doc["integer_cost_formula"] = optimal_cost_formula(instance)
     except PreconditionViolated as exc:
         doc["integer_cost_formula"] = None
         doc["precondition_violations"] = [
@@ -325,7 +341,7 @@ def _cmd_join(args):
     _emit(
         {
             "status": "ok",
-            "cost": format_rational(result.cost),
+            "cost": result.cost,
             "edges": [{"u": u, "v": v} for (u, v) in sorted(result.edges)],
         }
     )
@@ -352,7 +368,7 @@ def _cmd_verify(args):
             }
         )
         return 3
-    _emit({"status": "ok", "cost": format_rational(instance.realization_cost(realization))})
+    _emit({"status": "ok", "cost": instance.realization_cost(realization)})
     return 0
 
 

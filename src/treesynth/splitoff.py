@@ -18,6 +18,19 @@ the least such cut, of value mu, and its side X*. A probe fails with no flow
 when X* separates a demand above mu - 2a, and otherwise confirms by max-flow
 only the demands above mu - 2a (`admissible_amount` gives the argument). So
 the largest amount X* allows is probed first, and usually settles the pair.
+
+Most pairs need no flow at all. Let X be a lowered cut and primes mean
+"after the split". X + s is a cut the split leaves alone, and it separates
+the same demands as X, since s is no demand's endpoint: c(X + s) >= R(X),
+the largest demand X separates. Moving s back out of X gives
+c'(X) = c(X + s) + d'(s, X) - d'(s, V - X) = c(X + s) + 2d'(s, X) - deg'(s),
+and d'(s, X) >= z'u + z'w (z'u when u == w), where d' counts capacity from s
+into a side and z' the capacity from s to u or w. With z' = z - a (z - 2a
+for the loop pair u == w) and deg' = deg - 2a, the excess over R(X) is
+non-negative exactly when a <= free = zu + zw - deg/2 (zu - deg/2 when
+u == w). Every other cut keeps its value, so every amount up to `free` keeps
+every demand: a pair whose incident capacities allow no more is split whole
+with no flow, and a probe at or below it passes with no flow.
 """
 
 from itertools import combinations_with_replacement
@@ -110,6 +123,16 @@ def admissible_amount(state, u, w):
       value, and the demands held before the split, so a demand
       r <= mu - 2a cannot fail and `_demands_hold` skips its flow.
 
+    Before any flow, degree arithmetic settles most pairs. For a lowered cut
+    X, the cut X + s holds u, w and s, so the split leaves it alone, and it
+    separates the same demands as X, so c(X + s) >= R(X). Moving s out of it
+    gives c'(X) = c(X + s) + d'(s, X) - d'(s, V - X)
+    >= R(X) + 2(zu + zw - 2a) - (deg(s) - 2a), and when u == w
+    >= R(X) + 2(zu - 2a) - (deg(s) - 2a). So c'(X) >= R(X) while
+    a <= free = zu + zw - deg(s)/2 (zu - deg(s)/2 when u == w). A pair with
+    free >= cap is split at cap with no flow, and a probe of at most free
+    passes with no flow.
+
     The search probes top = min(cap, (mu - R) // 2) first, which most pairs
     pass, and binary-searches below it only when a flow refuses top.
     """
@@ -124,10 +147,15 @@ def admissible_amount(state, u, w):
     cap = zu // 2 if u == w else min(zu, zw)
     if cap == 0:
         return 0
+    free = (zu if u == w else zu + zw) - graph.degree(s) // 2
+    if free >= cap:
+        return cap
     mu, side = max_flow(graph, (u,) if u == w else (u, w), s)
     crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
 
     def splittable(amount):
+        if amount <= free:
+            return True
         _apply_split(graph, s, u, w, amount)
         try:
             return _demands_hold(state, mu - 2 * amount)

@@ -461,6 +461,22 @@ class TestSolveCommand:
         assert (code, out) == (1, "")
         assert err == f"error: tree.edges[0].length: cannot read {length!r} as a rational\n"
 
+    @pytest.mark.parametrize("command", ["solve", "bound"])
+    @pytest.mark.parametrize("length", ["1e4300", "1e-4300", "1e4299"])
+    def test_answer_beyond_the_digit_limit_exits_1(self, tmp_path, capsys, command, length):
+        # 1e4300 and 1e-4300 pass the parse but the instance hash cannot
+        # print them; 1e4299 prints, but a cost of 20 of it cannot
+        doc = json.loads(doc_text(star_instance({("a", "b"): 20})))
+        doc["tree"]["edges"][0]["length"] = length
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == (
+            f"error: a value in the answer exceeds the {limit:,}-digit limit for printing an integer\n"
+        )
+
     def test_malformed_instance_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": "insp-json-v1"}')

@@ -3,7 +3,8 @@
 `scripts/perf_ladder.py` rebinds `splitoff.admissible_amount`,
 `splitoff.max_flow` and `splitoff._demands_hold` to count probe outcomes;
 renaming one of them breaks the script's `--before` comparison, so this test
-loads the script and tallies one small solve.
+loads the script and tallies one small solve. It also pins the pairs the
+degree rule admits whole with no flow.
 """
 
 import importlib.util
@@ -29,10 +30,15 @@ def test_tally_counts_the_probes_of_a_solve():
     originals = {name: getattr(splitoff, name) for name in NAMES}
     text = json.dumps(cli.generate_document(12, 4, 2, 6, 1))
     untallied = solver.solve(cli.parse_instance(text))
-    probes, holds = [], []
+    probes, holds, whole = [], [], []
 
     def counted_amount(state, u, w):
         probes.append((u, w))
+        graph, s = state.graph, state.active
+        zu, zw = graph.capacity(s, u), graph.capacity(s, w)
+        cap = zu // 2 if u == w else min(zu, zw)
+        if 0 < cap <= (zu if u == w else zu + zw) - graph.degree(s) // 2:
+            whole.append((u, w))
         return originals["admissible_amount"](state, u, w)
 
     def counted_hold(state, safe):
@@ -48,7 +54,8 @@ def test_tally_counts_the_probes_of_a_solve():
         for name, original in originals.items():
             setattr(splitoff, name, original)
     assert solution.trace == untallied.trace
-    assert set(tally) == {"cut_refused", "flow_refused", "passed"}
+    assert set(tally) == {"cut_refused", "degree_admitted", "flow_refused", "passed"}
+    assert tally["degree_admitted"] == len(whole) > 0
     assert tally["passed"] > 0
     assert tally["passed"] + tally["flow_refused"] == len(holds)
     assert tally["cut_refused"] <= len(probes)

@@ -22,6 +22,7 @@ from treesynth import (
 
 from helpers import (
     caterpillar_instance,
+    path_instance,
     random_instance,
     solvable_instances,
     star_instance,
@@ -36,7 +37,7 @@ LADDER_DIGESTS = {
     (60, 20): "22aaf820768da77a5989a4a8511596546eef21f90fb304d4d14c3c8b69441536",
 }
 # most `_dinic` calls a solve of each ladder instance may run
-LADDER_FLOW_BUDGETS = {(30, 10): 412, (60, 20): 1508}
+LADDER_FLOW_BUDGETS = {(30, 10): 57, (60, 20): 104}
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -232,3 +233,26 @@ def test_ladder_solves_stay_within_their_flow_budget(terminals, inner, monkeypat
     monkeypatch.setattr(maxflow, "_dinic", counted)
     solve(instance)
     assert len(calls) <= LADDER_FLOW_BUDGETS[(terminals, inner)]
+
+
+def test_deep_chain_splits_each_node_with_one_flow(monkeypatch):
+    # t0-_s0-...-_s199-t1 with r(t0, t1) = 3: every demand of an activation
+    # sits on the chain, at or below the pruning floor of 0, so confirming
+    # them by flow cost about N^2 / 2 calls; the degree rule splits the
+    # through pair with none and leaves one loop-pair merged cut per node
+    labels = ["t0"] + [f"_s{i}" for i in range(200)] + ["t1"]
+    instance = path_instance(labels, [1] * 201, [("t0", "t1", 3)])
+    calls = []
+    dinic = maxflow._dinic
+
+    def counted(*args):
+        calls.append(args)
+        return dinic(*args)
+
+    monkeypatch.setattr(maxflow, "_dinic", counted)
+    solution = solve(instance)
+    monkeypatch.undo()
+    assert solution.cost == 603
+    assert len(solution.trace) == 200
+    assert len(calls) <= 200
+    assert verify_realization(instance, solution.realization) == []

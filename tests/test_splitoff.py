@@ -387,6 +387,55 @@ def test_every_probe_matches_the_all_flows_reference(instance):
         solve(instance)
 
 
+def test_every_pair_the_degree_rule_settles_matches_the_reference():
+    # every amount up to free = zu + zw - deg(s)/2 (zu - deg(s)/2 when
+    # u == w) keeps every demand: a pair with free >= cap runs no flow, and
+    # no probe at or below free runs a check flow
+    whole, probed = [], []
+    cuts, holds = [], []
+    real_amount, real_flow, real_hold = (
+        splitoff.admissible_amount, splitoff.max_flow, splitoff._demands_hold,
+    )
+
+    def flow(graph, sources, sink, *limit):
+        result = real_flow(graph, sources, sink, *limit)
+        cuts.append(result)
+        return result
+
+    def hold(state, safe):
+        holds.append(safe)
+        return real_hold(state, safe)
+
+    def checked(state, u, w):
+        graph, s = state.graph, state.active
+        zu, zw = graph.capacity(s, u), graph.capacity(s, w)
+        cap = zu // 2 if u == w else min(zu, zw)
+        free = (zu if u == w else zu + zw) - graph.degree(s) // 2
+        expected = reference_amount(state, u, w)
+        cuts.clear()
+        holds.clear()
+        got = real_amount(state, u, w)
+        assert got == expected, (s, u, w)
+        if 0 < cap <= free:
+            whole.append((s, u, w))
+            assert got == cap and cuts == [], (s, u, w, free)
+        elif 0 < free:
+            probed.append((s, u, w))
+            assert expected >= free, (s, u, w, free)
+            # the merged cut runs first; each check probe gets mu - 2a
+            mu = cuts[0][0]
+            assert all((mu - safe) // 2 > free for safe in holds), (s, u, w, free)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitoff, "admissible_amount", checked)
+        mp.setattr(splitoff, "max_flow", flow)
+        mp.setattr(splitoff, "_demands_hold", hold)
+        for seed in range(30):
+            solve(random_instance(seed, terminals=10, inner=4, rmax=(3, 6, 9)[seed % 3]))
+    assert whole and probed
+
+
 def test_every_refusal_by_the_merged_cut_is_refused_by_the_reference():
     # X*, the side of the least {u, w}-s cut mu, refuses every amount above
     # (mu - R) // 2 with no flow, R the largest demand it separates
