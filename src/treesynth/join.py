@@ -4,17 +4,16 @@ A selection F of tree edges satisfies a parity instance when every node in
 `even_set` has even selected degree and every node in `odd_set` has odd
 selected degree; other nodes are free. Ties between equal-cost selections are
 broken toward the smallest selection bitmask (bit i set when tree edge i is
-chosen), so results are deterministic even with zero-length edges.
+chosen), so results are deterministic even with zero-length edges. The
+dynamic program adds the tree's integer length `units`; only the returned
+cost is a Fraction.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TooLarge
 from .model import MetricTree
-
-BRUTE_FORCE_EDGE_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,6 @@ def satisfies_parity(even_set, odd_set, edges):
     )
 
 
-def _need_map(p):
-    need = {v: 0 for v in p.even_set}
-    need.update({v: 1 for v in p.odd_set})
-    return need
-
-
 def _best(a, b):
     if a is None:
         return b
@@ -103,26 +96,28 @@ def min_cost_ij_join(p):
 
     Two-state dynamic program over the tree rooted at `tree.root`: per node,
     the best selection inside its subtree for each parity of its own selected
-    degree. States carry (cost, edge-index bitmask) so equal costs resolve to
-    the smallest bitmask; subtree masks are disjoint and the order is
-    invariant under adding a common disjoint mask, which keeps the tie-break
-    exact under merging. The result is the lexicographic minimum over all
-    selections, so it does not depend on the root.
+    degree. States carry (cost in the tree's integer units, edge-index
+    bitmask) so equal costs resolve to the smallest bitmask; subtree masks
+    are disjoint and the order is invariant under adding a common disjoint
+    mask, which keeps the tie-break exact under merging. The result is the
+    lexicographic minimum over all selections, so it does not depend on the
+    root. Units are lengths times one positive `scale`, so they order
+    selections as the lengths do.
     """
     tree = p.tree
-    need = _need_map(p)
+    need = dict.fromkeys(p.even_set, 0)
+    need.update(dict.fromkeys(p.odd_set, 1))
     index = {e: i for i, e in enumerate(tree.edges)}
     root, parent = tree.root, tree.parent
 
-    zero = Fraction(0)
-    state = {v: [(zero, 0), None] for v in tree.nodes}
+    state = {v: [(0, 0), None] for v in tree.nodes}
     for v in reversed(parent):
         if v == root:
             continue
         par = parent[v]
         edge = (par, v) if par <= v else (v, par)
         ei = index[edge]
-        length = tree.lengths[edge]
+        length = tree.units[edge]
         skip = _pick(state[v], need.get(v))
         want = need.get(v)
         take = _pick(state[v], None if want is None else want ^ 1)
@@ -140,34 +135,4 @@ def min_cost_ij_join(p):
     cost, mask = answer
     edges = tuple(e for i, e in enumerate(tree.edges) if mask >> i & 1)
     assert satisfies_parity(p.even_set, p.odd_set, edges)
-    return JoinResult(edges=edges, cost=cost)
-
-
-def brute_force_join(p):
-    """Exhaustive reference for min_cost_ij_join; same tie-break, or None."""
-    tree = p.tree
-    m = len(tree.edges)
-    if m > BRUTE_FORCE_EDGE_LIMIT:
-        raise TooLarge(f"{m} edges; exhaustive join is capped at {BRUTE_FORCE_EDGE_LIMIT}")
-    need = _need_map(p)
-    constrained = [(v, want) for v, want in need.items()]
-    best = None
-    for mask in range(1 << m):
-        degree = Counter()
-        cost = Fraction(0)
-        for i in range(m):
-            if mask >> i & 1:
-                u, v = tree.edges[i]
-                degree[u] += 1
-                degree[v] += 1
-                cost += tree.lengths[tree.edges[i]]
-        if any(degree[v] % 2 != want for v, want in constrained):
-            continue
-        # masks ascend, so on equal cost the smaller bitmask is kept
-        if best is None or cost < best[0]:
-            best = (cost, mask)
-    if best is None:
-        return None
-    cost, mask = best
-    edges = tuple(e for i, e in enumerate(tree.edges) if mask >> i & 1)
-    return JoinResult(edges=edges, cost=cost)
+    return JoinResult(edges=edges, cost=Fraction(cost, tree.scale))

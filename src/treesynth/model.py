@@ -1,12 +1,15 @@
 """Core domain types: metric trees, requirements, instances, capacities, realizations.
 
-All arithmetic is exact: edge lengths are `fractions.Fraction`, capacities and
-requirements are Python ints. Every structure here is treated as immutable
-after construction.
+All arithmetic is exact: edge lengths are read as `fractions.Fraction`, and
+capacities and requirements are Python ints. A `MetricTree` also holds each
+length as integer `units` over one `scale`, the LCM of its denominators, so
+distances and costs are int sums with one Fraction built per returned value.
+Every structure here is treated as immutable after construction.
 """
 
 from collections import deque
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 from .errors import InvalidInstance, UnknownNode
@@ -72,7 +75,9 @@ class MetricTree:
 
     `nodes` keeps input order, `edges` keeps input order as canonical pairs.
     `parent` maps each node to its parent toward `root` (the root maps to
-    None); its insertion order is breadth-first from the root.
+    None); its insertion order is breadth-first from the root. `lengths` maps
+    each edge to its Fraction length; `units` maps it to the int
+    length * `scale`, where `scale` is the LCM of the length denominators.
     """
 
     def __init__(self, nodes, edges, root):
@@ -123,6 +128,11 @@ class MetricTree:
 
         self.edges = tuple(order)
         self.lengths = lengths
+        self.scale = lcm(*(length.denominator for length in lengths.values()))
+        self.units = {
+            e: length.numerator * (self.scale // length.denominator)
+            for e, length in lengths.items()
+        }
         self.parent = parent
         self._depth = depth
         self._adj = adj
@@ -166,7 +176,7 @@ class MetricTree:
 
     def distance(self, i, j):
         """Exact path length between two tree nodes."""
-        return sum((self.lengths[e] for e in self.path(i, j)), Fraction(0))
+        return Fraction(sum(self.units[e] for e in self.path(i, j)), self.scale)
 
     def side_containing(self, edge, start):
         """Tree nodes reachable from `start` without crossing `edge`."""
@@ -315,12 +325,13 @@ class Instance:
 
     def realization_cost(self, realization):
         """Total cost of a terminal-pair capacity map under tree distances."""
-        total = Fraction(0)
+        tree = self.tree
+        total = 0
         for (i, j), value in realization.items():
             if i not in self.terminal_set or j not in self.terminal_set:
                 raise UnknownNode(f"{i!r}-{j!r} is not a terminal pair")
-            total += self.tree.distance(i, j) * value
-        return total
+            total += sum(tree.units[e] for e in tree.path(i, j)) * value
+        return Fraction(total, tree.scale)
 
 
 class EdgeCapacity:
@@ -358,10 +369,8 @@ class EdgeCapacity:
 
     def cost(self):
         """Length-weighted total, an exact Fraction."""
-        total = Fraction(0)
-        for e, c in self.values.items():
-            total += self.tree.lengths[e] * c
-        return total
+        units = self.tree.units
+        return Fraction(sum(units[e] * c for e, c in self.values.items()), self.tree.scale)
 
     def bump(self, edges):
         """A new capacity with +1 on each of the given edges."""

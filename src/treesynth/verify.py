@@ -16,7 +16,6 @@ How far each check stands apart from the solver pipeline:
 """
 
 from itertools import combinations, product
-from math import lcm
 
 from .errors import TooLarge, UnknownNode
 from .maxflow import CapacitatedMultigraph, max_flow
@@ -150,10 +149,9 @@ def brute_force_insp(instance):
         return Realization({})
 
     pairs = [node_pair(a, b) for a, b in combinations(terminals, 2)]
-    distances = [instance.tree.distance(*p) for p in pairs]
-    # scale lengths to ints so the inner loop never touches Fractions
-    denominator = lcm(*(d.denominator for d in distances)) if distances else 1
-    weights = [int(d * denominator) for d in distances]
+    # pair distances in the tree's integer units, so no loop touches Fractions
+    units = instance.tree.units
+    weights = [sum(units[e] for e in instance.tree.path(*p)) for p in pairs]
 
     rest = terminals[1:]
     cuts = []

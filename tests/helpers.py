@@ -2,15 +2,20 @@
 
 import json
 import os
+from collections import Counter
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from treesynth import build_instance, generate_document, parse_instance
+from treesynth import TooLarge, build_instance, generate_document, parse_instance
+from treesynth.join import JoinResult
 from treesynth.model import MetricTree
 
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "instances")
 
 LENGTH_POOL = ("0", "1/2", "1", "2", "7/3")
+
+BRUTE_FORCE_EDGE_LIMIT = 24
 
 
 def fixture_path(name):
@@ -32,6 +37,39 @@ def forest_bottleneck(checks, x, y):
                 best[nxt] = w if best[node] is None else min(best[node], w)
                 stack.append(nxt)
     return best.get(y) or 0
+
+
+def brute_force_join(p):
+    """Exhaustive reference for min_cost_ij_join; same tie-break, or None.
+
+    It sums the Fraction `tree.lengths`, not the integer units the dynamic
+    program adds, so the two stay independent.
+    """
+    tree = p.tree
+    m = len(tree.edges)
+    if m > BRUTE_FORCE_EDGE_LIMIT:
+        raise TooLarge(f"{m} edges; exhaustive join is capped at {BRUTE_FORCE_EDGE_LIMIT}")
+    constrained = [(v, 0) for v in p.even_set] + [(v, 1) for v in p.odd_set]
+    best = None
+    for mask in range(1 << m):
+        degree = Counter()
+        cost = Fraction(0)
+        for i in range(m):
+            if mask >> i & 1:
+                u, v = tree.edges[i]
+                degree[u] += 1
+                degree[v] += 1
+                cost += tree.lengths[tree.edges[i]]
+        if any(degree[v] % 2 != want for v, want in constrained):
+            continue
+        # masks ascend, so on equal cost the smaller bitmask is kept
+        if best is None or cost < best[0]:
+            best = (cost, mask)
+    if best is None:
+        return None
+    cost, mask = best
+    edges = tuple(e for i, e in enumerate(tree.edges) if mask >> i & 1)
+    return JoinResult(edges=edges, cost=cost)
 
 
 def star_instance(rmap, length="1/2", hub="hub"):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesynth import TooLarge, min_cost_ij_join
-from treesynth.join import ParityInstance, brute_force_join, parity_sets, satisfies_parity
+from treesynth.join import ParityInstance, parity_sets, satisfies_parity
 from treesynth.model import MetricTree
 
-from helpers import parity_marked_trees, star_instance
+from helpers import brute_force_join, parity_marked_trees, star_instance
 
 
 def path3(l1=1, l2=2):
