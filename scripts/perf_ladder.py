@@ -22,9 +22,9 @@ and `cut_refused` counts the pairs whose merged cut X* (the side of the least
 flow: X* refuses every amount above (mu - R) // 2, with mu the cut's value
 and R the largest demand it separates. `degree_admitted` counts the pairs
 split at the full amount cap their incident capacities allow with no flow at
-all, which a tree may do when zu + zw - deg(s)/2 >= cap (zu - deg(s)/2 for a
-loop pair), zu and zw being the pair's capacities to the active node s (the
-`splitoff` module docstring gives the argument).
+all, which a tree may do when zu + zw - deg(s)/2 >= cap = min(zu, zw), zu
+and zw being the pair's capacities to the active node s (the `splitoff`
+module docstring gives the argument).
 
 The output digest covers each solved instance's `cli.instance_hash` and its
 realization, cost and split trace.
@@ -102,14 +102,14 @@ def tally_probes(splitoff):
         active[0] = state.active
         cuts.clear()
         zu, zw = state.graph.capacity(state.active, u), state.graph.capacity(state.active, w)
-        cap = zu // 2 if u == w else min(zu, zw)
+        cap = min(zu, zw)
         got = amount(state, u, w)
         if cuts:
             mu, side = cuts[0]
             crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
             if (mu - crossing) // 2 < cap:
                 tally["cut_refused"] += 1
-        elif got == cap > 0:
+        elif got == cap:
             # no merged cut ran, and every check flow comes after one
             tally["degree_admitted"] += 1
         return got

@@ -1,16 +1,23 @@
 """Eliminating inner nodes from a capacitated graph without losing connectivity.
 
 A split at the active node s replaces one unit of capacity on each of (s, u)
-and (s, w) with a unit on (u, w); splitting a pair with u == w just removes
-two units of (s, u), since a loop adds no connectivity. Amounts are chosen so
-the pairwise connectivity of the initial graph keeps holding among all other
-nodes of positive degree.
+and (s, w), two distinct neighbors, with a unit on (u, w). Amounts are chosen
+so the pairwise connectivity of the initial graph keeps holding among all
+other nodes of positive degree.
 
 Split-off starts from a capacitated tree, which is its own Gomory-Hu tree:
 the connectivity of two nodes is the least capacity on their tree path. A
 split never raises a cut and an admissible one keeps every demand, so each
 pair of nodes that still have degree keeps that initial connectivity, and
 every activation reads its demands off the tree.
+
+Only pairs from two branches of s can split, so no loop pair is probed. Let
+B be the branch of s (the side of tree edge e = (s, t) away from s) that
+holds u: in the tree c(B) = c(e), and splits never raise a cut. `solve`
+passes base plus join, so c(e) <= r + 1, with r the requirement of the
+terminal pair that set base(e), and the checks keep that pair's connectivity
+at least r. Splitting a >= 1 units of (u, u), or of (u, w) with w in B too,
+lowers c(B) by 2a, to at most c(e) - 2 < r: no such split is admissible.
 
 Splitting `a` units of a pair lowers exactly the cuts that hold u and w but
 not s, each by 2a. One max-flow from {u, w} to s before the first probe gives
@@ -24,16 +31,15 @@ Most pairs need no flow at all. Let X be a lowered cut and primes mean
 the same demands as X, since s is no demand's endpoint: c(X + s) >= R(X),
 the largest demand X separates. Moving s back out of X gives
 c'(X) = c(X + s) + d'(s, X) - d'(s, V - X) = c(X + s) + 2d'(s, X) - deg'(s),
-and d'(s, X) >= z'u + z'w (z'u when u == w), where d' counts capacity from s
-into a side and z' the capacity from s to u or w. With z' = z - a (z - 2a
-for the loop pair u == w) and deg' = deg - 2a, the excess over R(X) is
-non-negative exactly when a <= free = zu + zw - deg/2 (zu - deg/2 when
-u == w). Every other cut keeps its value, so every amount up to `free` keeps
-every demand: a pair whose incident capacities allow no more is split whole
-with no flow, and a probe at or below it passes with no flow.
+and d'(s, X) >= z'u + z'w, where d' counts capacity from s into a side and
+z' the capacity from s to u or w. With z' = z - a and deg' = deg - 2a, the
+excess over R(X) is non-negative exactly when a <= free = zu + zw - deg/2.
+Every other cut keeps its value, so every amount up to `free` keeps every
+demand: a pair whose incident capacities allow no more is split whole with
+no flow, and a probe at or below it passes with no flow.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations
 
 from .errors import SolverInternalError, UnknownNode
 from .maxflow import CapacitatedMultigraph, max_flow
@@ -83,12 +89,9 @@ class SplitState:
 
 
 def _apply_split(graph, s, u, w, amount):
-    if u == w:
-        graph.add_capacity(s, u, -2 * amount)
-    else:
-        graph.add_capacity(s, u, -amount)
-        graph.add_capacity(s, w, -amount)
-        graph.add_capacity(u, w, amount)
+    graph.add_capacity(s, u, -amount)
+    graph.add_capacity(s, w, -amount)
+    graph.add_capacity(u, w, amount)
 
 
 def _demands_hold(state, safe):
@@ -103,18 +106,16 @@ def _demands_hold(state, safe):
 def admissible_amount(state, u, w):
     """Largest amount the pair (u, w) can be split at the active node.
 
-    Bounded by the incident capacities (half of one capacity when u == w) and
-    by demand preservation, which is monotone in the amount. Returns 0 for
-    unsplittable pairs; raises UnknownNode when u or w has no capacity to the
-    node.
+    Bounded by the incident capacities and by demand preservation, which is
+    monotone in the amount. Returns 0 for unsplittable pairs; raises
+    UnknownNode for a loop pair (u, u) or when u or w has no capacity to s.
 
     Splitting `a` units lowers only the cuts X with u, w in X and s not in X,
     each by exactly 2a: (s, u) and (s, w) cross X and the new (u, w) capacity
     stays inside it. A cut that splits u from w trades a unit of (s, u) or
     (s, w) for one of (u, w), and one with u, w and s on a side is untouched.
     One max-flow from {u, w} to s gives mu, the least value of a lowered cut
-    before the split, and X*, the side of one such cut; when u == w it runs
-    from u alone, so mu = lam(u, s). Then:
+    before the split, and X*, the side of one such cut. Then:
 
     - X* is an (x, y) cut of value mu - 2a after the split for every demand
       it separates, so with R the largest of those demands (0 if none) any
@@ -123,15 +124,10 @@ def admissible_amount(state, u, w):
       value, and the demands held before the split, so a demand
       r <= mu - 2a cannot fail and `_demands_hold` skips its flow.
 
-    Before any flow, degree arithmetic settles most pairs. For a lowered cut
-    X, the cut X + s holds u, w and s, so the split leaves it alone, and it
-    separates the same demands as X, so c(X + s) >= R(X). Moving s out of it
-    gives c'(X) = c(X + s) + d'(s, X) - d'(s, V - X)
-    >= R(X) + 2(zu + zw - 2a) - (deg(s) - 2a), and when u == w
-    >= R(X) + 2(zu - 2a) - (deg(s) - 2a). So c'(X) >= R(X) while
-    a <= free = zu + zw - deg(s)/2 (zu - deg(s)/2 when u == w). A pair with
-    free >= cap is split at cap with no flow, and a probe of at most free
-    passes with no flow.
+    Before any flow, degree arithmetic settles most pairs: every amount up
+    to free = zu + zw - deg(s)/2 keeps every demand (the module docstring
+    gives the argument). A pair with free >= cap is split at cap with no
+    flow, and a probe of at most free passes with no flow.
 
     The search probes top = min(cap, (mu - R) // 2) first, which most pairs
     pass, and binary-searches below it only when a flow refuses top.
@@ -139,18 +135,18 @@ def admissible_amount(state, u, w):
     graph, s = state.graph, state.active
     if u == s or w == s:
         raise UnknownNode(f"{s!r} is the active node, not a neighbor of itself")
+    if u == w:
+        raise UnknownNode(f"{u!r} cannot pair with itself: a loop adds no connectivity")
     zu = graph.capacity(s, u)
     zw = graph.capacity(s, w)
     if zu <= 0 or zw <= 0:
         missing = u if zu <= 0 else w
         raise UnknownNode(f"{missing!r} does not neighbor {s!r}")
-    cap = zu // 2 if u == w else min(zu, zw)
-    if cap == 0:
-        return 0
-    free = (zu if u == w else zu + zw) - graph.degree(s) // 2
+    cap = min(zu, zw)
+    free = zu + zw - graph.degree(s) // 2
     if free >= cap:
         return cap
-    mu, side = max_flow(graph, (u,) if u == w else (u, w), s)
+    mu, side = max_flow(graph, (u, w), s)
     crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
 
     def splittable(amount):
@@ -180,18 +176,20 @@ def admissible_amount(state, u, w):
 def split_node(state):
     """Drive the active node's degree to zero by admissible splits.
 
-    One pass over the neighbor pairs in lexicographic order (repeats allowed)
+    One pass over the pairs of distinct neighbors in lexicographic order
     splits each pair at its maximum admissible amount, skipping pairs that
     have lost their capacity to the node. One pass is enough: a split never
     raises a cut value, so a refused pair stays refused, and a pair split at
     its maximum admits no further unit. The demands keep holding after every
-    step. Raises SolverInternalError when degree is left after the pass,
-    which means the input graph broke a precondition (some demand cut of
-    value 0 or 1).
+    step. Each tree edge must carry at most one more than the largest demand
+    across it, as every capacity `solve` builds does, so no loop pair could
+    split (the module docstring gives the argument). Raises
+    SolverInternalError when degree is left after the pass: the graph broke
+    that contract or a precondition (some demand cut of value 0 or 1).
     """
     graph, s = state.graph, state.active
     assert graph.degree(s) % 2 == 0, f"odd degree at {s!r}"
-    for u, w in combinations_with_replacement(sorted(graph.neighbors(s)), 2):
+    for u, w in combinations(sorted(graph.neighbors(s)), 2):
         if graph.capacity(s, u) == 0 or graph.capacity(s, w) == 0:
             continue
         amount = admissible_amount(state, u, w)
@@ -224,8 +222,9 @@ def realize_capacity(instance, capacity):
 
     Inner nodes are processed in ascending identifier order; each one's
     demands are read off the graph's tree edges, taken before the
-    first split. Returns (realization, trace) where trace is a tuple of
-    (node, u, w, amount) split records.
+    first split. Each tree edge must carry at most one more than the
+    largest requirement across it, as base plus join does. Returns
+    (realization, trace), trace a tuple of (node, u, w, amount) records.
     """
     graph = CapacitatedMultigraph(instance.tree.nodes, capacity)
     tree_edges = list(graph.positive_pairs())

@@ -80,12 +80,9 @@ def _potential(tree, graph):
 
 
 def _apply(graph, s, u, w, amount):
-    if u == w:
-        graph.add_capacity(s, u, -2 * amount)
-    else:
-        graph.add_capacity(s, u, -amount)
-        graph.add_capacity(s, w, -amount)
-        graph.add_capacity(u, w, amount)
+    graph.add_capacity(s, u, -amount)
+    graph.add_capacity(s, w, -amount)
+    graph.add_capacity(u, w, amount)
 
 
 def _flow_snapshot(graph, node):

@@ -36,8 +36,7 @@ def test_tally_counts_the_probes_of_a_solve():
         probes.append((u, w))
         graph, s = state.graph, state.active
         zu, zw = graph.capacity(s, u), graph.capacity(s, w)
-        cap = zu // 2 if u == w else min(zu, zw)
-        if 0 < cap <= (zu if u == w else zu + zw) - graph.degree(s) // 2:
+        if min(zu, zw) <= zu + zw - graph.degree(s) // 2:
             whole.append((u, w))
         return originals["admissible_amount"](state, u, w)
 

@@ -1,5 +1,6 @@
 """Node elimination by connectivity-preserving splits."""
 
+import json
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,9 @@ from treesynth import (
     SolverInternalError,
     UnknownNode,
     build_instance,
+    generate_document,
     maxflow,
+    parse_instance,
     solve,
     splitoff,
 )
@@ -27,6 +30,7 @@ from treesynth.splitoff import (
 from treesynth.model import node_pair
 
 from helpers import (
+    LENGTH_POOL,
     forest_bottleneck,
     random_instance,
     solvable_instances,
@@ -189,23 +193,19 @@ class TestAdmissibleAmount:
         state = SplitState(g, "h", tree_edges(g))
         assert admissible_amount(state, "a", "b") == 3
 
-    def test_loop_pair_blocked_by_through_demand(self):
-        g = star_graph({"a": 2, "b": 2})
-        state = SplitState(g, "h", tree_edges(g))
-        assert admissible_amount(state, "a", "a") == 0
-
-    def test_loop_pair_on_sole_neighbor_burns_half(self):
-        g = star_graph({"a": 4})
-        state = SplitState(g, "h", tree_edges(g))
-        assert admissible_amount(state, "a", "a") == 2
-
     def test_probing_leaves_the_graph_unchanged(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
         state = SplitState(g, "h", tree_edges(g))
         admissible_amount(state, "a", "b")
-        admissible_amount(state, "a", "a")
         untouched = star_graph({"a": 2, "b": 2, "c": 2})
         assert dict(g.positive_pairs()) == dict(untouched.positive_pairs())
+
+    def test_loop_pair_is_refused_before_the_graph_is_touched(self):
+        g = star_graph({"a": 4, "b": 4})
+        state = SplitState(g, "h", tree_edges(g))
+        with pytest.raises(UnknownNode, match="'a' cannot pair with itself"):
+            admissible_amount(state, "a", "a")
+        assert dict(g.positive_pairs()) == {("a", "h"): 4, ("b", "h"): 4}
 
     def test_rejects_non_neighbors(self):
         g = star_graph({"a": 2, "b": 2})
@@ -266,6 +266,16 @@ class TestSplitNode:
         with pytest.raises(SolverInternalError, match="no admissible split remains at 'h'"):
             split_node(SplitState(g, "h", tree_edges(g)))
 
+    def test_leg_above_the_largest_demand_plus_one_is_left_over(self):
+        # the b leg carries 4, but the only demand across it is lam(a, b) = 2;
+        # after (a, b) splits at 2, the 2 units left on b could go only to a
+        # loop pair, which split-off never takes
+        g = star_graph({"a": 2, "b": 4})
+        state = SplitState(g, "h", tree_edges(g))
+        with pytest.raises(SolverInternalError, match="no admissible split remains at 'h'"):
+            split_node(state)
+        assert state.events == [("a", "b", 2)]
+
 
 class TestExtractRealization:
     def test_reads_terminal_pairs_and_skips_removed_pairs(self):
@@ -315,14 +325,21 @@ class TestRealizeCapacity:
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_split_preserves_snapshot_connectivities(data):
-    # legs of capacity >= 2 leave no cut edge at the center, so full
-    # elimination is guaranteed; an even total keeps the degrees splittable
+    # legs of capacity >= 2 leave no cut edge at the center, and a tight
+    # star (largest leg at most the second largest plus one) leaves no leg
+    # above the largest demand across it plus one, so full elimination is
+    # guaranteed; an even total keeps the degrees splittable
     k = data.draw(st.integers(2, 5))
     caps = {}
     for i in range(k):
         caps[f"x{i}"] = data.draw(st.integers(2, 5))
+    second = sorted(caps.values())[-2]
+    for leg, c in caps.items():
+        caps[leg] = min(c, second + 1)
     if sum(caps.values()) % 2:
-        caps["x0"] += 1
+        caps[min(caps, key=caps.get)] += 1
+    legs = sorted(caps.values())
+    assert legs[-1] <= legs[-2] + 1
     g = star_graph(caps)
     state = SplitState(g, "h", tree_edges(g))
     lam = all_pairs_connectivity(g)
@@ -388,9 +405,9 @@ def test_every_probe_matches_the_all_flows_reference(instance):
 
 
 def test_every_pair_the_degree_rule_settles_matches_the_reference():
-    # every amount up to free = zu + zw - deg(s)/2 (zu - deg(s)/2 when
-    # u == w) keeps every demand: a pair with free >= cap runs no flow, and
-    # no probe at or below free runs a check flow
+    # every amount up to free = zu + zw - deg(s)/2 keeps every demand: a
+    # pair with free >= cap runs no flow, and no probe at or below free runs
+    # a check flow
     whole, probed = [], []
     cuts, holds = [], []
     real_amount, real_flow, real_hold = (
@@ -409,14 +426,14 @@ def test_every_pair_the_degree_rule_settles_matches_the_reference():
     def checked(state, u, w):
         graph, s = state.graph, state.active
         zu, zw = graph.capacity(s, u), graph.capacity(s, w)
-        cap = zu // 2 if u == w else min(zu, zw)
-        free = (zu if u == w else zu + zw) - graph.degree(s) // 2
+        cap = min(zu, zw)
+        free = zu + zw - graph.degree(s) // 2
         expected = reference_amount(state, u, w)
         cuts.clear()
         holds.clear()
         got = real_amount(state, u, w)
         assert got == expected, (s, u, w)
-        if 0 < cap <= free:
+        if cap <= free:
             whole.append((s, u, w))
             assert got == cap and cuts == [], (s, u, w, free)
         elif 0 < free:
@@ -461,7 +478,7 @@ def test_every_refusal_by_the_merged_cut_is_refused_by_the_reference():
             crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
             refused = (mu - crossing) // 2 + 1
             zu, zw = state.graph.capacity(state.active, u), state.graph.capacity(state.active, w)
-            if refused <= (zu // 2 if u == w else min(zu, zw)):
+            if refused <= min(zu, zw):
                 refusals.append((state.active, u, w))
                 assert expected < refused, (state.active, u, w, mu, crossing)
         return got
@@ -490,3 +507,72 @@ def test_checks_the_safe_bound_skips_hold_by_max_flow():
         for seed in range(30):
             solve(random_instance(seed, terminals=10, inner=4, rmax=10))
     assert skipped
+
+
+def test_loop_and_same_branch_pairs_are_never_admissible():
+    # solve passes base + join, so each tree edge e = (s, t) carries at most
+    # r + 1, r the requirement that set base(e); splitting a >= 1 units of a
+    # loop pair, or of two neighbors beyond the same tree edge of s, lowers
+    # the cut of that branch to c(e) - 2a < r
+    loops, same_branch, splits = [], [], []
+    real_split = splitoff.split_node
+    tree = None
+
+    def branch(s, v):
+        return tree.path(s, v)[0]
+
+    def checked(state):
+        s = state.active
+        neighbors = sorted(state.graph.neighbors(s))
+        for u in neighbors:
+            assert reference_amount(state, u, u) == 0, (s, u)
+            loops.append((s, u))
+        for u, w in combinations(neighbors, 2):
+            if branch(s, u) == branch(s, w):
+                assert reference_amount(state, u, w) == 0, (s, u, w)
+                same_branch.append((s, u, w))
+        real_split(state)
+        for u, w, _ in state.events:
+            assert branch(s, u) != branch(s, w), (s, u, w)
+            splits.append((s, u, w))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitoff, "split_node", checked)
+        for seed in range(100):
+            k = 6 + seed % 9
+            instance = random_instance(
+                seed, terminals=k, inner=k // 3, rmax=2 + seed % 8,
+                lengths=("0",) if seed % 2 else LENGTH_POOL,
+            )
+            tree = instance.tree
+            solve(instance)
+    assert loops and same_branch and splits
+
+
+def test_a_flow_still_refuses_probes_and_the_search_goes_below_top():
+    # at s2, (t11, t4) has free = 0 < cap = 2: the merged cut allows 2, a
+    # check flow refuses it, and the binary search's probe of 1 is refused
+    # too; the pair ends at the reference amount, 0
+    text = json.dumps(generate_document(14, 4, 2, 9, 236))
+    refused = []
+    real_amount, real_hold = splitoff.admissible_amount, splitoff._demands_hold
+    holds = []
+
+    def hold(state, safe):
+        held = real_hold(state, safe)
+        holds.append(held)
+        return held
+
+    def checked(state, u, w):
+        holds.clear()
+        got = real_amount(state, u, w)
+        if False in holds:
+            refused.append((state.active, u, w, got, holds.count(False)))
+            assert got == reference_amount(state, u, w), (state.active, u, w)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitoff, "admissible_amount", checked)
+        mp.setattr(splitoff, "_demands_hold", hold)
+        solve(parse_instance(text))
+    assert refused == [("s2", "t11", "t4", 0, 2)]
