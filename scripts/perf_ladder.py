@@ -7,7 +7,8 @@ For each tree it solves the `treesynth gen --seed 1` ladder (30/10, 60/20,
 `_dinic` calls by wrapping `maxflow._dinic`. Every solve-path flow is a
 split-off flow: a check flow, or the merged cut of a neighbor pair. On the
 flat-tree inputs of `bench/run.py` (seed 1) it times `parse_instance` and
-`solve` apart, milliseconds per operation. On the audit-verify inputs of
+`solve` apart, milliseconds per operation, and `json.loads` of the same
+texts, the decoder's share of `parse_ms`. On the audit-verify inputs of
 `bench/run.py` (seed 1) it counts `_dinic` calls per `verify_realization`
 and times it, milliseconds per operation; the verdicts join the output
 digest. `flow_us` is the mean time of one `_dinic` call, in microseconds,
@@ -176,6 +177,10 @@ def measure(src):
         times.append(t)
         split_flow_s += f
     flat = [text for _, text in bench.WORKLOADS["flat-tree"]().setup(1)]
+    start_decode = time.perf_counter()
+    for text in flat:
+        json.loads(text)
+    decoded = time.perf_counter()
     start = time.perf_counter()
     instances = [parse_instance(text) for text in flat]
     parsed = time.perf_counter()
@@ -206,6 +211,7 @@ def measure(src):
         },
         "flat_tree": {
             "operations": len(flat),
+            "json_loads_ms": round((decoded - start_decode) * 1000 / len(flat), 2),
             "parse_ms": round((parsed - start) * 1000 / len(flat), 2),
             "solve_ms": round((solved - parsed) * 1000 / len(flat), 2),
         },

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InvalidInstance, ParseError, PreconditionViolated, SolverInternalError, TreeSynthError
 from .join import ParityInstance, min_cost_ij_join
-from .model import Realization, as_length, build_instance, node_pair
+from .model import Realization, RequirementMatrix, as_length, build_instance, node_pair
 from .solver import optimal_cost_formula, solve, solve_and_check
 from .verify import fractional_lower_bound, verify_realization
 
@@ -91,6 +91,42 @@ def _entries(raw, where, keys):
         raise ParseError(f"{spot}: endpoints must be strings")
 
 
+def _requirement_matrix(raw):
+    """The RequirementMatrix of a decoded `requirements` list, read in one pass.
+
+    A good row is an object with the keys s, t and r only, string endpoints
+    s != t and an int r >= 0, and it adds one entry: a pair seen twice, in
+    either orientation, leaves fewer entries than rows. Zero rows count as
+    seen and are then dropped. Past a bad row, the first malformed row is a
+    ParseError wherever it sits; with none, RequirementMatrix words the first
+    self pair, negative value or repeated pair.
+    """
+    if not isinstance(raw, list):
+        raise ParseError("requirements: expected a list")
+    values = {}
+    try:
+        for row in raw:
+            s, t, r = row["s"], row["t"], row["r"]
+            if (
+                len(row) != 3 or type(s) is not str or type(t) is not str
+                or type(r) is not int or r < 0 or s == t
+            ):
+                break
+            values[(s, t) if s < t else (t, s)] = r
+        else:
+            if len(values) == len(raw):
+                if 0 in values.values():
+                    values = {e: r for e, r in values.items() if r}
+                return RequirementMatrix.from_values(values)
+    except (KeyError, TypeError):
+        pass  # a row that is not an object, or lacks a key
+    for k, _, _, r in _entries(raw, "requirements", ("s", "t", "r")):
+        if isinstance(r, bool) or not isinstance(r, int):
+            raise ParseError(f"requirements[{k}].r: expected an integer, got {r!r}")
+    RequirementMatrix([(row["s"], row["t"], row["r"]) for row in raw])
+    raise AssertionError("no requirement row breaks a rule")
+
+
 def parse_instance(text):
     """Parse an INSP-JSON document into a validated Instance."""
     try:
@@ -107,12 +143,7 @@ def parse_instance(text):
         (u, v, parse_rational(length, f"tree.edges[{k}].length"))
         for k, u, v, length in _entries(doc["tree"]["edges"], "tree.edges", ("u", "v", "length"))
     ]
-    requirements = []
-    for k, s, t, r in _entries(doc["requirements"], "requirements", ("s", "t", "r")):
-        if type(r) is not int and (isinstance(r, bool) or not isinstance(r, int)):
-            raise ParseError(f"requirements[{k}].r: expected an integer, got {r!r}")
-        requirements.append((s, t, r))
-    return build_instance(terminals, nodes, edges, requirements)
+    return build_instance(terminals, nodes, edges, _requirement_matrix(doc["requirements"]))
 
 
 def instance_document(instance):

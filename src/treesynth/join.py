@@ -102,9 +102,12 @@ def min_cost_ij_join(p):
     mask, which keeps the tie-break exact under merging. The result is the
     lexicographic minimum over all selections, so it does not depend on the
     root. Units are lengths times one positive `scale`, so they order
-    selections as the lengths do.
+    selections as the lengths do. With no odd node the empty selection is
+    that minimum (cost 0, mask 0), so it is returned without the program.
     """
     tree = p.tree
+    if not p.odd_set:
+        return JoinResult(edges=(), cost=Fraction(0))
     need = dict.fromkeys(p.even_set, 0)
     need.update(dict.fromkeys(p.odd_set, 1))
     index = {e: i for i, e in enumerate(tree.edges)}

@@ -30,6 +30,8 @@ class CapacitatedMultigraph:
         self._head = [[] for _ in self.nodes]
         self._to = []
         self._cap = []
+        # total capacity at each node, kept by set_capacity
+        self._degree = [0] * len(self.nodes)
         # (u, v) -> the arc from u to v; its reverse is arc ^ 1
         self._arc = {}
         for (u, v), c in (capacities or {}).items():
@@ -67,6 +69,9 @@ class CapacitatedMultigraph:
             self._head[self._index[v]].append(a + 1)
             self._to += [self._index[v], self._index[u]]
             self._cap += [0, 0]
+        change = value - self._cap[a]
+        self._degree[self._index[u]] += change
+        self._degree[self._index[v]] += change
         self._cap[a] = self._cap[a ^ 1] = value
 
     def add_capacity(self, u, v, delta):
@@ -80,7 +85,7 @@ class CapacitatedMultigraph:
     def degree(self, v):
         """Total capacity incident to v."""
         self._check(v)
-        return sum(self._cap[a] for a in self._head[self._index[v]])
+        return self._degree[self._index[v]]
 
     def positive_pairs(self):
         """Iterate ((u, v), capacity) once per pair of positive capacity."""

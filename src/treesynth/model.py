@@ -51,11 +51,14 @@ def max_spanning_joins(nodes, weighted_pairs):
 def as_length(value):
     """Coerce an edge length to an exact Fraction.
 
-    Accepts int, Fraction, or a string like "2", "0.5", "7/3", "1e3". Floats
-    are rejected so no inexact value can sneak in, and booleans so no flag is
-    read as a length. A decimal exponent beyond +-4300 (the interpreter's
-    default digit limit for int strings) is refused before Fraction expands it.
+    Accepts int, Fraction, or a string like "2", "0.5", "7/3", "1e3"; a
+    Fraction comes back as it is. Floats are rejected so no inexact value can
+    sneak in, and booleans so no flag is read as a length. A decimal exponent
+    beyond +-4300 (the interpreter's default digit limit for int strings) is
+    refused before Fraction expands it.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (float, bool)):
         raise InvalidInstance(
             f"edge length {value!r} is a {type(value).__name__}; pass an int, Fraction, or string"
@@ -222,6 +225,13 @@ class RequirementMatrix:
                 raise InvalidInstance(f"pair {e[0]}-{e[1]} appears twice")
         # zeros stay in `values` until here so that they count as seen pairs
         self.values = {e: r for e, r in values.items() if r > 0} if zeros else values
+
+    @classmethod
+    def from_values(cls, values):
+        """A matrix holding `values`, a checked dict from `node_pair` pairs to positive ints."""
+        matrix = cls.__new__(cls)
+        matrix.values = values
+        return matrix
 
     def get(self, s, t):
         return self.values.get(node_pair(s, t), 0)
@@ -431,7 +441,8 @@ def build_instance(terminals, tree_nodes, tree_edges, requirements=()):
 
     The root is the first terminal. Leaves that are not terminals sit on no
     terminal-to-terminal path and are pruned (repeatedly) before the instance
-    is built, so they never influence cuts, costs, or parities.
+    is built, so they never influence cuts, costs, or parities. `requirements`
+    is a RequirementMatrix or an iterable of (s, t, r) triples.
     """
     terminals = list(terminals)
     if not terminals:
@@ -443,8 +454,9 @@ def build_instance(terminals, tree_nodes, tree_edges, requirements=()):
             raise InvalidInstance(f"terminal {t!r} is missing from the tree nodes")
     tree = MetricTree(node_list, tree_edges, terminals[0])
     tree = _prune_non_terminal_leaves(tree, set(terminals))
-    matrix = RequirementMatrix(requirements)
-    return Instance(terminals, tree, matrix)
+    if not isinstance(requirements, RequirementMatrix):
+        requirements = RequirementMatrix(requirements)
+    return Instance(terminals, tree, requirements)
 
 
 def _prune_non_terminal_leaves(tree, terminal_set):

@@ -144,11 +144,14 @@ def metric_trees(draw, min_nodes=1, max_nodes=8, lengths=LENGTH_POOL, root_elsew
 
 
 @st.composite
-def parity_marked_trees(draw, max_nodes=8, root_elsewhere=False):
-    """A random tree plus disjoint even/odd node subsets."""
+def parity_marked_trees(draw, max_nodes=8, root_elsewhere=False, marks="eof", lengths=LENGTH_POOL):
+    """A random tree plus disjoint even/odd node subsets.
+
+    Each node draws a mark from `marks`: "e" even, "o" odd, "f" free.
+    """
     min_nodes = 2 if root_elsewhere else 1
-    tree = draw(metric_trees(min_nodes, max_nodes, root_elsewhere=root_elsewhere))
-    marks = [draw(st.sampled_from("eof")) for _ in tree.nodes]
+    tree = draw(metric_trees(min_nodes, max_nodes, lengths=lengths, root_elsewhere=root_elsewhere))
+    marks = [draw(st.sampled_from(marks)) for _ in tree.nodes]
     even = frozenset(v for v, m in zip(tree.nodes, marks) if m == "e")
     odd = frozenset(v for v, m in zip(tree.nodes, marks) if m == "o")
     return tree, even, odd

@@ -15,6 +15,7 @@ from treesynth import (
     InvalidInstance,
     ParseError,
     TreeSynthError,
+    UnknownNode,
     build_instance,
     generate_document,
     parse_instance,
@@ -155,6 +156,7 @@ STRUCTURE_CASES = {
     "self pair": lambda e, a, b, v: [{**e, b: e[a]}],
     "reversed duplicate": lambda e, a, b, v: [{**e, a: e[b], b: e[a]}, e],
     "zero duplicate": lambda e, a, b, v: [{**e, v: 0}, e],
+    "outside endpoint": lambda e, a, b, v: [{**e, b: "zz"}],
 }
 ENTRY_KEYS = {"tree.edges": ("u", "v", "length"), "requirements": ("s", "t", "r")}
 
@@ -166,6 +168,7 @@ ENTRY_ERRORS = {
     ("tree.edges", 0, "self pair"): (InvalidInstance, "self-loop at 't0'"),
     ("tree.edges", 0, "reversed duplicate"): (InvalidInstance, "duplicate edge t0-t1"),
     ("tree.edges", 0, "zero duplicate"): (InvalidInstance, "duplicate edge t0-t1"),
+    ("tree.edges", 0, "outside endpoint"): (UnknownNode, "edge 't0'-'zz' has an endpoint outside the node list"),
     ("tree.edges", 0, True): (ParseError, "tree.edges[0].length: expected a number, got a boolean"),
     ("tree.edges", 0, "x"): (ParseError, "tree.edges[0].length: cannot read 'x' as a rational"),
     ("tree.edges", 0, 2.5): (ParseError, 'tree.edges[0].length: floats are inexact; quote it, e.g. "1/2" or "0.5"'),
@@ -178,6 +181,7 @@ ENTRY_ERRORS = {
     ("tree.edges", 5, "self pair"): (InvalidInstance, "self-loop at 't0'"),
     ("tree.edges", 5, "reversed duplicate"): (InvalidInstance, "duplicate edge t0-t6"),
     ("tree.edges", 5, "zero duplicate"): (InvalidInstance, "duplicate edge t0-t6"),
+    ("tree.edges", 5, "outside endpoint"): (UnknownNode, "edge 't0'-'zz' has an endpoint outside the node list"),
     ("tree.edges", 5, True): (ParseError, "tree.edges[5].length: expected a number, got a boolean"),
     ("tree.edges", 5, "x"): (ParseError, "tree.edges[5].length: cannot read 'x' as a rational"),
     ("tree.edges", 5, 2.5): (ParseError, 'tree.edges[5].length: floats are inexact; quote it, e.g. "1/2" or "0.5"'),
@@ -190,6 +194,7 @@ ENTRY_ERRORS = {
     ("requirements", 0, "self pair"): (InvalidInstance, "requirement pairs 't0' with itself"),
     ("requirements", 0, "reversed duplicate"): (InvalidInstance, "pair t0-t1 appears twice"),
     ("requirements", 0, "zero duplicate"): (InvalidInstance, "pair t0-t1 appears twice"),
+    ("requirements", 0, "outside endpoint"): (UnknownNode, "requirement references non-terminal 't0'-'zz'"),
     ("requirements", 0, True): (ParseError, "requirements[0].r: expected an integer, got True"),
     ("requirements", 0, "2"): (ParseError, "requirements[0].r: expected an integer, got '2'"),
     ("requirements", 0, 2.0): (ParseError, "requirements[0].r: expected an integer, got 2.0"),
@@ -202,6 +207,7 @@ ENTRY_ERRORS = {
     ("requirements", 5, "self pair"): (InvalidInstance, "requirement pairs 't0' with itself"),
     ("requirements", 5, "reversed duplicate"): (InvalidInstance, "pair t0-t6 appears twice"),
     ("requirements", 5, "zero duplicate"): (InvalidInstance, "pair t0-t6 appears twice"),
+    ("requirements", 5, "outside endpoint"): (UnknownNode, "requirement references non-terminal 't0'-'zz'"),
     ("requirements", 5, True): (ParseError, "requirements[5].r: expected an integer, got True"),
     ("requirements", 5, "2"): (ParseError, "requirements[5].r: expected an integer, got '2'"),
     ("requirements", 5, 2.0): (ParseError, "requirements[5].r: expected an integer, got 2.0"),
@@ -238,6 +244,41 @@ REALIZATION_ERRORS = {
 }
 
 
+def _inner_requirement_endpoint(doc):
+    """Put a new inner node s0 in the middle of tree edge t0-t1, and make
+    requirements[0] pair it with t0."""
+    edges = doc["tree"]["edges"]
+    edges[0:1] = [{**edges[0], "v": "s0"}, {**edges[0], "u": "s0"}]
+    doc["tree"]["nodes"].append("s0")
+    doc["requirements"][0]["t"] = "s0"
+
+
+def _disconnected_tree_and_duplicate_requirement(doc):
+    """Turn tree edge t4-t7 into t1-t2, which closes a cycle and cuts t7 off,
+    and append requirement t0-t1 again, reversed."""
+    doc["tree"]["edges"][6] = {"u": "t1", "v": "t2", "length": 1}
+    doc["requirements"].append({"s": "t1", "t": "t0", "r": 6})
+
+
+# Faults made by editing the document around the pair lists, on the same
+# document as ENTRY_ERRORS.
+DOCUMENT_ERRORS = {
+    "requirements not a list": (
+        lambda doc: doc.update(requirements={}),
+        ParseError, "requirements: expected a list",
+    ),
+    "inner requirement endpoint": (
+        _inner_requirement_endpoint,
+        UnknownNode, "requirement references non-terminal 's0'-'t0'",
+    ),
+    # two faults: the requirement rows are read before the tree is built
+    "disconnected tree and duplicate requirement": (
+        _disconnected_tree_and_duplicate_requirement,
+        InvalidInstance, "pair t0-t1 appears twice",
+    ),
+}
+
+
 def _with_bad_entry(entries, k, case, keys):
     if case in STRUCTURE_CASES:
         entries[k:k + 1] = STRUCTURE_CASES[case](entries[k], *keys)
@@ -260,6 +301,27 @@ class TestEntryErrors:
         with pytest.raises(TreeSynthError) as info:
             parse_instance(json.dumps(doc))
         assert (type(info.value), str(info.value)) == (kind, message)
+
+    @pytest.mark.parametrize("case", list(DOCUMENT_ERRORS))
+    def test_each_document_fault_keeps_its_error(self, case):
+        doc = _entry_error_document()
+        edit, kind, message = DOCUMENT_ERRORS[case]
+        edit(doc)
+        with pytest.raises(TreeSynthError) as info:
+            parse_instance(json.dumps(doc))
+        assert (type(info.value), str(info.value)) == (kind, message)
+
+    @pytest.mark.parametrize("k", [0, 5, 27])
+    def test_zero_requirement_is_dropped(self, k):
+        doc = _entry_error_document()
+        rows = doc["requirements"]
+        rows[k]["r"] = 0
+        instance = parse_instance(json.dumps(doc))
+        s, t = rows[k]["s"], rows[k]["t"]
+        assert instance.requirements.get(s, t) == 0
+        assert dict(instance.requirements.pairs()) == {
+            (row["s"], row["t"]): row["r"] for row in rows if row["r"]
+        }
 
     @pytest.mark.parametrize("k, case", list(REALIZATION_ERRORS), ids=repr)
     def test_each_bad_realization_entry_keeps_its_error(self, tmp_path, capsys, k, case):

@@ -158,9 +158,7 @@ class TestBruteForceJoin:
             brute_force_join(ParityInstance(tree, frozenset(), frozenset()))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.booleans().flatmap(lambda elsewhere: parity_marked_trees(root_elsewhere=elsewhere)))
-def test_join_matches_brute_force_exactly(case):
+def _matches_brute_force(case):
     tree, even, odd = case
     p = ParityInstance(tree, even, odd)
     fast = min_cost_ij_join(p)
@@ -173,6 +171,24 @@ def test_join_matches_brute_force_exactly(case):
     # identical tie-break, so the edge sets agree too
     assert fast.edges == slow.edges
     assert satisfies_parity(even, odd, fast.edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(lambda elsewhere: parity_marked_trees(root_elsewhere=elsewhere)))
+def test_join_matches_brute_force_exactly(case):
+    _matches_brute_force(case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["ef", "eof"]).flatmap(
+        lambda marks: parity_marked_trees(marks=marks, lengths=("0", "0", "1"))
+    )
+)
+def test_join_matches_brute_force_on_all_even_trees_and_zero_lengths(case):
+    """Ties between zero-length edges, and trees with no odd node, where the
+    empty selection is returned without the dynamic program."""
+    _matches_brute_force(case)
 
 
 @settings(max_examples=100, deadline=None)

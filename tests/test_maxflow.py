@@ -70,6 +70,38 @@ class TestCapacitatedMultigraph:
         assert "a" in g
         assert "zz" not in g
 
+    def test_degree_follows_set_and_add(self):
+        g = graph_of("abc", {("a", "b"): 2})
+        g.add_capacity("a", "c", 3)
+        assert [g.degree(v) for v in "abc"] == [5, 2, 3]
+        g.set_capacity("b", "a", 0)
+        assert [g.degree(v) for v in "abc"] == [3, 0, 3]
+        g.add_capacity("a", "b", 4)
+        assert [g.degree(v) for v in "abc"] == [7, 4, 3]
+        with pytest.raises(ValueError):
+            g.add_capacity("a", "c", -4)
+        assert [g.degree(v) for v in "abc"] == [7, 4, 3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(list(combinations("abcd", 2))), st.booleans(), st.integers(-3, 3)),
+        max_size=25,
+    )
+)
+def test_degree_is_the_sum_of_incident_capacities(steps):
+    """After any run of sets and adds, pairs dropped to 0 and raised again
+    included, each node's degree is the capacity summed over its pairs."""
+    g = graph_of("abcd", {})
+    for (u, v), add, amount in steps:
+        if add and g.capacity(u, v) + amount >= 0:
+            g.add_capacity(u, v, amount)
+        else:
+            g.set_capacity(u, v, abs(amount))
+        for x in g.nodes:
+            assert g.degree(x) == sum(g.capacity(x, y) for y in g.nodes if y != x)
+
 
 class TestMaxFlow:
     def test_triangle_doubles_the_direct_edge(self):

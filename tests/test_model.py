@@ -36,6 +36,12 @@ class TestAsLength:
         assert as_length("0.5") == Fraction(1, 2)
         assert as_length(Fraction(7, 3)) == Fraction(7, 3)
 
+    def test_returns_a_fraction_as_it_is(self):
+        length = Fraction(7, 3)
+        assert as_length(length) is length
+        tree = MetricTree(["a", "b"], [("a", "b", length)], "a")
+        assert tree.lengths[("a", "b")] is length
+
     def test_rejects_floats(self):
         with pytest.raises(InvalidInstance):
             as_length(0.5)
@@ -320,6 +326,18 @@ class TestRequirementMatrix:
         matrix = RequirementMatrix([("a", "b", Level.HIGH), ("a", "c", Level.NONE)])
         assert dict(matrix.pairs()) == {("a", "b"): 3}
         assert matrix.get("b", "a") is Level.HIGH
+
+    def test_from_values_keeps_the_table(self):
+        values = {("a", "b"): 3}
+        matrix = RequirementMatrix.from_values(values)
+        assert matrix.values is values
+        assert matrix == RequirementMatrix([("b", "a", 3)])
+
+    def test_build_instance_takes_a_matrix(self):
+        matrix = RequirementMatrix([("a", "b", 2)])
+        instance = build_instance(["a", "b"], ["a", "b"], [("a", "b", 1)], matrix)
+        assert instance.requirements is matrix
+        assert instance == build_instance(["a", "b"], ["a", "b"], [("a", "b", 1)], [("a", "b", 2)])
 
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidInstance):
