@@ -9,10 +9,14 @@ split-off flow: a check flow, or the merged cut of a neighbor pair. On the
 flat-tree inputs of `bench/run.py` (seed 1) it times `parse_instance` and
 `solve` apart, milliseconds per operation, and `json.loads` of the same
 texts, the decoder's share of `parse_ms`. On the audit-verify inputs of
-`bench/run.py` (seed 1) it counts `_dinic` calls per `verify_realization`
-and times it, milliseconds per operation; the verdicts join the output
-digest. `flow_us` is the mean time of one `_dinic` call, in microseconds,
-on the ladder, steiner-split and audit-verify inputs.
+`bench/run.py` (seed 1) it counts `_dinic` calls per `verify_realization`,
+over all inputs and apart for the intact (even index) and the damaged (odd
+index) ones, and times it, milliseconds per operation; the verdicts join the
+output digest. `flow_us` is the mean time of one `_dinic` call, in
+microseconds, on the ladder, steiner-split and audit-verify inputs.
+`damaged_ladder` audits the 30/10 and 60/20 solutions once per pair of
+positive length, with one unit taken off that pair, and totals the audit
+flows and the violations found.
 
 A fixed corpus of CORPUS small `gen` instances (6-24 terminals, a third as
 many inner nodes, rmax 3, 6 or 9) reaches the probe outcomes the ladder
@@ -125,7 +129,7 @@ def measure(src):
     """Counts, times and an output digest for the solver under `src`."""
     sys.path.insert(0, src)
     import treesynth
-    from treesynth import generate_document, maxflow, parse_instance, solve, splitoff, verify_realization
+    from treesynth import Realization, generate_document, maxflow, parse_instance, solve, splitoff, verify_realization
     from treesynth.cli import instance_hash
 
     assert treesynth.__file__.startswith(os.path.join(src, "")), treesynth.__file__
@@ -192,11 +196,26 @@ def measure(src):
     del instances, solutions
     audits = [(item[1], item[2]) for item in bench.WORKLOADS["audit-verify"]().setup(1)]
     calls[0], flow_s[0] = 0, 0.0
+    verdicts, audit_calls = [], []
     start_audit = time.perf_counter()
-    verdicts = [verify_realization(instance, realization) for instance, realization in audits]
+    for instance, realization in audits:
+        verdicts.append(verify_realization(instance, realization))
+        audit_calls.append(calls[0])
     audit_s = time.perf_counter() - start_audit
     digest.update(repr(verdicts).encode())
-    audit_calls, audit_flow_s = calls[0], flow_s[0]
+    audit_flow_s = flow_s[0]
+    # the running totals as one count per audit; intact inputs at even indices
+    audit_calls = [b - a for a, b in zip([0] + audit_calls, audit_calls)]
+    damaged_ladder = {}
+    for k, m in LADDER[:2]:
+        instance = parse_instance(json.dumps(generate_document(k, m, 2, 6, 1)))
+        values = dict(solve(instance).realization.items())
+        calls[0], violations = 0, 0
+        for pair in sorted(p for p in values if instance.tree.distance(*p) > 0):
+            damaged = dict(values)
+            damaged[pair] -= 1
+            violations += len(verify_realization(instance, Realization(damaged)))
+        damaged_ladder[f"{k}x{m}"] = {"audit_dinic_calls": calls[0], "violations": violations}
     tally.update(dict.fromkeys(tally, 0))
     corpus_calls = 0
     for doc in corpus_documents(generate_document):
@@ -217,10 +236,13 @@ def measure(src):
         },
         "audit_verify": {
             "operations": len(audits),
-            "dinic_calls_per_op": round(audit_calls / len(audits), 1),
+            "dinic_calls_per_op": round(sum(audit_calls) / len(audits), 1),
+            "intact_dinic_calls_per_op": round(statistics.mean(audit_calls[0::2]), 1),
+            "damaged_dinic_calls_per_op": round(statistics.mean(audit_calls[1::2]), 1),
             "verify_ms": round(audit_s * 1000 / len(audits), 3),
-            "flow_us": flow_us(audit_flow_s, audit_calls),
+            "flow_us": flow_us(audit_flow_s, sum(audit_calls)),
         },
+        "damaged_ladder": damaged_ladder,
         "corpus": {"instances": CORPUS, "dinic_calls": corpus_calls, "probes": dict(tally)},
         "output_sha256": digest.hexdigest(),
     }

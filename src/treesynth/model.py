@@ -181,24 +181,6 @@ class MetricTree:
         """Exact path length between two tree nodes."""
         return Fraction(sum(self.units[e] for e in self.path(i, j)), self.scale)
 
-    def side_containing(self, edge, start):
-        """Tree nodes reachable from `start` without crossing `edge`."""
-        e = node_pair(*edge)
-        if e not in self.lengths:
-            raise UnknownNode(f"{edge!r} is not a tree edge")
-        if start not in self._adj:
-            raise UnknownNode(f"unknown tree node {start!r}")
-        seen = {start}
-        queue = deque(seen)
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if node_pair(x, y) == e or y in seen:
-                    continue
-                seen.add(y)
-                queue.append(y)
-        return frozenset(seen)
-
 
 class RequirementMatrix:
     """Symmetric nonnegative integer requirements on unordered pairs.
@@ -297,10 +279,6 @@ class Instance:
     def inner_nodes(self):
         """Tree nodes that are not terminals, in node order."""
         return tuple(v for v in self.tree.nodes if v not in self.terminal_set)
-
-    def cut_side(self, edge):
-        """Terminals on the root side of the cut a tree edge induces."""
-        return self.tree.side_containing(edge, self.tree.root) & self.terminal_set
 
     def cut_requirement(self, side):
         """Largest requirement separated by the cut (side, complement)."""

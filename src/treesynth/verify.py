@@ -4,22 +4,24 @@ How far each check stands apart from the solver pipeline:
 
 - `verify_realization` checks the requirements by max-flow on the graph the
   realization spans: one flow per pair of a maximum spanning forest of the
-  requirements, and one more per pair only where the least of those flows on
-  its forest path falls short of its requirement. It shares the max-flow
-  routine and the Kruskal pass with the solver, none of the split logic.
+  requirements, each stopping at its requirement, and nothing more when none
+  falls short. A pair with a short flow on its forest path has two bounds:
+  the least of those flows from below, and from above any cut a short flow
+  left behind that separates the pair. Where they meet the pair is settled;
+  only the rest get a flow of their own. It shares the max-flow routine and
+  the Kruskal pass with the solver, none of the split logic.
 - `verify_feasible_capacity` scans inner-node parity directly, but its
   coverage check reads the solver's own cached `instance.base_capacity()`,
   so it certifies the parity join's bump, not the base capacity itself.
-- `capacity_projection` loads each tree edge from its explicit cut side,
-  not from the path walks behind `base_capacity`, and `brute_force_insp`
-  screens candidate realizations against every terminal cut.
+- `brute_force_insp` screens candidate realizations against every terminal
+  cut.
 """
 
 from itertools import combinations, product
 
 from .errors import TooLarge, UnknownNode
 from .maxflow import CapacitatedMultigraph, max_flow
-from .model import EdgeCapacity, Realization, max_spanning_joins, node_pair
+from .model import Realization, max_spanning_joins, node_pair
 
 BRUTE_FORCE_TERMINAL_LIMIT = 5
 
@@ -28,13 +30,21 @@ def verify_realization(instance, realization):
     """All requirement violations of a realization, as (s, t, deficit) triples.
 
     Max-flow runs on the graph the realization spans over the terminals, first
-    on the pairs of a maximum spanning forest of the requirements. Any graph
-    has lam(s, t) >= min(lam(s, z), lam(z, t)), so the least of those flows on
-    a pair's forest path bounds its connectivity from below; a second Kruskal
-    pass over the flows finds that bound at the join that first links s and t.
-    A pair within its bound holds. The others get a flow that stops at their
-    requirement, exact when it falls short. Violations come in sorted pair
-    order; an empty list means feasible.
+    on the pairs of a maximum spanning forest of the requirements, each
+    stopping at its pair's requirement. Every forest pair on the forest path
+    of a pair (s, t) requires at least r(s, t), so when none of those flows
+    falls short every requirement holds and the audit ends there.
+
+    Otherwise each pair has two bounds. From below, any graph has
+    lam(s, t) >= min(lam(s, z), lam(z, t)), so the least forest flow on the
+    pair's forest path bounds lam(s, t); a second Kruskal pass over the flows
+    finds it at the join that first links s and t, and a pair within it
+    holds. From above, a flow that falls short is exact and comes with its
+    residual side, a cut of that value, and any such cut that separates s
+    and t bounds lam(s, t). Where a kept cut's value equals the lower bound,
+    lam(s, t) is settled with no flow; the pairs left get a flow that stops
+    at their requirement, and its cut is kept when it falls short.
+    Violations come in sorted pair order; an empty list means feasible.
     """
     for (u, v), _ in realization.items():
         if u not in instance.terminal_set or v not in instance.terminal_set:
@@ -42,32 +52,45 @@ def verify_realization(instance, realization):
     terminals = instance.terminals
     graph = CapacitatedMultigraph(terminals, dict(realization.items()))
     pairs = sorted(instance.requirements.pairs())
-    flows = {p: max_flow(graph, p[:1], p[1])[0] for p, _, _, _ in max_spanning_joins(terminals, pairs)}
+    # cut value -> the residual sides of the short flows that found it
+    cuts = {}
+    flows = {}
+    for p, r, _, _ in max_spanning_joins(terminals, pairs):
+        flows[p], cut = max_flow(graph, p[:1], p[1], r)
+        if cut is not None:
+            cuts.setdefault(flows[p], []).append(cut)
+    if not cuts:
+        return []
     partners = {v: [] for v in terminals}
     for (s, t), _ in pairs:
         partners[s].append(t)
         partners[t].append(s)
-    # each join relabels its smaller side, so a node moves O(log n) times
-    side = {v: v for v in terminals}
+    # each join relabels its smaller component, so a node moves O(log n) times
+    component = {v: v for v in terminals}
     members = {v: [v] for v in terminals}
     bound = {}
     for (u, v), flow, _, _ in max_spanning_joins(terminals, flows.items()):
-        small, large = side[u], side[v]
+        small, large = component[u], component[v]
         if len(members[small]) > len(members[large]):
             small, large = large, small
         for x in members[small]:
             for y in partners[x]:
-                if side[y] == large:
+                if component[y] == large:
                     bound[node_pair(x, y)] = flow
         for x in members[small]:
-            side[x] = large
+            component[x] = large
         members[large] += members.pop(small)
     violations = []
     for (s, t), r in pairs:
-        if r > bound[(s, t)]:
-            flow = flows[(s, t)] if (s, t) in flows else max_flow(graph, (s,), t, r)[0]
-            if flow < r:
-                violations.append((s, t, r - flow))
+        lam = bound[(s, t)]
+        if r <= lam:
+            continue
+        if not any((s in cut) != (t in cut) for cut in cuts.get(lam, ())):
+            lam, cut = max_flow(graph, (s,), t, r)
+            if cut is None:
+                continue
+            cuts.setdefault(lam, []).append(cut)
+        violations.append((s, t, r - lam))
     return violations
 
 
@@ -97,38 +120,6 @@ def fractional_lower_bound(instance):
     No realization, fractional or integral, can cost less than this.
     """
     return instance.base_capacity().cost()
-
-
-def uniform_integer_formula(values):
-    """Closed-form optimum for a uniform half-length star: ceil(sum / 2).
-
-    `values` are the per-terminal requirement maxima. Undefined when any value
-    is 1 (raises ValueError); a value of 1 forces slack the formula ignores.
-    """
-    values = list(values)
-    total = 0
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ValueError(f"requirement maxima must be nonnegative ints, got {v!r}")
-        if v == 1:
-            raise ValueError("the closed form needs every requirement maximum to differ from 1")
-        total += v
-    return (total + 1) // 2
-
-
-def capacity_projection(instance, realization):
-    """Tree-edge loads induced by a terminal-pair capacity map.
-
-    Each pair contributes its value to every edge whose cut separates the
-    pair, i.e. to each edge on the tree path between the endpoints.
-    """
-    values = {}
-    for e in instance.tree.edges:
-        side = instance.cut_side(e)
-        values[e] = sum(
-            y for (i, j), y in realization.items() if (i in side) != (j in side)
-        )
-    return EdgeCapacity(instance.tree, values)
 
 
 def brute_force_insp(instance):

@@ -2,14 +2,14 @@
 
 import json
 import os
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from treesynth import TooLarge, build_instance, generate_document, parse_instance
+from treesynth import TooLarge, UnknownNode, build_instance, generate_document, parse_instance
 from treesynth.join import JoinResult
-from treesynth.model import MetricTree
+from treesynth.model import EdgeCapacity, MetricTree, node_pair
 
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "instances")
 
@@ -70,6 +70,62 @@ def brute_force_join(p):
     cost, mask = best
     edges = tuple(e for i, e in enumerate(tree.edges) if mask >> i & 1)
     return JoinResult(edges=edges, cost=cost)
+
+
+def side_containing(tree, edge, start):
+    """Tree nodes reachable from `start` without crossing `edge`."""
+    e = node_pair(*edge)
+    if e not in tree.lengths:
+        raise UnknownNode(f"{edge!r} is not a tree edge")
+    seen = {start}
+    queue = deque(seen)
+    while queue:
+        x = queue.popleft()
+        for y in tree.neighbors(x):
+            if node_pair(x, y) == e or y in seen:
+                continue
+            seen.add(y)
+            queue.append(y)
+    return frozenset(seen)
+
+
+def cut_side(instance, edge):
+    """Terminals on the root side of the cut a tree edge induces."""
+    return side_containing(instance.tree, edge, instance.tree.root) & instance.terminal_set
+
+
+def capacity_projection(instance, realization):
+    """Tree-edge loads induced by a terminal-pair capacity map.
+
+    Each pair contributes its value to every edge whose cut separates the
+    pair, i.e. to each edge on the tree path between the endpoints. Each edge
+    is loaded from its explicit cut side, not from the path walks behind
+    `base_capacity`, so the two stay independent.
+    """
+    values = {}
+    for e in instance.tree.edges:
+        side = cut_side(instance, e)
+        values[e] = sum(
+            y for (i, j), y in realization.items() if (i in side) != (j in side)
+        )
+    return EdgeCapacity(instance.tree, values)
+
+
+def uniform_integer_formula(values):
+    """Closed-form optimum for a uniform half-length star: ceil(sum / 2).
+
+    `values` are the per-terminal requirement maxima. Undefined when any value
+    is 1 (raises ValueError); a value of 1 forces slack the formula ignores.
+    """
+    values = list(values)
+    total = 0
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise ValueError(f"requirement maxima must be nonnegative ints, got {v!r}")
+        if v == 1:
+            raise ValueError("the closed form needs every requirement maximum to differ from 1")
+        total += v
+    return (total + 1) // 2
 
 
 def star_instance(rmap, length="1/2", hub="hub"):

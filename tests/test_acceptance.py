@@ -28,9 +28,17 @@ from treesynth.join import ParityInstance, parity_sets, satisfies_parity
 from treesynth.maxflow import CapacitatedMultigraph, all_pairs_connectivity, max_flow
 from treesynth.model import MetricTree, node_pair
 from treesynth.splitoff import connectivity_snapshot
-from treesynth.verify import capacity_projection, uniform_integer_formula, verify_feasible_capacity
+from treesynth.verify import verify_feasible_capacity
 
-from helpers import brute_force_join, fixture_path, forest_bottleneck, star_instance, uniform_star
+from helpers import (
+    brute_force_join,
+    capacity_projection,
+    fixture_path,
+    forest_bottleneck,
+    star_instance,
+    uniform_integer_formula,
+    uniform_star,
+)
 
 LENGTH_POOL = ("0", "1/2", "1", "2", "7/3")
 

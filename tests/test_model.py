@@ -17,7 +17,7 @@ from treesynth.model import (
     node_pair,
 )
 
-from helpers import metric_trees, star_instance
+from helpers import cut_side, metric_trees, side_containing, star_instance
 
 
 class TestNodePair:
@@ -105,16 +105,16 @@ class TestMetricTree:
 
     def test_side_containing(self):
         tree = path_tree()
-        assert tree.side_containing(("a", "m"), "a") == {"a"}
-        assert tree.side_containing(("a", "m"), "m") == {"m", "b"}
-        assert tree.side_containing(("m", "a"), "b") == {"m", "b"}
+        assert side_containing(tree, ("a", "m"), "a") == {"a"}
+        assert side_containing(tree, ("a", "m"), "m") == {"m", "b"}
+        assert side_containing(tree, ("m", "a"), "b") == {"m", "b"}
 
     def test_side_containing_errors(self):
         tree = path_tree()
         with pytest.raises(UnknownNode, match="is not a tree edge"):
-            tree.side_containing(("a", "b"), "a")
+            side_containing(tree, ("a", "b"), "a")
         with pytest.raises(UnknownNode):
-            tree.side_containing(("a", "m"), "zz")
+            side_containing(tree, ("a", "m"), "zz")
 
     def test_rejects_duplicate_nodes(self):
         with pytest.raises(InvalidInstance, match="duplicate node identifiers"):
@@ -180,8 +180,8 @@ def test_tree_distance_is_a_metric(tree):
 def test_edge_sides_partition_the_nodes(tree):
     all_nodes = set(tree.nodes)
     for u, v in tree.edges:
-        left = tree.side_containing((u, v), u)
-        right = tree.side_containing((u, v), v)
+        left = side_containing(tree, (u, v), u)
+        right = side_containing(tree, (u, v), v)
         assert left | right == all_nodes
         assert not (left & right)
         assert tree.distance(u, v) == tree.lengths[(u, v)]
@@ -191,7 +191,7 @@ def test_edge_sides_partition_the_nodes(tree):
 def test_distance_sums_the_edges_that_separate_the_endpoints(tree):
     for i in tree.nodes:
         for j in tree.nodes:
-            crossed = [e for e in tree.edges if j not in tree.side_containing(e, i)]
+            crossed = [e for e in tree.edges if j not in side_containing(tree, e, i)]
             assert tree.distance(i, j) == sum(tree.lengths[e] for e in crossed)
             assert sorted(tree.path(i, j)) == sorted(crossed)
 
@@ -218,7 +218,7 @@ def sparse_instances(draw):
 def test_base_capacity_is_the_cut_requirement_of_every_edge(instance):
     base = instance.base_capacity()
     for e in instance.tree.edges:
-        assert base[e] == instance.cut_requirement(instance.cut_side(e))
+        assert base[e] == instance.cut_requirement(cut_side(instance, e))
 
 
 @st.composite
@@ -399,9 +399,9 @@ class TestInstance:
 
     def test_cut_sides(self):
         instance = star_332()
-        assert instance.cut_side(("a", "hub")) == {"a"}
-        assert instance.cut_side(("b", "hub")) == {"a", "c"}
-        assert instance.cut_side(("hub", "c")) == {"a", "b"}
+        assert cut_side(instance, ("a", "hub")) == {"a"}
+        assert cut_side(instance, ("b", "hub")) == {"a", "c"}
+        assert cut_side(instance, ("hub", "c")) == {"a", "b"}
 
     def test_cut_requirements(self):
         instance = star_332()

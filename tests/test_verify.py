@@ -22,12 +22,14 @@ from treesynth import (
 )
 from treesynth.maxflow import CapacitatedMultigraph, max_flow
 from treesynth.model import EdgeCapacity, node_pair
-from treesynth.verify import capacity_projection, uniform_integer_formula, verify_feasible_capacity
+from treesynth.verify import verify_feasible_capacity
 
 from helpers import (
+    capacity_projection,
     random_instance,
     solvable_instances,
     star_instance,
+    uniform_integer_formula,
     uniform_star,
     zero_bridge_instance,
 )
@@ -183,6 +185,46 @@ class TestForestAudit:
         with counted_flows() as calls:
             assert verify_realization(instance, realization) == []
         assert len(calls) == 29
+
+    def test_damaged_ladder_solutions_settle_pairs_from_short_cuts(self):
+        # the 30/10 rung, once per positive-length pair with one unit taken
+        # off it; every damaged copy falls short somewhere
+        instance = random_instance(1, 30, 10)
+        values = dict(solve(instance).realization.items())
+        flows = violations = 0
+        for pair in sorted(p for p in values if instance.tree.distance(*p) > 0):
+            damaged = dict(values)
+            damaged[pair] -= 1
+            realization = Realization(damaged)
+            with counted_flows() as calls:
+                verdict = verify_realization(instance, realization)
+            assert verdict == per_pair_violations(instance, realization)
+            assert verdict
+            flows += len(calls)
+            violations += len(verdict)
+        assert (flows, violations) == (1055, 1470)
+
+    def test_a_forest_cut_settles_a_pair_off_the_forest(self):
+        # forest a-b (4) and a-c (3); only a-c falls short (2), and its side
+        # {a, b} also cuts b-c, whose bound min(4, 2) = 2 meets that cut
+        instance = star_instance({("a", "b"): 4, ("a", "c"): 3, ("b", "c"): 3})
+        realization = Realization({("a", "b"): 4, ("a", "c"): 1, ("b", "c"): 1})
+        with counted_flows() as calls:
+            verdict = verify_realization(instance, realization)
+        assert verdict == [("a", "c", 1), ("b", "c", 1)]
+        assert verdict == per_pair_violations(instance, realization)
+        assert [args[1:] for args in calls] == [(("a",), "b", 4), (("a",), "c", 3)]
+
+    def test_a_pair_no_kept_cut_separates_runs_its_own_flow(self):
+        # both forest flows fall short (2) with side {a}, which does not cut
+        # b-c, so b-c gets a flow of its own despite its bound of 2
+        instance = star_instance({("a", "b"): 4, ("a", "c"): 3, ("b", "c"): 3})
+        realization = Realization({("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 5})
+        with counted_flows() as calls:
+            verdict = verify_realization(instance, realization)
+        assert verdict == [("a", "b", 2), ("a", "c", 1)]
+        assert verdict == per_pair_violations(instance, realization)
+        assert [args[1:] for args in calls] == [(("a",), "b", 4), (("a",), "c", 3), (("b",), "c", 3)]
 
     def test_disconnected_requirements_flow_only_inside_components(self):
         # requirement components {a, b, c} and {d, e}: 2 + 1 forest joins
