@@ -2,13 +2,16 @@
 """Max-flow counts, parse and solve times of two source trees, side by side.
 
 For each tree it solves the `treesynth gen --seed 1` ladder (30/10, 60/20,
-100/40, 150/60 terminals/inner nodes) and the steiner-split inputs of
-`bench/run.py` (seed 1, taken from that workload's own set-up), counting
-`_dinic` calls by wrapping `maxflow._dinic`. Every solve-path flow is a
-split-off flow: a check flow, or the merged cut of a neighbor pair. On the
-flat-tree inputs of `bench/run.py` (seed 1) it times `parse_instance` and
-`solve` apart, milliseconds per operation, and `json.loads` of the same
-texts, the decoder's share of `parse_ms`. On the audit-verify inputs of
+100/40, 150/60, 500/170 terminals/inner nodes), the chain t0-s0...s(N-1)-t1
+with unit lengths and r(t0, t1) = 3 at N = 1,000 and 2,000, and the
+steiner-split inputs of `bench/run.py` (seed 1, taken from that workload's
+own set-up), counting `_dinic` calls by wrapping `maxflow._dinic`. The chain
+runs no flow at all: its solve time is what split-off spends per activation
+outside the flows. Every solve-path flow is a split-off flow: a check flow,
+or the merged cut of a neighbor pair. On the flat-tree inputs of
+`bench/run.py` (seed 1) it times `parse_instance` and `solve` apart,
+milliseconds per operation, and `json.loads` of the same texts, the
+decoder's share of `parse_ms`. On the audit-verify inputs of
 `bench/run.py` (seed 1) it counts `_dinic` calls per `verify_realization`,
 over all inputs and apart for the intact (even index) and the damaged (odd
 index) ones, and times it, milliseconds per operation; the verdicts join the
@@ -58,7 +61,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 BENCH = os.path.join(ROOT, "bench")
-LADDER = ((30, 10), (60, 20), (100, 40), (150, 60))
+LADDER = ((30, 10), (60, 20), (100, 40), (150, 60), (500, 170))
+CHAIN = (1000, 2000)
 CORPUS = 300
 ROUNDS = 5
 
@@ -75,6 +79,20 @@ def load_bench():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def chain_document(n):
+    """INSP-JSON of the chain t0-s0-...-s(n-1)-t1, unit lengths, r(t0, t1) = 3."""
+    path = ["t0"] + [f"s{i}" for i in range(n)] + ["t1"]
+    return {
+        "version": "insp-json-v1",
+        "terminals": ["t0", "t1"],
+        "tree": {
+            "nodes": path,
+            "edges": [{"u": u, "v": v, "length": 1} for u, v in zip(path, path[1:])],
+        },
+        "requirements": [{"s": "t0", "t": "t1", "r": 3}],
+    }
 
 
 def corpus_documents(generate_document):
@@ -173,6 +191,10 @@ def measure(src):
         n, t, f = run(json.dumps(generate_document(k, m, 2, 6, 1)))
         ladder[f"{k}x{m}"] = {"dinic_calls": n, "solve_s": round(t, 3), "flow_us": flow_us(f, n)}
     ladder["probes"] = dict(tally)
+    chain = {}
+    for size in CHAIN:
+        n, t, _ = run(json.dumps(chain_document(size)))
+        chain[str(size)] = {"dinic_calls": n, "solve_s": round(t, 3)}
     docs = [text for _, text in bench.WORKLOADS["steiner-split"]().setup(1)]
     flows, times, split_flow_s = [], [], 0.0
     for text in docs:
@@ -222,6 +244,7 @@ def measure(src):
         corpus_calls += run(json.dumps(doc))[0]
     return {
         "ladder": ladder,
+        "chain": chain,
         "steiner_split": {
             "operations": len(docs),
             "flows_per_op": round(sum(flows) / len(docs), 1),

@@ -63,19 +63,59 @@ class CapacitatedMultigraph:
         if a is None:
             if value == 0:
                 return
-            a = len(self._to)
-            self._arc[(u, v)], self._arc[(v, u)] = a, a + 1
-            self._head[self._index[u]].append(a)
-            self._head[self._index[v]].append(a + 1)
-            self._to += [self._index[v], self._index[u]]
-            self._cap += [0, 0]
+            a = self._new_arc(u, v)
         change = value - self._cap[a]
         self._degree[self._index[u]] += change
         self._degree[self._index[v]] += change
         self._cap[a] = self._cap[a ^ 1] = value
 
+    def _new_arc(self, u, v):
+        """Create the pair (u, v) at capacity 0 and return its arc from u."""
+        a = len(self._to)
+        self._arc[(u, v)], self._arc[(v, u)] = a, a + 1
+        self._head[self._index[u]].append(a)
+        self._head[self._index[v]].append(a + 1)
+        self._to += [self._index[v], self._index[u]]
+        self._cap += [0, 0]
+        return a
+
     def add_capacity(self, u, v, delta):
         self.set_capacity(u, v, self.capacity(u, v) + delta)
+
+    def split(self, s, u, w, amount):
+        """Move `amount` units of (s, u) and of (s, w) onto (u, w).
+
+        (u, w) is created if absent, and a negative amount undoes a split.
+        Only the degree of s changes, by -2 * amount: u and w each trade
+        capacity toward s for the same capacity toward each other, so their
+        degrees stay as they were. Raises UnknownNode for an unknown node,
+        for s, u and w not all distinct, or when u or w has no arc to s, and
+        ValueError for an amount that is not an int, exceeds either capacity
+        at s or would take (u, w) below 0. On any error the graph is left
+        unchanged.
+        """
+        self._check(s)
+        self._check(u)
+        self._check(w)
+        if u == w or s == u or s == w:
+            raise UnknownNode(f"a split needs three distinct nodes, got {s!r}, {u!r}, {w!r}")
+        su, sw = self._arc.get((s, u)), self._arc.get((s, w))
+        if su is None or sw is None:
+            raise UnknownNode(f"{u if su is None else w!r} has no arc to {s!r}")
+        if isinstance(amount, bool) or not isinstance(amount, int):
+            raise ValueError(f"a split amount must be an int, got {amount!r}")
+        cap = self._cap
+        uw = self._arc.get((u, w))
+        if amount > cap[su] or amount > cap[sw] or (0 if uw is None else cap[uw]) + amount < 0:
+            raise ValueError(f"cannot split {amount} units of {u!r}-{s!r}-{w!r}")
+        if uw is None:
+            if amount == 0:
+                return
+            uw = self._new_arc(u, w)
+        cap[su] = cap[su ^ 1] = cap[su] - amount
+        cap[sw] = cap[sw ^ 1] = cap[sw] - amount
+        cap[uw] = cap[uw ^ 1] = cap[uw] + amount
+        self._degree[self._index[s]] -= 2 * amount
 
     def neighbors(self, v):
         """Nodes joined to v by positive capacity."""
@@ -86,6 +126,10 @@ class CapacitatedMultigraph:
         """Total capacity incident to v."""
         self._check(v)
         return self._degree[self._index[v]]
+
+    def degrees(self):
+        """Iterate (v, degree of v) over the nodes, in node order."""
+        return zip(self.nodes, self._degree)
 
     def positive_pairs(self):
         """Iterate ((u, v), capacity) once per pair of positive capacity."""

@@ -46,28 +46,38 @@ from .maxflow import CapacitatedMultigraph, max_flow
 from .model import Realization, max_spanning_joins
 
 
-def connectivity_snapshot(graph, active_node, tree_edges):
+def connectivity_snapshot(graph, active_node, joins):
     """Checks (x, y, lam) that imply every demand at one activation.
 
-    `tree_edges` are the ((u, v), capacity) pairs of the initial tree. They
-    are joined in descending capacity order; each join of two components
-    that hold kept nodes (positive degree in `graph`, not the active node)
-    emits a check between a kept node of each side at that capacity: the
-    least on their tree path, so their initial connectivity. The checks form
-    a maximum spanning forest of the demands, and any graph has
-    lam(x, y) >= min(lam(x, z), lam(z, y)), so they imply every demand.
+    `joins` lists (lam, ru, rv) for each join of Kruskal's maximum spanning
+    forest over the initial tree's edges (`max_spanning_joins`): the
+    component rooted at ru merged into rv's at capacity lam. Replaying them
+    in order, each join of two components that hold kept nodes (positive
+    degree in `graph`, not the active node) emits a check between a kept
+    node of each side at that capacity: the least on their tree path, so
+    their initial connectivity. The checks form a maximum spanning forest of
+    the demands, and any graph has lam(x, y) >= min(lam(x, z), lam(z, y)),
+    so they imply every demand.
+
+    The joins depend only on the nodes and the initial tree, neither of
+    which a split changes; only which nodes are kept depends on the
+    activation. So `realize_capacity` takes the list once, before the first
+    split, and each activation replays it with no sort and no union-find:
+    the replay gives the same checks, in the same order, as a Kruskal pass
+    run at that activation.
     """
     if active_node not in graph:
         raise UnknownNode(f"unknown node {active_node!r}")
     # component root -> one kept node of that component
-    kept = {v: v for v in graph.nodes if v != active_node and graph.degree(v) > 0}
+    kept = {v: v for v, d in graph.degrees() if d > 0 and v != active_node}
     checks = []
-    for _, c, ru, rv in max_spanning_joins(graph.nodes, tree_edges):
-        sides = [kept.pop(r) for r in (ru, rv) if r in kept]
-        if sides:
-            kept[rv] = sides[0]
-        if len(sides) == 2:
-            checks.append((sides[0], sides[1], c))
+    for lam, ru, rv in joins:
+        # the merged side, rooted at rv, keeps ru's kept node if it has one
+        if ru in kept:
+            x = kept.pop(ru)
+            if rv in kept:
+                checks.append((x, kept[rv], lam))
+            kept[rv] = x
     return checks
 
 
@@ -75,23 +85,17 @@ class SplitState:
     """Mutable bookkeeping while one node is being eliminated.
 
     `demands` lists (x, y, lam) checks, never touching the active node, whose
-    connectivity must survive every split: `connectivity_snapshot` reads them
-    off `tree_edges`, the capacitated tree split-off started from, for the
-    nodes that have degree at activation.
+    connectivity must survive every split: `connectivity_snapshot` replays
+    `joins`, the Kruskal joins of the capacitated tree split-off started
+    from, over the nodes that have degree at activation.
     `events` records executed splits as (u, w, amount) triples in order.
     """
 
-    def __init__(self, graph, active_node, tree_edges):
+    def __init__(self, graph, active_node, joins):
         self.graph = graph
         self.active = active_node
-        self.demands = connectivity_snapshot(graph, active_node, tree_edges)
+        self.demands = connectivity_snapshot(graph, active_node, joins)
         self.events = []
-
-
-def _apply_split(graph, s, u, w, amount):
-    graph.add_capacity(s, u, -amount)
-    graph.add_capacity(s, w, -amount)
-    graph.add_capacity(u, w, amount)
 
 
 def _demands_hold(state, safe):
@@ -152,11 +156,11 @@ def admissible_amount(state, u, w):
     def splittable(amount):
         if amount <= free:
             return True
-        _apply_split(graph, s, u, w, amount)
+        graph.split(s, u, w, amount)
         try:
             return _demands_hold(state, mu - 2 * amount)
         finally:
-            _apply_split(graph, s, u, w, -amount)
+            graph.split(s, u, w, -amount)
 
     top = min(cap, (mu - crossing) // 2)
     if top <= 0:
@@ -194,7 +198,7 @@ def split_node(state):
             continue
         amount = admissible_amount(state, u, w)
         if amount > 0:
-            _apply_split(graph, s, u, w, amount)
+            graph.split(s, u, w, amount)
             state.events.append((u, w, amount))
     if graph.degree(s) > 0:
         raise SolverInternalError(f"no admissible split remains at {s!r}")
@@ -210,9 +214,9 @@ def extract_realization(graph, terminals):
     for t in terminal_set:
         if t not in graph:
             raise UnknownNode(f"terminal {t!r} missing from the graph")
-    for v in graph.nodes:
-        if v not in terminal_set and graph.degree(v) > 0:
-            raise SolverInternalError(f"{v!r} still has degree {graph.degree(v)}")
+    for v, d in graph.degrees():
+        if d > 0 and v not in terminal_set:
+            raise SolverInternalError(f"{v!r} still has degree {d}")
     # every non-terminal has degree 0, so each positive pair joins two terminals
     return Realization(graph.positive_pairs())
 
@@ -220,17 +224,22 @@ def extract_realization(graph, terminals):
 def realize_capacity(instance, capacity):
     """Run the full elimination: build the graph, split out each inner node, extract.
 
-    Inner nodes are processed in ascending identifier order; each one's
-    demands are read off the graph's tree edges, taken before the
-    first split. Each tree edge must carry at most one more than the
-    largest requirement across it, as base plus join does. Returns
+    Inner nodes are processed in ascending identifier order. Before the
+    first split, Kruskal's joins of the graph's tree edges are taken once
+    (only when there is an inner node to eliminate), and each activation
+    reads its demands off them. Each tree edge must carry at most one more
+    than the largest requirement across it, as base plus join does. Returns
     (realization, trace), trace a tuple of (node, u, w, amount) records.
     """
     graph = CapacitatedMultigraph(instance.tree.nodes, capacity)
-    tree_edges = list(graph.positive_pairs())
+    inner = sorted(instance.inner_nodes())
+    joins = []
+    if inner:
+        tree_edges = graph.positive_pairs()
+        joins = [(lam, ru, rv) for _, lam, ru, rv in max_spanning_joins(graph.nodes, tree_edges)]
     trace = []
-    for s in sorted(instance.inner_nodes()):
-        state = SplitState(graph, s, tree_edges)
+    for s in inner:
+        state = SplitState(graph, s, joins)
         split_node(state)
         trace.extend((s, u, w, amount) for u, w, amount in state.events)
     return extract_realization(graph, instance.terminals), tuple(trace)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from treesynth import TooLarge, UnknownNode, build_instance, generate_document, parse_instance
 from treesynth.join import JoinResult
-from treesynth.model import EdgeCapacity, MetricTree, node_pair
+from treesynth.model import EdgeCapacity, MetricTree, max_spanning_joins, node_pair
 
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "instances")
 
@@ -37,6 +37,38 @@ def forest_bottleneck(checks, x, y):
                 best[nxt] = w if best[node] is None else min(best[node], w)
                 stack.append(nxt)
     return best.get(y) or 0
+
+
+def tree_joins(graph, tree_edges=None):
+    """The (lam, ru, rv) Kruskal joins `connectivity_snapshot` replays.
+
+    Taken over graph's nodes and the ((u, v), capacity) pairs of
+    `tree_edges`, by default the graph's positive pairs, as
+    `realize_capacity` takes them before the first split.
+    """
+    pairs = graph.positive_pairs() if tree_edges is None else tree_edges
+    return [(lam, ru, rv) for _, lam, ru, rv in max_spanning_joins(graph.nodes, pairs)]
+
+
+def reference_snapshot(graph, active, tree_edges):
+    """Oracle for `connectivity_snapshot`: a fresh sort and union-find.
+
+    Runs Kruskal over `tree_edges` at the call, as split-off did at every
+    activation before it replayed one join list, and emits a check at each
+    join of two components that hold kept nodes (positive degree, not
+    `active`).
+    """
+    if active not in graph:
+        raise UnknownNode(f"unknown node {active!r}")
+    kept = {v: v for v in graph.nodes if v != active and graph.degree(v) > 0}
+    checks = []
+    for _, c, ru, rv in max_spanning_joins(graph.nodes, tree_edges):
+        sides = [kept.pop(r) for r in (ru, rv) if r in kept]
+        if sides:
+            kept[rv] = sides[0]
+        if len(sides) == 2:
+            checks.append((sides[0], sides[1], c))
+    return checks
 
 
 def brute_force_join(p):

@@ -36,6 +36,7 @@ from helpers import (
     fixture_path,
     forest_bottleneck,
     star_instance,
+    tree_joins,
     uniform_integer_formula,
     uniform_star,
 )
@@ -111,7 +112,7 @@ def _replay(instance, solution, check_demands):
     """
     tree = instance.tree
     graph = CapacitatedMultigraph(tree.nodes, solution.capacity)
-    tree_edges = list(graph.positive_pairs())
+    joins = tree_joins(graph)
     out = {
         "start": _potential(tree, graph) == solution.capacity.cost(),
         "monotone": True,
@@ -131,7 +132,7 @@ def _replay(instance, solution, check_demands):
             if d != min(solution.capacity[e] for e in tree.path(x, y)):
                 out["bottleneck_mismatches"] += 1
         if check_demands:
-            checks = connectivity_snapshot(graph, node, tree_edges)
+            checks = connectivity_snapshot(graph, node, joins)
             out["solver_checks"] += len(checks)
             for x, y, w in checks:
                 if demands.get(node_pair(x, y)) != w:

@@ -83,24 +83,103 @@ class TestCapacitatedMultigraph:
         assert [g.degree(v) for v in "abc"] == [7, 4, 3]
 
 
+def graph_state(g):
+    return dict(g.positive_pairs()), [g.degree(v) for v in g.nodes]
+
+
+class TestSplit:
+    def test_moves_capacity_and_changes_only_the_active_degree(self):
+        g = graph_of("suwx", {("s", "u"): 3, ("s", "w"): 2, ("s", "x"): 1})
+        g.split("s", "u", "w", 2)
+        assert dict(g.positive_pairs()) == {("s", "u"): 1, ("s", "x"): 1, ("u", "w"): 2}
+        assert [g.degree(v) for v in "suwx"] == [2, 3, 2, 1]
+        assert g.neighbors("w") == ("u",)
+        g.split("s", "u", "w", -2)
+        assert dict(g.positive_pairs()) == {("s", "u"): 3, ("s", "w"): 2, ("s", "x"): 1}
+        assert [g.degree(v) for v in "suwx"] == [6, 3, 2, 1]
+        assert g.neighbors("u") == ("s",)
+
+    def test_adds_to_an_existing_pair(self):
+        g = graph_of("suw", {("s", "u"): 2, ("s", "w"): 2, ("u", "w"): 1})
+        g.split("s", "w", "u", 1)
+        assert dict(g.positive_pairs()) == {("s", "u"): 1, ("s", "w"): 1, ("u", "w"): 2}
+        assert [g.degree(v) for v in "suw"] == [2, 3, 3]
+        g.split("s", "u", "w", 0)
+        assert dict(g.positive_pairs()) == {("s", "u"): 1, ("s", "w"): 1, ("u", "w"): 2}
+
+    @pytest.mark.parametrize(
+        "s, u, w, amount, error",
+        [
+            ("s", "u", "zz", 1, UnknownNode),
+            ("zz", "u", "w", 1, UnknownNode),
+            ("s", "u", "u", 1, UnknownNode),
+            ("s", "s", "u", 1, UnknownNode),
+            ("s", "u", "s", 1, UnknownNode),
+            # y has no arc to s
+            ("s", "u", "y", 1, UnknownNode),
+            ("s", "u", "w", 3, ValueError),
+            ("s", "w", "u", 3, ValueError),
+            # (u, w) carries 1 and (u, x) nothing
+            ("s", "u", "w", -2, ValueError),
+            ("s", "u", "x", -1, ValueError),
+            ("s", "u", "w", 1.5, ValueError),
+            ("s", "u", "w", True, ValueError),
+        ],
+    )
+    def test_errors_leave_the_graph_unchanged(self, s, u, w, amount, error):
+        g = graph_of("suwxy", {("s", "u"): 4, ("s", "w"): 2, ("s", "x"): 2, ("u", "w"): 1, ("x", "y"): 1})
+        before = graph_state(g)
+        with pytest.raises(error):
+            g.split(s, u, w, amount)
+        assert graph_state(g) == before
+        # a later legal split still sees the graph it would have
+        g.split("s", "u", "x", 2)
+        assert dict(g.positive_pairs())[("u", "x")] == 2
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(list(combinations("abcd", 2))), st.booleans(), st.integers(-3, 3)),
+        st.tuples(
+            st.sampled_from(list(combinations("abcd", 2))),
+            st.sampled_from(("set", "add", "split")),
+            st.integers(-3, 3),
+            st.booleans(),
+        ),
         max_size=25,
     )
 )
 def test_degree_is_the_sum_of_incident_capacities(steps):
-    """After any run of sets and adds, pairs dropped to 0 and raised again
-    included, each node's degree is the capacity summed over its pairs."""
-    g = graph_of("abcd", {})
-    for (u, v), add, amount in steps:
-        if add and g.capacity(u, v) + amount >= 0:
+    """After any run of sets, adds and splits, pairs dropped to 0 and raised
+    again included, each node's degree is the capacity summed over its pairs.
+    A split at s moves capacity from (s, u) and (s, v) onto (u, v) and changes
+    no degree but s's; one that raises leaves the graph as it was."""
+    # a star at a, so splits there find their arcs; other pairs start absent
+    g = graph_of("abcd", {("a", "b"): 2, ("a", "c"): 2, ("a", "d"): 2})
+    for (u, v), kind, amount, first in steps:
+        if kind == "split":
+            s = [x for x in g.nodes if x not in (u, v)][0 if first else 1]
+            before = graph_state(g)
+            caps = [g.capacity(*pair) for pair in ((s, u), (s, v), (u, v))]
+            # mostly legal amounts; the error cases have a test of their own
+            amount = max(-caps[2], min(amount, caps[0], caps[1]))
+            try:
+                g.split(s, u, v, amount)
+            except (UnknownNode, ValueError):
+                assert graph_state(g) == before
+            else:
+                after = [g.capacity(*pair) for pair in ((s, u), (s, v), (u, v))]
+                assert after == [caps[0] - amount, caps[1] - amount, caps[2] + amount]
+                assert min(after) >= 0
+                expected = [d - 2 * amount if x == s else d for x, d in zip(g.nodes, before[1])]
+                assert [g.degree(x) for x in g.nodes] == expected
+        elif kind == "add" and g.capacity(u, v) + amount >= 0:
             g.add_capacity(u, v, amount)
         else:
             g.set_capacity(u, v, abs(amount))
         for x in g.nodes:
             assert g.degree(x) == sum(g.capacity(x, y) for y in g.nodes if y != x)
+        assert list(g.degrees()) == [(x, g.degree(x)) for x in g.nodes]
 
 
 class TestMaxFlow:

@@ -17,6 +17,7 @@ from treesynth import (
     optimal_cost_formula,
     solve,
     solve_and_check,
+    splitoff,
     verify_realization,
 )
 
@@ -242,17 +243,24 @@ def test_deep_chain_splits_each_node_with_no_flow(monkeypatch):
     # through pair, the only pair of distinct neighbors, with none
     labels = ["t0"] + [f"_s{i}" for i in range(200)] + ["t1"]
     instance = path_instance(labels, [1] * 201, [("t0", "t1", 3)])
-    calls = []
-    dinic = maxflow._dinic
+    calls, passes = [], []
+    dinic, joins = maxflow._dinic, splitoff.max_spanning_joins
 
     def counted(*args):
         calls.append(args)
         return dinic(*args)
 
+    def counted_joins(*args):
+        passes.append(args)
+        return joins(*args)
+
     monkeypatch.setattr(maxflow, "_dinic", counted)
+    # every one of the 200 activations replays a single Kruskal pass
+    monkeypatch.setattr(splitoff, "max_spanning_joins", counted_joins)
     solution = solve(instance)
     monkeypatch.undo()
     assert solution.cost == 603
     assert len(solution.trace) == 200
     assert calls == []
+    assert len(passes) == 1
     assert verify_realization(instance, solution.realization) == []

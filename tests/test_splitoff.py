@@ -33,8 +33,10 @@ from helpers import (
     LENGTH_POOL,
     forest_bottleneck,
     random_instance,
+    reference_snapshot,
     solvable_instances,
     star_instance,
+    tree_joins,
     uniform_star,
 )
 
@@ -71,10 +73,6 @@ class TestExpandCapacityGraph:
         assert "c" not in graph.neighbors("hub")
 
 
-def tree_edges(g):
-    return list(g.positive_pairs())
-
-
 def normalized(checks):
     return {(node_pair(x, y), w) for x, y, w in checks}
 
@@ -88,17 +86,17 @@ class TestDominantDemands:
 
     def test_single_pair(self):
         g = CapacitatedMultigraph("abs", {("a", "b"): 3})
-        assert normalized(connectivity_snapshot(g, "s", tree_edges(g))) == {(("a", "b"), 3)}
+        assert normalized(connectivity_snapshot(g, "s", tree_joins(g))) == {(("a", "b"), 3)}
 
     def test_zero_demands_are_dropped(self):
         # a and b lie in different components of the tree: lam(a, b) = 0
         g = CapacitatedMultigraph("abcs", {("a", "s"): 2, ("b", "c"): 3})
-        assert normalized(connectivity_snapshot(g, "s", tree_edges(g))) == {(("b", "c"), 3)}
+        assert normalized(connectivity_snapshot(g, "s", tree_joins(g))) == {(("b", "c"), 3)}
 
     def test_keeps_a_maximum_spanning_tree(self):
         # lam(b, c) = 4 and lam(a, b) = lam(a, c) = 3: the heavy pair stays
         g = CapacitatedMultigraph("abcs", {("a", "s"): 3, ("b", "s"): 5, ("c", "s"): 4})
-        checks = normalized(connectivity_snapshot(g, "s", tree_edges(g)))
+        checks = normalized(connectivity_snapshot(g, "s", tree_joins(g)))
         assert (("b", "c"), 4) in checks
         assert len(checks) == 2 and {w for _, w in checks} == {3, 4}
 
@@ -120,7 +118,7 @@ class TestDominantDemands:
             names, {e: c for e, c in caps.items() if not gone.intersection(e)}
         )
         kept = {v for v in names if v != active and graph.degree(v) > 0}
-        checks = connectivity_snapshot(graph, active, tree_edges(tree))
+        checks = connectivity_snapshot(graph, active, tree_joins(tree))
         # every weight is the pair's connectivity in the tree
         for x, y, w in checks:
             assert x in kept and y in kept and x != y
@@ -136,26 +134,52 @@ class TestDominantDemands:
         for x, y in combinations(sorted(kept), 2):
             assert forest_bottleneck(checks, x, y) >= lam[(x, y)]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_replay_matches_a_fresh_union_find(self, data):
+        # random capacitated tree with shuffled nodes and edges; kept nodes
+        # keep tree capacity or gain capacity split off onto new pairs
+        n = data.draw(st.integers(1, 10))
+        names = data.draw(st.permutations([f"n{i}" for i in range(n)]))
+        caps = {}
+        for i in range(1, n):
+            caps[(names[data.draw(st.integers(0, i - 1))], names[i])] = data.draw(st.integers(0, 6))
+        tree_edges = data.draw(st.permutations(sorted(caps.items())))
+        tree = CapacitatedMultigraph(names, dict(tree_edges))
+        active = data.draw(st.sampled_from(names))
+        gone = set(data.draw(st.lists(st.sampled_from(names), max_size=n)))
+        graph = CapacitatedMultigraph(
+            names, {e: c for e, c in caps.items() if not gone.intersection(e)}
+        )
+        left = sorted(set(names) - gone)
+        if len(left) >= 2:
+            pairs = st.tuples(st.sampled_from(left), st.sampled_from(left))
+            for u, w in data.draw(st.lists(pairs, max_size=4)):
+                if u != w:
+                    graph.add_capacity(u, w, 1)
+        replayed = connectivity_snapshot(graph, active, tree_joins(tree, tree_edges))
+        assert replayed == reference_snapshot(graph, active, tree_edges)
+
 
 class TestConnectivitySnapshot:
     def test_paths_through_the_excluded_node_still_count(self):
         g = CapacitatedMultigraph("asb", {("a", "s"): 2, ("s", "b"): 2})
-        assert normalized(connectivity_snapshot(g, "s", tree_edges(g))) == {(("a", "b"), 2)}
+        assert normalized(connectivity_snapshot(g, "s", tree_joins(g))) == {(("a", "b"), 2)}
 
     def test_paths_through_eliminated_nodes_still_count(self):
         # e was split off after the tree was read: it has no degree left,
         # but the tree path a-e-b still sets the demand of a and b
         tree = [(("a", "e"), 3), (("b", "e"), 2)]
         g = CapacitatedMultigraph("abes", {("a", "s"): 2, ("b", "s"): 2, ("a", "b"): 1})
-        assert normalized(connectivity_snapshot(g, "s", tree)) == {(("a", "b"), 2)}
+        assert normalized(connectivity_snapshot(g, "s", tree_joins(g, tree))) == {(("a", "b"), 2)}
 
     def test_zero_degree_nodes_are_dropped(self):
         g = CapacitatedMultigraph("asbd", {("a", "s"): 2, ("s", "b"): 2})
-        assert normalized(connectivity_snapshot(g, "s", tree_edges(g))) == {(("a", "b"), 2)}
+        assert normalized(connectivity_snapshot(g, "s", tree_joins(g))) == {(("a", "b"), 2)}
 
     def test_too_few_nodes_left(self):
         g = CapacitatedMultigraph("as", {("a", "s"): 2})
-        assert connectivity_snapshot(g, "s", tree_edges(g)) == []
+        assert connectivity_snapshot(g, "s", tree_joins(g)) == []
 
     def test_unknown_exclude(self):
         with pytest.raises(UnknownNode, match="unknown node 'zz'"):
@@ -167,42 +191,42 @@ class TestConnectivitySnapshot:
         monkeypatch.setattr(maxflow, "_dinic", None)
         g = CapacitatedMultigraph("abs", {("a", "s"): 2, ("b", "s"): 2})
         tree = [(("a", "s"), 7), (("b", "s"), 9)]
-        assert normalized(connectivity_snapshot(g, "s", tree)) == {(("a", "b"), 7)}
+        assert normalized(connectivity_snapshot(g, "s", tree_joins(g, tree))) == {(("a", "b"), 7)}
 
 
 class TestSplitState:
     def test_default_snapshot(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", tree_edges(g))
+        state = SplitState(g, "h", tree_joins(g))
         checks = normalized(state.demands)
         assert len(checks) == 2 and {w for _, w in checks} == {2}
         assert {v for pair, _ in checks for v in pair} == {"a", "b", "c"}
         assert state.events == []
         with pytest.raises(UnknownNode, match="unknown node 'zz'"):
-            SplitState(g, "zz", tree_edges(g))
+            SplitState(g, "zz", tree_joins(g))
 
 
 class TestAdmissibleAmount:
     def test_uniform_star_allows_one_unit(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", tree_edges(g))
+        state = SplitState(g, "h", tree_joins(g))
         assert admissible_amount(state, "a", "b") == 1
 
     def test_two_leaf_star_splits_completely(self):
         g = star_graph({"a": 3, "b": 3})
-        state = SplitState(g, "h", tree_edges(g))
+        state = SplitState(g, "h", tree_joins(g))
         assert admissible_amount(state, "a", "b") == 3
 
     def test_probing_leaves_the_graph_unchanged(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", tree_edges(g))
+        state = SplitState(g, "h", tree_joins(g))
         admissible_amount(state, "a", "b")
         untouched = star_graph({"a": 2, "b": 2, "c": 2})
         assert dict(g.positive_pairs()) == dict(untouched.positive_pairs())
 
     def test_loop_pair_is_refused_before_the_graph_is_touched(self):
         g = star_graph({"a": 4, "b": 4})
-        state = SplitState(g, "h", tree_edges(g))
+        state = SplitState(g, "h", tree_joins(g))
         with pytest.raises(UnknownNode, match="'a' cannot pair with itself"):
             admissible_amount(state, "a", "a")
         assert dict(g.positive_pairs()) == {("a", "h"): 4, ("b", "h"): 4}
@@ -212,7 +236,7 @@ class TestAdmissibleAmount:
         g2 = CapacitatedMultigraph(list(g.nodes) + ["d"])
         for (u, v), c in g.positive_pairs():
             g2.set_capacity(u, v, c)
-        state = SplitState(g2, "h", tree_edges(g2))
+        state = SplitState(g2, "h", tree_joins(g2))
         with pytest.raises(UnknownNode, match="'d' does not neighbor 'h'"):
             admissible_amount(state, "a", "d")
         with pytest.raises(UnknownNode, match="is the active node"):
@@ -221,14 +245,14 @@ class TestAdmissibleAmount:
     def test_partial_amount_on_skewed_star(self):
         # splitting a-b beyond 2 units would strand a from c
         g = star_graph({"a": 3, "b": 3, "c": 2})
-        state = SplitState(g, "h", tree_edges(g))
+        state = SplitState(g, "h", tree_joins(g))
         assert admissible_amount(state, "a", "b") == 2
 
 
 class TestSplitNode:
     def test_uniform_star_becomes_a_triangle(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", tree_edges(g))
+        state = SplitState(g, "h", tree_joins(g))
         split_node(state)
         assert state.events == [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)]
         assert dict(g.positive_pairs()) == {
@@ -239,7 +263,7 @@ class TestSplitNode:
 
     def test_skewed_star_keeps_the_heavy_pair(self):
         g = star_graph({"a": 3, "b": 3, "c": 2})
-        state = SplitState(g, "h", tree_edges(g))
+        state = SplitState(g, "h", tree_joins(g))
         split_node(state)
         assert state.events == [("a", "b", 2), ("a", "c", 1), ("b", "c", 1)]
         assert dict(g.positive_pairs()) == {
@@ -250,7 +274,7 @@ class TestSplitNode:
 
     def test_connectivities_survive(self):
         g = star_graph({"a": 4, "b": 4, "c": 2, "d": 2})
-        state = SplitState(g, "h", tree_edges(g))
+        state = SplitState(g, "h", tree_joins(g))
         lam = all_pairs_connectivity(g)
         split_node(state)
         assert g.degree("h") == 0
@@ -264,14 +288,14 @@ class TestSplitNode:
         # this is the configuration the capacity >= 2 precondition excludes
         g = star_graph({"a": 1, "b": 1, "c": 1, "d": 1})
         with pytest.raises(SolverInternalError, match="no admissible split remains at 'h'"):
-            split_node(SplitState(g, "h", tree_edges(g)))
+            split_node(SplitState(g, "h", tree_joins(g)))
 
     def test_leg_above_the_largest_demand_plus_one_is_left_over(self):
         # the b leg carries 4, but the only demand across it is lam(a, b) = 2;
         # after (a, b) splits at 2, the 2 units left on b could go only to a
         # loop pair, which split-off never takes
         g = star_graph({"a": 2, "b": 4})
-        state = SplitState(g, "h", tree_edges(g))
+        state = SplitState(g, "h", tree_joins(g))
         with pytest.raises(SolverInternalError, match="no admissible split remains at 'h'"):
             split_node(state)
         assert state.events == [("a", "b", 2)]
@@ -321,6 +345,21 @@ class TestRealizeCapacity:
         assert realization == Realization({("a", "b"): 2})
         assert trace == ()
 
+    @pytest.mark.parametrize("inner, passes", [(4, 1), (0, 0)])
+    def test_kruskal_joins_are_taken_once_per_solve(self, monkeypatch, inner, passes):
+        # every activation replays one join list; a flat tree takes none
+        calls = []
+        joins = splitoff.max_spanning_joins
+
+        def counted(*args):
+            calls.append(args)
+            return joins(*args)
+
+        monkeypatch.setattr(splitoff, "max_spanning_joins", counted)
+        solution = solve(parse_instance(json.dumps(generate_document(12, inner, 2, 6, 1))))
+        assert len(calls) == passes
+        assert len({s for s, *_ in solution.trace}) == inner
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
@@ -341,7 +380,7 @@ def test_split_preserves_snapshot_connectivities(data):
     legs = sorted(caps.values())
     assert legs[-1] <= legs[-2] + 1
     g = star_graph(caps)
-    state = SplitState(g, "h", tree_edges(g))
+    state = SplitState(g, "h", tree_joins(g))
     lam = all_pairs_connectivity(g)
     split_node(state)
     assert g.degree("h") == 0
