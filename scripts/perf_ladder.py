@@ -10,13 +10,15 @@ runs no flow at all: its solve time is what split-off spends per activation
 outside the flows. Every solve-path flow is a split-off flow: a check flow,
 or the merged cut of a neighbor pair. On the flat-tree inputs of
 `bench/run.py` (seed 1) it times `parse_instance` and `solve` apart,
-milliseconds per operation, and `json.loads` of the same texts, the
-decoder's share of `parse_ms`. On the audit-verify inputs of
-`bench/run.py` (seed 1) it counts `_dinic` calls per `verify_realization`,
-over all inputs and apart for the intact (even index) and the damaged (odd
-index) ones, and times it, milliseconds per operation; the verdicts join the
-output digest. `flow_us` is the mean time of one `_dinic` call, in
-microseconds, on the ladder, steiner-split and audit-verify inputs.
+milliseconds per operation, `json.loads` of the same texts, the decoder's
+share of `parse_ms`, and `Instance.base_capacity`, part of `solve_ms`, on
+a second parse of those texts, since an instance keeps its base. On the
+audit-verify inputs of `bench/run.py` (seed 1) it counts `_dinic` calls per
+`verify_realization`, over all inputs and apart for the intact (even index)
+and the damaged (odd index) ones, and times it, milliseconds per operation;
+the verdicts join the output digest. `flow_us` is the mean time of one
+`_dinic` call, in microseconds, on the ladder, steiner-split and
+audit-verify inputs.
 `damaged_ladder` audits the 30/10 and 60/20 solutions once per pair of
 positive length, with one unit taken off that pair, and totals the audit
 flows and the violations found.
@@ -216,6 +218,12 @@ def measure(src):
         record(instance, solution)
     # freed here, so that no timing covers the release of the last one
     del instances, solutions
+    instances = [parse_instance(text) for text in flat]
+    start_base = time.perf_counter()
+    for instance in instances:
+        instance.base_capacity()
+    base_s = time.perf_counter() - start_base
+    del instances
     audits = [(item[1], item[2]) for item in bench.WORKLOADS["audit-verify"]().setup(1)]
     calls[0], flow_s[0] = 0, 0.0
     verdicts, audit_calls = [], []
@@ -256,6 +264,7 @@ def measure(src):
             "json_loads_ms": round((decoded - start_decode) * 1000 / len(flat), 2),
             "parse_ms": round((parsed - start) * 1000 / len(flat), 2),
             "solve_ms": round((solved - parsed) * 1000 / len(flat), 2),
+            "base_capacity_ms": round(base_s * 1000 / len(flat), 2),
         },
         "audit_verify": {
             "operations": len(audits),

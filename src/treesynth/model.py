@@ -9,6 +9,7 @@ Every structure here is treated as immutable after construction.
 
 from collections import deque
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import itemgetter
 
@@ -27,6 +28,11 @@ def max_spanning_joins(nodes, weighted_pairs):
     yields ((u, v), weight, ru, rv) for each pair that links two union-find
     components, after the component rooted at ru is merged into rv's. Stops
     once a single component is left.
+
+    A stable descending sort puts the pairs of the top weight first, in
+    input order, so those are taken straight from the input after one pass
+    for the top weight; the lighter pairs are sorted only if the forest does
+    not span by then. A one-shot iterable is read into a list first.
     """
     up = {v: v for v in nodes}
 
@@ -37,15 +43,25 @@ def max_spanning_joins(nodes, weighted_pairs):
         return v
 
     left = len(up) - 1
-    for (u, v), weight in sorted(weighted_pairs, key=itemgetter(1), reverse=True):
-        if left == 0:
-            return
+    if left <= 0:
+        return
+    if iter(weighted_pairs) is weighted_pairs:
+        weighted_pairs = list(weighted_pairs)
+    top = max(map(itemgetter(1), weighted_pairs), default=None)
+
+    def lighter():
+        rest = (p for p in weighted_pairs if p[1] != top)
+        yield from sorted(rest, key=itemgetter(1), reverse=True)
+
+    for (u, v), weight in chain((p for p in weighted_pairs if p[1] == top), lighter()):
         ru, rv = find(u), find(v)
         if ru == rv:
             continue
         up[ru] = rv
         left -= 1
         yield (u, v), weight, ru, rv
+        if left == 0:
+            return
 
 
 def as_length(value):

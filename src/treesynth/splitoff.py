@@ -224,19 +224,20 @@ def extract_realization(graph, terminals):
 def realize_capacity(instance, capacity):
     """Run the full elimination: build the graph, split out each inner node, extract.
 
-    Inner nodes are processed in ascending identifier order. Before the
-    first split, Kruskal's joins of the graph's tree edges are taken once
-    (only when there is an inner node to eliminate), and each activation
-    reads its demands off them. Each tree edge must carry at most one more
-    than the largest requirement across it, as base plus join does. Returns
-    (realization, trace), trace a tuple of (node, u, w, amount) records.
+    `capacity` is an EdgeCapacity on the instance's tree. A tree with no
+    inner node joins terminals only, so its capacity is the realization, and
+    no graph is built. Otherwise inner nodes are processed in ascending
+    identifier order: before the first split, Kruskal's joins of the graph's
+    tree edges are taken once, and each activation reads its demands off
+    them. Each tree edge must carry at most one more than the largest
+    requirement across it, as base plus join does. Returns (realization,
+    trace), trace a tuple of (node, u, w, amount) records.
     """
-    graph = CapacitatedMultigraph(instance.tree.nodes, capacity)
     inner = sorted(instance.inner_nodes())
-    joins = []
-    if inner:
-        tree_edges = graph.positive_pairs()
-        joins = [(lam, ru, rv) for _, lam, ru, rv in max_spanning_joins(graph.nodes, tree_edges)]
+    if not inner:
+        return Realization(capacity.items()), ()
+    graph = CapacitatedMultigraph(instance.tree.nodes, capacity)
+    joins = [(lam, ru, rv) for _, lam, ru, rv in max_spanning_joins(graph.nodes, graph.positive_pairs())]
     trace = []
     for s in inner:
         state = SplitState(graph, s, joins)

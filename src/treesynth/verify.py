@@ -8,8 +8,9 @@ How far each check stands apart from the solver pipeline:
   falls short. A pair with a short flow on its forest path has two bounds:
   the least of those flows from below, and from above any cut a short flow
   left behind that separates the pair. Where they meet the pair is settled;
-  only the rest get a flow of their own. It shares the max-flow routine and
-  the Kruskal pass with the solver, none of the split logic.
+  only the rest get a flow of their own. The pairs are read in their stored
+  order and only the violations are sorted. It shares the max-flow routine
+  and the Kruskal pass with the solver, none of the split logic.
 - `verify_feasible_capacity` scans inner-node parity directly, but its
   coverage check reads the solver's own cached `instance.base_capacity()`,
   so it certifies the parity join's bump, not the base capacity itself.
@@ -51,7 +52,7 @@ def verify_realization(instance, realization):
             raise UnknownNode(f"{u!r}-{v!r} is not a terminal pair")
     terminals = instance.terminals
     graph = CapacitatedMultigraph(terminals, dict(realization.items()))
-    pairs = sorted(instance.requirements.pairs())
+    pairs = instance.requirements.pairs()
     # cut value -> the residual sides of the short flows that found it
     cuts = {}
     flows = {}
@@ -91,6 +92,7 @@ def verify_realization(instance, realization):
                 continue
             cuts.setdefault(lam, []).append(cut)
         violations.append((s, t, r - lam))
+    violations.sort()
     return violations
 
 

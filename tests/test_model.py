@@ -2,6 +2,7 @@
 
 from enum import IntEnum
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given
@@ -270,10 +271,55 @@ def reference_joins(nodes, weighted_pairs):
 
 @given(st.data())
 def test_max_spanning_joins_keep_input_order_among_ties(data):
+    # few weights make ties; a wide or all-distinct range leaves the top
+    # weight short of spanning, so the sorted lighter pairs decide
     nodes = [f"n{i}" for i in range(data.draw(st.integers(1, 7)))]
     pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
-    weighted_pairs = data.draw(st.lists(st.tuples(pair, st.integers(0, 2)), max_size=20))
-    assert list(max_spanning_joins(nodes, weighted_pairs)) == reference_joins(nodes, weighted_pairs)
+    weight = data.draw(st.sampled_from([st.integers(0, 2), st.integers(-(10**6), 10**6)]))
+    distinct = data.draw(st.booleans())
+    weighted_pairs = data.draw(
+        st.lists(st.tuples(pair, weight), max_size=20, unique_by=itemgetter(1) if distinct else None)
+    )
+    expected = reference_joins(nodes, weighted_pairs)
+    assert list(max_spanning_joins(nodes, weighted_pairs)) == expected
+    assert list(max_spanning_joins(nodes, iter(weighted_pairs))) == expected
+
+
+def test_max_spanning_joins_of_no_pairs_or_one_node_are_empty():
+    def unread():
+        raise AssertionError("one node needs no pair")
+        yield
+
+    assert list(max_spanning_joins("abc", [])) == []
+    assert list(max_spanning_joins("abc", iter([]))) == []
+    assert list(max_spanning_joins("a", unread())) == []
+    assert list(max_spanning_joins("a", [(("a", "a"), 1)])) == []
+
+
+class Unsortable(int):
+    """A weight that `max` and `==` can read but a sort cannot order."""
+
+    def __lt__(self, other):
+        raise AssertionError("a weight was sorted")
+
+
+def test_top_weight_pairs_that_span_leave_the_rest_unsorted():
+    w = [Unsortable(x) for x in range(4)]
+    pairs = [
+        (("a", "b"), w[1]),
+        (("b", "c"), w[3]),
+        (("a", "d"), w[2]),
+        (("c", "d"), w[3]),
+        (("b", "d"), w[3]),
+        (("a", "c"), w[3]),
+        (("a", "c"), w[0]),
+    ]
+    # the weight-3 pairs span a-d, so the others are never ordered
+    joins = list(max_spanning_joins("abcd", pairs))
+    assert [pair for pair, _, _, _ in joins] == [("b", "c"), ("c", "d"), ("a", "c")]
+    # with e left out of them, the lighter pairs must be sorted
+    with pytest.raises(AssertionError, match="a weight was sorted"):
+        list(max_spanning_joins("abcde", pairs))
 
 
 def test_equal_weights_join_in_input_order():

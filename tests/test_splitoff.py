@@ -345,6 +345,30 @@ class TestRealizeCapacity:
         assert realization == Realization({("a", "b"): 2})
         assert trace == ()
 
+    @pytest.mark.parametrize("lengths", [LENGTH_POOL, ("0",)])
+    def test_flat_tree_realization_is_its_capacity(self, monkeypatch, lengths):
+        # with no inner node solve builds no graph, and it returns what the
+        # graph path extracts, zero capacities dropped as the graph drops them
+        built = []
+        init = CapacitatedMultigraph.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        for k in range(2, 41):
+            instance = random_instance(k, k, 0, lengths=lengths)
+            with monkeypatch.context() as patch:
+                patch.setattr(CapacitatedMultigraph, "__init__", counted)
+                solution = solve(instance)
+            assert built == [] and solution.trace == ()
+            graph = CapacitatedMultigraph(instance.tree.nodes, solution.capacity)
+            assert solution.realization == extract_realization(graph, instance.terminals)
+            sparse = random_instance(k, k, 0, rmin=0, rmax=2, lengths=lengths)
+            base = sparse.base_capacity()
+            graph = CapacitatedMultigraph(sparse.tree.nodes, base)
+            assert realize_capacity(sparse, base) == (extract_realization(graph, sparse.terminals), ())
+
     @pytest.mark.parametrize("inner, passes", [(4, 1), (0, 0)])
     def test_kruskal_joins_are_taken_once_per_solve(self, monkeypatch, inner, passes):
         # every activation replays one join list; a flat tree takes none

@@ -54,6 +54,15 @@ class TestVerifyRealization:
             ("b", "c", 2),
         ]
 
+    def test_sorts_deficits_of_pairs_stored_out_of_order(self):
+        instance = star_instance({("b", "c"): 2, ("a", "c"): 2, ("a", "b"): 3})
+        bad = Realization({("a", "b"): 2})
+        assert verify_realization(instance, bad) == [
+            ("a", "b", 1),
+            ("a", "c", 2),
+            ("b", "c", 2),
+        ]
+
     def test_flow_can_route_around_a_weak_direct_edge(self):
         instance = star_332()
         # no direct a-b capacity at all; the 3 units route through c
@@ -202,7 +211,7 @@ class TestForestAudit:
             assert verdict
             flows += len(calls)
             violations += len(verdict)
-        assert (flows, violations) == (1055, 1470)
+        assert (flows, violations) == (1036, 1470)
 
     def test_a_forest_cut_settles_a_pair_off_the_forest(self):
         # forest a-b (4) and a-c (3); only a-c falls short (2), and its side
