@@ -5,20 +5,21 @@ For each tree it solves the `treesynth gen --seed 1` ladder (30/10, 60/20,
 100/40, 150/60, 500/170 terminals/inner nodes), the chain t0-s0...s(N-1)-t1
 with unit lengths and r(t0, t1) = 3 at N = 1,000 and 2,000, and the
 steiner-split inputs of `bench/run.py` (seed 1, taken from that workload's
-own set-up), counting `_dinic` calls by wrapping `maxflow._dinic`. The chain
-runs no flow at all: its solve time is what split-off spends per activation
-outside the flows. Every solve-path flow is a split-off flow: a check flow,
+own set-up), counting max-flow runs by wrapping `splitoff.max_flow` and
+`verify.max_flow`, the only names the solve and the audit call it by. The
+chain runs no flow at all: its solve time is what split-off spends per
+activation outside the flows. Every solve-path flow is a split-off flow: a check flow,
 or the merged cut of a neighbor pair. On the flat-tree inputs of
 `bench/run.py` (seed 1) it times `parse_instance` and `solve` apart,
 milliseconds per operation, `json.loads` of the same texts, the decoder's
 share of `parse_ms`, and `Instance.base_capacity`, part of `solve_ms`, on
 a second parse of those texts, since an instance keeps its base. On the
-audit-verify inputs of `bench/run.py` (seed 1) it counts `_dinic` calls per
+audit-verify inputs of `bench/run.py` (seed 1) it counts max-flow runs per
 `verify_realization`, over all inputs and apart for the intact (even index)
 and the damaged (odd index) ones, and times it, milliseconds per operation;
 the verdicts join the output digest. `flow_us` is the mean time of one
-`_dinic` call, in microseconds, on the ladder, steiner-split and
-audit-verify inputs.
+max-flow run, in microseconds, on the ladder, steiner-split and audit-verify
+inputs.
 `damaged_ladder` audits the 30/10 and 60/20 solutions once per pair of
 positive length, with one unit taken off that pair, and totals the audit
 flows and the violations found.
@@ -149,7 +150,7 @@ def measure(src):
     """Counts, times and an output digest for the solver under `src`."""
     sys.path.insert(0, src)
     import treesynth
-    from treesynth import Realization, generate_document, maxflow, parse_instance, solve, splitoff, verify_realization
+    from treesynth import Realization, generate_document, parse_instance, solve, splitoff, verify, verify_realization
     from treesynth.cli import instance_hash
 
     assert treesynth.__file__.startswith(os.path.join(src, "")), treesynth.__file__
@@ -158,20 +159,23 @@ def measure(src):
 
     calls = [0]
     flow_s = [0.0]
-    dinic = maxflow._dinic
 
-    def counted(*args):
-        calls[0] += 1
-        start = time.perf_counter()
-        result = dinic(*args)
-        flow_s[0] += time.perf_counter() - start
-        return result
+    def counted(flow):
+        def run(*args):
+            calls[0] += 1
+            start = time.perf_counter()
+            result = flow(*args)
+            flow_s[0] += time.perf_counter() - start
+            return result
+
+        return run
 
     def flow_us(seconds, n):
-        """Mean microseconds per `_dinic` call."""
+        """Mean microseconds per max-flow run."""
         return round(seconds * 1e6 / max(n, 1), 2)
 
-    maxflow._dinic = counted
+    splitoff.max_flow = counted(splitoff.max_flow)
+    verify.max_flow = counted(verify.max_flow)
     tally = tally_probes(splitoff)
     digest = hashlib.sha256()
 
@@ -191,12 +195,12 @@ def measure(src):
     ladder = {}
     for k, m in LADDER:
         n, t, f = run(json.dumps(generate_document(k, m, 2, 6, 1)))
-        ladder[f"{k}x{m}"] = {"dinic_calls": n, "solve_s": round(t, 3), "flow_us": flow_us(f, n)}
+        ladder[f"{k}x{m}"] = {"flows": n, "solve_s": round(t, 3), "flow_us": flow_us(f, n)}
     ladder["probes"] = dict(tally)
     chain = {}
     for size in CHAIN:
         n, t, _ = run(json.dumps(chain_document(size)))
-        chain[str(size)] = {"dinic_calls": n, "solve_s": round(t, 3)}
+        chain[str(size)] = {"flows": n, "solve_s": round(t, 3)}
     docs = [text for _, text in bench.WORKLOADS["steiner-split"]().setup(1)]
     flows, times, split_flow_s = [], [], 0.0
     for text in docs:
@@ -245,7 +249,7 @@ def measure(src):
             damaged = dict(values)
             damaged[pair] -= 1
             violations += len(verify_realization(instance, Realization(damaged)))
-        damaged_ladder[f"{k}x{m}"] = {"audit_dinic_calls": calls[0], "violations": violations}
+        damaged_ladder[f"{k}x{m}"] = {"audit_flows": calls[0], "violations": violations}
     tally.update(dict.fromkeys(tally, 0))
     corpus_calls = 0
     for doc in corpus_documents(generate_document):
@@ -268,14 +272,14 @@ def measure(src):
         },
         "audit_verify": {
             "operations": len(audits),
-            "dinic_calls_per_op": round(sum(audit_calls) / len(audits), 1),
-            "intact_dinic_calls_per_op": round(statistics.mean(audit_calls[0::2]), 1),
-            "damaged_dinic_calls_per_op": round(statistics.mean(audit_calls[1::2]), 1),
+            "flows_per_op": round(sum(audit_calls) / len(audits), 1),
+            "intact_flows_per_op": round(statistics.mean(audit_calls[0::2]), 1),
+            "damaged_flows_per_op": round(statistics.mean(audit_calls[1::2]), 1),
             "verify_ms": round(audit_s * 1000 / len(audits), 3),
             "flow_us": flow_us(audit_flow_s, sum(audit_calls)),
         },
         "damaged_ladder": damaged_ladder,
-        "corpus": {"instances": CORPUS, "dinic_calls": corpus_calls, "probes": dict(tally)},
+        "corpus": {"instances": CORPUS, "flows": corpus_calls, "probes": dict(tally)},
         "output_sha256": digest.hexdigest(),
     }
 

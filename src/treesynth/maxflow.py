@@ -1,13 +1,13 @@
 """Integer max-flow plumbing on undirected capacitated graphs.
 
 Parallel edges collapse into one integer capacity per unordered pair of
-distinct nodes. The graph keeps the arc arrays Dinic's algorithm runs on:
-each pair that ever carried capacity owns two mutually reverse arcs, both
-holding the pair's current capacity (0 once it is removed).
+distinct nodes. The graph keeps the arc arrays the flow runs on: each pair
+that ever carried capacity owns two mutually reverse arcs, both holding the
+pair's current capacity (0 once it is removed).
 
-`max_flow` does only the work its caller needs. A Dinic phase labels nodes
-until it reaches the sink and searches no node at the sink's level but the
-sink. A flow with a `limit` stops once it carries that much, with no cut
+`max_flow` does only the work its caller needs. It augments along shortest
+residual paths (Edmonds-Karp), and each path search stops once it reaches
+the sink. A flow with a `limit` stops once it carries that much, with no cut
 side; any other returns the residual closure of the sources as its side.
 """
 
@@ -79,9 +79,6 @@ class CapacitatedMultigraph:
         self._cap += [0, 0]
         return a
 
-    def add_capacity(self, u, v, delta):
-        self.set_capacity(u, v, self.capacity(u, v) + delta)
-
     def split(self, s, u, w, amount):
         """Move `amount` units of (s, u) and of (s, w) onto (u, w).
 
@@ -138,71 +135,46 @@ class CapacitatedMultigraph:
                 yield node_pair(self.nodes[self._to[a + 1]], self.nodes[self._to[a]]), self._cap[a]
 
 
-def _dinic(graph, sources, sink, limit=None):
-    """Dinic max flow from a set of nodes to another node; see `max_flow`.
+def _augment(graph, sources, sink, limit=None):
+    """Max flow by shortest augmenting paths; see `max_flow`.
 
-    Every source starts at level 0 and the blocking flow searches from each
-    in turn, so the sources act as one merged node.
+    Each round searches breadth-first from every source at once over arcs
+    with residual capacity, so the sources act as one merged node. It stops
+    once it labels the sink and pushes that path's bottleneck; a round that
+    never labels the sink has labelled the residual closure of the sources.
     """
     names, head, to = graph.nodes, graph._head, graph._to
     cap = graph._cap[:]
-    n = len(names)
-    starts = [graph._index[v] for v in sources]
     t = graph._index[sink]
+    starts = [graph._index[v] for v in sources]
     flow = 0
     while True:
-        level = [-1] * n
+        # the arc that labelled each node: -1 at a source, None if unlabelled
+        via = [None] * len(names)
         for s in starts:
-            level[s] = 0
+            via[s] = -1
         queue = deque(starts)
-        while queue and level[t] < 0:
+        while queue and via[t] is None:
             x = queue.popleft()
-            d = level[x] + 1
             for a in head[x]:
                 y = to[a]
-                if cap[a] > 0 and level[y] < 0:
-                    level[y] = d
+                if cap[a] > 0 and via[y] is None:
+                    via[y] = a
                     queue.append(y)
-        last = level[t]
-        if last < 0:
-            return flow, frozenset(names[i] for i in range(n) if level[i] >= 0)
-        # a node at the sink's level other than the sink leads nowhere: hide it
-        for y in queue:
-            if level[y] == last:
-                level[y] = n
-        level[t] = last
-        pointer = [0] * n
-        for s in starts:
-            while True:
-                # depth-first search for one augmenting path in the level
-                # graph, kept as an explicit arc stack so path length is
-                # unbounded
-                path = []
-                x = s
-                while x != t:
-                    arcs, i, d = head[x], pointer[x], level[x] + 1
-                    m = len(arcs)
-                    while i < m and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == d):
-                        i += 1
-                    pointer[x] = i
-                    if i == m:
-                        if not path:
-                            break
-                        # dead end: retreat and skip the arc that led here
-                        x = to[path.pop() ^ 1]
-                        pointer[x] += 1
-                        continue
-                    path.append(arcs[i])
-                    x = to[arcs[i]]
-                if x != t:
-                    break
-                moved = min(cap[a] for a in path)
-                for a in path:
-                    cap[a] -= moved
-                    cap[a ^ 1] += moved
-                flow += moved
-                if limit is not None and flow >= limit:
-                    return flow, None
+        if via[t] is None:
+            return flow, frozenset(v for v, a in zip(names, via) if a is not None)
+        path = []
+        a = via[t]
+        while a >= 0:
+            path.append(a)
+            a = via[to[a ^ 1]]
+        moved = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= moved
+            cap[a ^ 1] += moved
+        flow += moved
+        if limit is not None and flow >= limit:
+            return flow, None
 
 
 def max_flow(graph, sources, sink, limit=None):
@@ -212,7 +184,9 @@ def max_flow(graph, sources, sink, limit=None):
     side and the sink on the other, and the least such side, the residual
     closure of the sources (the same for every maximum flow). With an int
     `limit` >= 1 the flow stops on reaching it and returns (value, None),
-    value >= limit; a value below `limit` is exact and has its side.
+    value >= limit, overshooting by up to the last path's bottleneck; a value
+    below `limit` is exact and has its side. Shortest augmenting paths need
+    O(VE) rounds of O(E) each, whatever the capacities.
     """
     if not sources:
         raise UnknownNode("a flow needs at least one source")
@@ -223,7 +197,7 @@ def max_flow(graph, sources, sink, limit=None):
         raise UnknownNode(f"flow endpoints must differ, got {sink!r} on both sides")
     if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
         raise ValueError(f"a flow limit must be an int of at least 1, got {limit!r}")
-    return _dinic(graph, sources, sink, limit)
+    return _augment(graph, sources, sink, limit)
 
 
 def all_pairs_connectivity(graph):
@@ -240,7 +214,7 @@ def all_pairs_connectivity(graph):
     for i in range(1, len(names)):
         u = names[i]
         p = parent[u]
-        w, side = _dinic(graph, (u,), p)
+        w, side = _augment(graph, (u,), p)
         for v in names[i + 1 :]:
             if parent[v] == p and v in side:
                 parent[v] = u

@@ -133,8 +133,10 @@ def admissible_amount(state, u, w):
     gives the argument). A pair with free >= cap is split at cap with no
     flow, and a probe of at most free passes with no flow.
 
-    The search probes top = min(cap, (mu - R) // 2) first, which most pairs
-    pass, and binary-searches below it only when a flow refuses top.
+    One bisection then searches (lo, top], top = min(cap, (mu - R) // 2) and
+    lo = max(0, min(free, top)). It probes top first, which most pairs pass,
+    and never an amount at or below free, since each of those passes with no
+    flow.
     """
     graph, s = state.graph, state.active
     if u == s or w == s:
@@ -152,28 +154,20 @@ def admissible_amount(state, u, w):
         return cap
     mu, side = max_flow(graph, (u, w), s)
     crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
-
-    def splittable(amount):
-        if amount <= free:
-            return True
+    top = min(cap, (mu - crossing) // 2)
+    lo, hi = max(0, min(free, top)), top
+    amount = top
+    while lo < hi:
         graph.split(s, u, w, amount)
         try:
-            return _demands_hold(state, mu - 2 * amount)
+            held = _demands_hold(state, mu - 2 * amount)
         finally:
             graph.split(s, u, w, -amount)
-
-    top = min(cap, (mu - crossing) // 2)
-    if top <= 0:
-        return 0
-    if splittable(top):
-        return top
-    lo, hi = 0, top - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if splittable(mid):
-            lo = mid
+        if held:
+            lo = amount
         else:
-            hi = mid - 1
+            hi = amount - 1
+        amount = (lo + hi + 1) // 2
     return lo
 
 

@@ -39,6 +39,15 @@ def forest_bottleneck(checks, x, y):
     return best.get(y) or 0
 
 
+def add_capacity(graph, u, v, delta):
+    """Change the capacity of (u, v) by `delta` through `set_capacity`.
+
+    It stays off `CapacitatedMultigraph.split`, so a replay of splits made
+    with it does not depend on the code it checks.
+    """
+    graph.set_capacity(u, v, graph.capacity(u, v) + delta)
+
+
 def tree_joins(graph, tree_edges=None):
     """The (lam, ru, rv) Kruskal joins `connectivity_snapshot` replays.
 

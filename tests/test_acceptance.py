@@ -31,6 +31,7 @@ from treesynth.splitoff import connectivity_snapshot
 from treesynth.verify import verify_feasible_capacity
 
 from helpers import (
+    add_capacity,
     brute_force_join,
     capacity_projection,
     fixture_path,
@@ -89,9 +90,9 @@ def _potential(tree, graph):
 
 
 def _apply(graph, s, u, w, amount):
-    graph.add_capacity(s, u, -amount)
-    graph.add_capacity(s, w, -amount)
-    graph.add_capacity(u, w, amount)
+    add_capacity(graph, s, u, -amount)
+    add_capacity(graph, s, w, -amount)
+    add_capacity(graph, u, w, amount)
 
 
 def _flow_snapshot(graph, node):

@@ -13,6 +13,8 @@ from treesynth.maxflow import (
     max_flow,
 )
 
+from helpers import add_capacity
+
 
 def graph_of(nodes, caps):
     return CapacitatedMultigraph(nodes, caps)
@@ -25,7 +27,7 @@ class TestCapacitatedMultigraph:
         g.set_capacity("a", "b", 3)
         assert g.capacity("a", "b") == 3
         assert g.capacity("b", "a") == 3
-        g.add_capacity("b", "a", -1)
+        add_capacity(g, "b", "a", -1)
         assert g.capacity("a", "b") == 2
 
     def test_zero_capacity_removes_the_pair(self):
@@ -43,7 +45,7 @@ class TestCapacitatedMultigraph:
         with pytest.raises(ValueError):
             g.set_capacity("a", "b", 1.5)
         with pytest.raises(ValueError):
-            g.add_capacity("a", "b", -1)
+            add_capacity(g, "a", "b", -1)
 
     def test_rejects_unknown_nodes(self):
         g = graph_of("ab", {})
@@ -72,14 +74,14 @@ class TestCapacitatedMultigraph:
 
     def test_degree_follows_set_and_add(self):
         g = graph_of("abc", {("a", "b"): 2})
-        g.add_capacity("a", "c", 3)
+        add_capacity(g, "a", "c", 3)
         assert [g.degree(v) for v in "abc"] == [5, 2, 3]
         g.set_capacity("b", "a", 0)
         assert [g.degree(v) for v in "abc"] == [3, 0, 3]
-        g.add_capacity("a", "b", 4)
+        add_capacity(g, "a", "b", 4)
         assert [g.degree(v) for v in "abc"] == [7, 4, 3]
         with pytest.raises(ValueError):
-            g.add_capacity("a", "c", -4)
+            add_capacity(g, "a", "c", -4)
         assert [g.degree(v) for v in "abc"] == [7, 4, 3]
 
 
@@ -174,7 +176,7 @@ def test_degree_is_the_sum_of_incident_capacities(steps):
                 expected = [d - 2 * amount if x == s else d for x, d in zip(g.nodes, before[1])]
                 assert [g.degree(x) for x in g.nodes] == expected
         elif kind == "add" and g.capacity(u, v) + amount >= 0:
-            g.add_capacity(u, v, amount)
+            add_capacity(g, u, v, amount)
         else:
             g.set_capacity(u, v, abs(amount))
         for x in g.nodes:
@@ -352,8 +354,8 @@ def test_multi_source_flow_is_the_least_cut_around_the_sources(problem):
     assert value == best
     assert set(sources) <= side and sink not in side
     assert cut_value(g, side) == value
-    # the last phase labels the whole residual closure of the sources, which
-    # lies inside every min-cut side around them
+    # the last path search misses the sink and labels the whole residual
+    # closure of the sources, which lies inside every min-cut side around them
     assert side == set.intersection(*(c for c in sides if cut_value(g, c) == best))
     assert dict(g.positive_pairs()) == capacities
 

@@ -37,7 +37,7 @@ LADDER_DIGESTS = {
     (30, 10): "db3c107d366f8c2b2dd0b4eb615f91ed664082d342688d59a604596bfcf5d0a1",
     (60, 20): "22aaf820768da77a5989a4a8511596546eef21f90fb304d4d14c3c8b69441536",
 }
-# most `_dinic` calls a solve of each ladder instance may run
+# most max-flow runs a solve of each ladder instance may run
 LADDER_FLOW_BUDGETS = {(30, 10): 25, (60, 20): 52}
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -224,16 +224,60 @@ def test_ladder_outputs_and_traces_are_unchanged(terminals, inner):
 @pytest.mark.parametrize("terminals,inner", sorted(LADDER_FLOW_BUDGETS))
 def test_ladder_solves_stay_within_their_flow_budget(terminals, inner, monkeypatch):
     calls = []
-    dinic = maxflow._dinic
+    augment = maxflow._augment
 
     def counted(*args):
         calls.append(args)
-        return dinic(*args)
+        return augment(*args)
 
     instance = random_instance(1, terminals=terminals, inner=inner)
-    monkeypatch.setattr(maxflow, "_dinic", counted)
+    monkeypatch.setattr(maxflow, "_augment", counted)
     solve(instance)
     assert len(calls) <= LADDER_FLOW_BUDGETS[(terminals, inner)]
+
+
+def test_no_caller_reads_how_far_a_capped_flow_overshoots(monkeypatch):
+    # a flow that reaches its limit reports exactly the limit, then 1,000
+    # over it. Solves keep their outputs, traces and flow counts, and each
+    # audit of a damaged solution (one unit off a pair of positive length)
+    # its verdict and flow count: split-off compares a capped flow with >=,
+    # and the audit's forest bound takes exact values only from short flows.
+    # The ladder solves run no check flow; the 20/6 ones at rmax 9 run capped
+    # and short ones
+    augment = maxflow._augment
+    overshoot, flows = [None], [0]
+
+    def reported(graph, sources, sink, limit=None):
+        flows[0] += 1
+        value, side = augment(graph, sources, sink, limit)
+        if side is None and overshoot[0] is not None:
+            value = limit + overshoot[0]
+        return value, side
+
+    instances = [random_instance(1, *size) for size in sorted(LADDER_DIGESTS)]
+    instances += [random_instance(seed, 20, 6, rmax=9) for seed in (0, 3, 7, 9)]
+
+    def runs():
+        out = []
+        for instance in instances:
+            flows[0] = 0
+            solution = solve(instance)
+            blob = repr((sorted(solution.realization.items()), str(solution.cost), solution.trace))
+            out.append((hashlib.sha256(blob.encode()).hexdigest(), flows[0]))
+            values = dict(solution.realization.items())
+            for pair in sorted(p for p in values if instance.tree.distance(*p) > 0):
+                damaged = dict(values)
+                damaged[pair] -= 1
+                flows[0] = 0
+                out.append((verify_realization(instance, Realization(damaged)), flows[0]))
+        return out
+
+    monkeypatch.setattr(maxflow, "_augment", reported)
+    natural = runs()
+    digests = [digest for digest, _ in natural if isinstance(digest, str)]
+    assert digests[:2] == [LADDER_DIGESTS[size] for size in sorted(LADDER_DIGESTS)]
+    for overshoot[0] in (0, 1000):
+        assert runs() == natural
 
 
 def test_deep_chain_splits_each_node_with_no_flow(monkeypatch):
@@ -244,17 +288,17 @@ def test_deep_chain_splits_each_node_with_no_flow(monkeypatch):
     labels = ["t0"] + [f"_s{i}" for i in range(200)] + ["t1"]
     instance = path_instance(labels, [1] * 201, [("t0", "t1", 3)])
     calls, passes = [], []
-    dinic, joins = maxflow._dinic, splitoff.max_spanning_joins
+    augment, joins = maxflow._augment, splitoff.max_spanning_joins
 
     def counted(*args):
         calls.append(args)
-        return dinic(*args)
+        return augment(*args)
 
     def counted_joins(*args):
         passes.append(args)
         return joins(*args)
 
-    monkeypatch.setattr(maxflow, "_dinic", counted)
+    monkeypatch.setattr(maxflow, "_augment", counted)
     # every one of the 200 activations replays a single Kruskal pass
     monkeypatch.setattr(splitoff, "max_spanning_joins", counted_joins)
     solution = solve(instance)

@@ -30,6 +30,7 @@ from treesynth.splitoff import (
 from treesynth.model import node_pair
 
 from helpers import (
+    add_capacity,
     LENGTH_POOL,
     forest_bottleneck,
     random_instance,
@@ -156,7 +157,7 @@ class TestDominantDemands:
             pairs = st.tuples(st.sampled_from(left), st.sampled_from(left))
             for u, w in data.draw(st.lists(pairs, max_size=4)):
                 if u != w:
-                    graph.add_capacity(u, w, 1)
+                    add_capacity(graph, u, w, 1)
         replayed = connectivity_snapshot(graph, active, tree_joins(tree, tree_edges))
         assert replayed == reference_snapshot(graph, active, tree_edges)
 
@@ -188,7 +189,7 @@ class TestConnectivitySnapshot:
     def test_reads_the_given_tree_edges_without_flows(self, monkeypatch):
         # weights come from the tree edges passed in, not from the graph's
         # current capacities, and no flow recomputes them
-        monkeypatch.setattr(maxflow, "_dinic", None)
+        monkeypatch.setattr(maxflow, "_augment", None)
         g = CapacitatedMultigraph("abs", {("a", "s"): 2, ("b", "s"): 2})
         tree = [(("a", "s"), 7), (("b", "s"), 9)]
         assert normalized(connectivity_snapshot(g, "s", tree_joins(g, tree))) == {(("a", "b"), 7)}
@@ -418,11 +419,11 @@ def _split_copy(graph, s, u, w, amount):
     """A copy of graph with `amount` units of (s, u), (s, w) split off."""
     g = CapacitatedMultigraph(graph.nodes, dict(graph.positive_pairs()))
     if u == w:
-        g.add_capacity(s, u, -2 * amount)
+        add_capacity(g, s, u, -2 * amount)
     else:
-        g.add_capacity(s, u, -amount)
-        g.add_capacity(s, w, -amount)
-        g.add_capacity(u, w, amount)
+        add_capacity(g, s, u, -amount)
+        add_capacity(g, s, w, -amount)
+        add_capacity(g, u, w, amount)
     return g
 
 

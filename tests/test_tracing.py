@@ -50,16 +50,16 @@ def test_tracer_installs_counts_and_restores():
     assert tracer.counts["maxflow.runs"] >= 1
 
 
-def test_flow_count_matches_dinic_calls(monkeypatch):
+def test_flow_count_matches_augment_calls(monkeypatch):
     # every max-flow run of a traced solve and audit shows in maxflow.runs
     calls = []
-    dinic = maxflow._dinic
+    augment = maxflow._augment
 
     def counted(*args):
         calls.append(args)
-        return dinic(*args)
+        return augment(*args)
 
-    monkeypatch.setattr(maxflow, "_dinic", counted)
+    monkeypatch.setattr(maxflow, "_augment", counted)
     doc = cli.generate_document(12, 4, 2, 6, 1)
     tracer = load_tracing().Tracer()
     with tracer.installed():

@@ -93,17 +93,17 @@ def per_pair_violations(instance, realization):
 def counted_flows():
     """A list that gets one entry per max-flow run inside the block."""
     calls = []
-    dinic = maxflow._dinic
+    augment = maxflow._augment
 
     def counted(*args):
         calls.append(args)
-        return dinic(*args)
+        return augment(*args)
 
-    maxflow._dinic = counted
+    maxflow._augment = counted
     try:
         yield calls
     finally:
-        maxflow._dinic = dinic
+        maxflow._augment = augment
 
 
 def intact_values(instance):
