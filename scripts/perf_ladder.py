@@ -3,7 +3,7 @@
 
 For each tree it solves the `treesynth gen --seed 1` ladder (30/10, 60/20,
 100/40, 150/60, 500/170 terminals/inner nodes), the chain t0-s0...s(N-1)-t1
-with unit lengths and r(t0, t1) = 3 at N = 1,000 and 2,000, and the
+with unit lengths and r(t0, t1) = 3 at N = 1,000, 2,000 and 20,000, and the
 steiner-split inputs of `bench/run.py` (seed 1, taken from that workload's
 own set-up), counting max-flow runs by wrapping `splitoff.max_flow` and
 `verify.max_flow`, the only names the solve and the audit call it by. The
@@ -65,7 +65,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 BENCH = os.path.join(ROOT, "bench")
 LADDER = ((30, 10), (60, 20), (100, 40), (150, 60), (500, 170))
-CHAIN = (1000, 2000)
+CHAIN = (1000, 2000, 20000)
 CORPUS = 300
 ROUNDS = 5
 

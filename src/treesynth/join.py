@@ -5,8 +5,9 @@ A selection F of tree edges satisfies a parity instance when every node in
 selected degree; other nodes are free. Ties between equal-cost selections are
 broken toward the smallest selection bitmask (bit i set when tree edge i is
 chosen), so results are deterministic even with zero-length edges. The
-dynamic program adds the tree's integer length `units`; only the returned
-cost is a Fraction.
+dynamic program ranks a selection by the one int `cost << m | mask`, cost in
+the tree's integer `units` and m the edge count: the mask fits below bit m,
+so int order is the (cost, bitmask) order. Only the returned cost is a Fraction.
 """
 
 from collections import Counter
@@ -71,71 +72,53 @@ def satisfies_parity(even_set, odd_set, edges):
     )
 
 
-def _best(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a <= b else b
-
-
-def _combine(a, b):
-    if a is None or b is None:
-        return None
-    return (a[0] + b[0], a[1] | b[1])
-
-
-def _pick(states, want):
-    if want is None:
-        return _best(states[0], states[1])
-    return states[want]
-
-
 def min_cost_ij_join(p):
     """Minimum-cost parity-satisfying edge selection, or None when impossible.
 
     Two-state dynamic program over the tree rooted at `tree.root`: per node,
-    the best selection inside its subtree for each parity of its own selected
-    degree. States carry (cost in the tree's integer units, edge-index
-    bitmask) so equal costs resolve to the smallest bitmask; subtree masks
-    are disjoint and the order is invariant under adding a common disjoint
-    mask, which keeps the tie-break exact under merging. The result is the
-    lexicographic minimum over all selections, so it does not depend on the
-    root. Units are lengths times one positive `scale`, so they order
-    selections as the lengths do. With no odd node the empty selection is
-    that minimum (cost 0, mask 0), so it is returned without the program.
+    the best key of a selection inside its subtree for each parity of its
+    own selected degree. A selection's key is the int `cost << m | mask`,
+    with cost in the tree's integer units, m the number of tree edges and
+    mask the edge-index bitmask. Cost is at most the units' sum, so it takes
+    the bits above m and the key order is exactly the (cost, mask) order:
+    equal costs resolve to the smallest bitmask. Subtree masks are disjoint,
+    so a union's key is the sum of its parts' keys, with no carry out of the
+    mask bits, and merging is `+` and `min`. A parity no selection reaches
+    holds `none`, a key above every selection's, and every sum with it stays
+    at least `none`. The result is the least key over all selections, so it
+    does not depend on the root. Units are lengths times one positive
+    `scale`, so they order selections as the lengths do. With no odd node
+    the empty selection has the least key, 0, so it is returned without the
+    program.
     """
     tree = p.tree
     if not p.odd_set:
         return JoinResult(edges=(), cost=Fraction(0))
-    need = dict.fromkeys(p.even_set, 0)
-    need.update(dict.fromkeys(p.odd_set, 1))
+    m = len(tree.edges)
+    none = (sum(tree.units.values()) + 1) << m
     index = {e: i for i, e in enumerate(tree.edges)}
     root, parent = tree.root, tree.parent
 
-    state = {v: [(0, 0), None] for v in tree.nodes}
+    # v -> (best key with even, with odd selected degree at v)
+    state = dict.fromkeys(tree.nodes, (0, none))
+    # the root comes first in `parent`, so it is reached last
     for v in reversed(parent):
+        # keys that meet v's parity without and with the edge to its parent
+        skip, take = state[v]
+        if v in p.odd_set:
+            skip, take = take, skip
+        elif v not in p.even_set:
+            skip = take = min(skip, take)
         if v == root:
-            continue
+            break
         par = parent[v]
         edge = (par, v) if par <= v else (v, par)
-        ei = index[edge]
-        length = tree.units[edge]
-        skip = _pick(state[v], need.get(v))
-        want = need.get(v)
-        take = _pick(state[v], None if want is None else want ^ 1)
-        if take is not None:
-            take = (take[0] + length, take[1] | 1 << ei)
-        cur0, cur1 = state[par]
-        state[par] = [
-            _best(_combine(cur0, skip), _combine(cur1, take)),
-            _best(_combine(cur1, skip), _combine(cur0, take)),
-        ]
+        take += tree.units[edge] << m | 1 << index[edge]
+        even, odd = state[par]
+        state[par] = (min(even + skip, odd + take), min(odd + skip, even + take))
 
-    answer = _pick(state[root], need.get(root))
-    if answer is None:
+    if skip >= none:
         return None
-    cost, mask = answer
-    edges = tuple(e for i, e in enumerate(tree.edges) if mask >> i & 1)
+    edges = tuple(e for i, e in enumerate(tree.edges) if skip >> i & 1)
     assert satisfies_parity(p.even_set, p.odd_set, edges)
-    return JoinResult(edges=edges, cost=Fraction(cost, tree.scale))
+    return JoinResult(edges=edges, cost=Fraction(skip >> m, tree.scale))

@@ -408,9 +408,9 @@ class Realization:
             e = node_pair(u, v)
             if e in store:
                 raise InvalidInstance(f"pair {e} appears twice")
-            if value > 0:
-                store[e] = value
-        self.values = store
+            store[e] = value
+        # zeros stay in `store` until here so that they count as seen pairs
+        self.values = {e: c for e, c in store.items() if c} if 0 in store.values() else store
 
     def get(self, u, v):
         return self.values.get(node_pair(u, v), 0)

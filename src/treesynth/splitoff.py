@@ -39,6 +39,7 @@ demand: a pair whose incident capacities allow no more is split whole with
 no flow, and a probe at or below it passes with no flow.
 """
 
+from functools import cached_property
 from itertools import combinations
 
 from .errors import SolverInternalError, UnknownNode
@@ -62,9 +63,9 @@ def connectivity_snapshot(graph, active_node, joins):
     The joins depend only on the nodes and the initial tree, neither of
     which a split changes; only which nodes are kept depends on the
     activation. So `realize_capacity` takes the list once, before the first
-    split, and each activation replays it with no sort and no union-find:
-    the replay gives the same checks, in the same order, as a Kruskal pass
-    run at that activation.
+    split, and each activation that reads its demands replays it with no
+    sort and no union-find: the replay gives the same checks, in the same
+    order, as a Kruskal pass run at that activation.
     """
     if active_node not in graph:
         raise UnknownNode(f"unknown node {active_node!r}")
@@ -87,15 +88,24 @@ class SplitState:
     `demands` lists (x, y, lam) checks, never touching the active node, whose
     connectivity must survive every split: `connectivity_snapshot` replays
     `joins`, the Kruskal joins of the capacitated tree split-off started
-    from, over the nodes that have degree at activation.
+    from, over the nodes that have degree. It runs on the first read, so an
+    activation whose pairs all split whole by degree builds none. A split at
+    the active node changes no other node's degree, so the checks are the
+    same whenever they are first read.
     `events` records executed splits as (u, w, amount) triples in order.
     """
 
     def __init__(self, graph, active_node, joins):
+        if active_node not in graph:
+            raise UnknownNode(f"unknown node {active_node!r}")
         self.graph = graph
         self.active = active_node
-        self.demands = connectivity_snapshot(graph, active_node, joins)
+        self.joins = joins
         self.events = []
+
+    @cached_property
+    def demands(self):
+        return connectivity_snapshot(self.graph, self.active, self.joins)
 
 
 def _demands_hold(state, safe):
@@ -222,10 +232,10 @@ def realize_capacity(instance, capacity):
     inner node joins terminals only, so its capacity is the realization, and
     no graph is built. Otherwise inner nodes are processed in ascending
     identifier order: before the first split, Kruskal's joins of the graph's
-    tree edges are taken once, and each activation reads its demands off
-    them. Each tree edge must carry at most one more than the largest
-    requirement across it, as base plus join does. Returns (realization,
-    trace), trace a tuple of (node, u, w, amount) records.
+    tree edges are taken once, and an activation that needs its demands
+    reads them off those joins. Each tree edge must carry at most one more
+    than the largest requirement across it, as base plus join does. Returns
+    (realization, trace), trace a tuple of (node, u, w, amount) records.
     """
     inner = sorted(instance.inner_nodes())
     if not inner:

@@ -116,6 +116,34 @@ class TestMinCostJoin:
         assert result.edges == (("a", "h"), ("b", "h"))
         assert result.cost == 2
 
+    @pytest.mark.parametrize("root", ["v000", "v050", "v100"])
+    def test_tie_break_past_a_machine_word(self, root):
+        # path v0-...-v100 of zero lengths, v10 and v90 odd, v0 and v100
+        # free: edges 10..89 (top bit 89) beat 0..9 + 90..99 (top bit 99),
+        # a tie the brute-force oracle cannot reach at 24 edges
+        tree, even, odd = wide_path(root, {})
+        result = join(tree, even, odd)
+        assert result.edges == tree.edges[10:90]
+        assert result.cost == 0
+
+    @pytest.mark.parametrize("root", ["v000", "v050", "v100"])
+    def test_cost_decides_before_the_bitmask_past_a_machine_word(self, root):
+        # one unit on edge 50 makes the ends, 0..9 + 90..99, the cheaper join
+        tree, even, odd = wide_path(root, {50: 1})
+        result = join(tree, even, odd)
+        assert result.edges == tree.edges[:10] + tree.edges[90:]
+        assert result.cost == 0
+
+
+def wide_path(root, lengths):
+    """Path v000-...-v100 with edge i of length lengths.get(i, 0), given in
+    order; v010 and v090 odd, the other inner nodes even, both ends free."""
+    names = [f"v{i:03d}" for i in range(101)]
+    edges = [(a, b, lengths.get(i, 0)) for i, (a, b) in enumerate(zip(names, names[1:]))]
+    tree = MetricTree(names, edges, root)
+    odd = {"v010", "v090"}
+    return tree, set(names[1:100]) - odd, odd
+
 
 class TestParitySets:
     def test_classifies_inner_loads(self):

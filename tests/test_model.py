@@ -1,5 +1,6 @@
 """Domain model: trees, requirements, instances, capacities, realizations."""
 
+import re
 from enum import IntEnum
 from fractions import Fraction
 from operator import itemgetter
@@ -541,6 +542,13 @@ class TestRealization:
             Realization({("a", "b"): Fraction(1, 2)})
         with pytest.raises(InvalidInstance):
             Realization([(("a", "b"), 1), (("b", "a"), 1)])
+
+    def test_zero_entries_count_as_seen_pairs(self):
+        message = re.escape("pair ('a', 'b') appears twice")
+        with pytest.raises(InvalidInstance, match=message):
+            Realization([(("a", "b"), 0), (("a", "b"), 3)])
+        with pytest.raises(InvalidInstance, match=message):
+            Realization([(("a", "b"), 3), (("b", "a"), 0)])
 
     def test_equality(self):
         assert Realization({("a", "b"): 1}) == Realization([(("b", "a"), 1)])

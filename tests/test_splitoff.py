@@ -206,6 +206,16 @@ class TestSplitState:
         with pytest.raises(UnknownNode, match="unknown node 'zz'"):
             SplitState(g, "zz", tree_joins(g))
 
+    def test_demands_read_after_a_split_are_those_at_activation(self):
+        # a split at the active node changes no other node's degree
+        g = star_graph({"a": 2, "b": 2, "c": 2})
+        joins = tree_joins(g)
+        before = connectivity_snapshot(g, "h", joins)
+        state = SplitState(g, "h", joins)
+        g.split("h", "a", "b", 2)
+        assert state.demands == before
+        assert state.demands is state.demands
+
 
 class TestAdmissibleAmount:
     def test_uniform_star_allows_one_unit(self):
@@ -384,6 +394,40 @@ class TestRealizeCapacity:
         solution = solve(parse_instance(json.dumps(generate_document(12, inner, 2, 6, 1))))
         assert len(calls) == passes
         assert len({s for s, *_ in solution.trace}) == inner
+
+    def test_a_chain_builds_no_snapshot(self, monkeypatch):
+        # t0-s0-...-s1999-t1, r(t0, t1) = 3: the degree rule splits every
+        # pair whole, so no activation reads its demands
+        n = 2000
+        path = ["t0"] + [f"s{i}" for i in range(n)] + ["t1"]
+        edges = [(u, v, 1) for u, v in zip(path, path[1:])]
+        instance = build_instance(["t0", "t1"], path, edges, [("t0", "t1", 3)])
+        calls = []
+        snapshot = splitoff.connectivity_snapshot
+        monkeypatch.setattr(splitoff, "connectivity_snapshot", lambda *args: calls.append(args) or snapshot(*args))
+        solution = solve(instance)
+        assert solution.cost == 6003
+        assert len(solution.trace) == n
+        assert calls == []
+
+    def test_snapshots_are_built_on_first_read_only(self, monkeypatch):
+        # the checks an activation reads are those it would build at once
+        eager, late = {}, {}
+        init, snapshot = SplitState.__init__, splitoff.connectivity_snapshot
+
+        def recording_init(state, graph, s, joins):
+            init(state, graph, s, joins)
+            eager[s] = snapshot(graph, s, joins)
+
+        def recording_snapshot(graph, s, joins):
+            late[s] = snapshot(graph, s, joins)
+            return late[s]
+
+        monkeypatch.setattr(SplitState, "__init__", recording_init)
+        monkeypatch.setattr(splitoff, "connectivity_snapshot", recording_snapshot)
+        solve(parse_instance(json.dumps(generate_document(60, 20, 2, 6, 1))))
+        assert 0 < len(late) < len(eager)
+        assert all(late[s] == eager[s] for s in late)
 
 
 @settings(max_examples=40, deadline=None)
