@@ -40,12 +40,17 @@ module docstring gives the argument).
 The output digest covers each solved instance's `cli.instance_hash` and its
 realization, cost and split trace.
 
+Every time (a key ending in `_s`, `_ms` or `_us`) is scaled to a fixed host
+speed with the calibration kernel of `bench/run.py`: the kernel runs just
+before and just after each timed block, and the block's wall time, and every
+flow time inside it, is multiplied by `CALIBRATION_REF_S` over the mean of
+the two kernel times.
+
 Each tree is measured in ROUNDS processes, alternating before and after and
 which of them goes first, so the host's speed drift lands on both sides.
-Counts and digests must agree between the rounds of a side; every time (a
-key ending in `_s`, `_ms` or `_us`) is reported as the median and min-max
-spread over the rounds. Outputs of the two trees must agree byte for byte or
-the script exits 1.
+Counts and digests must agree between the rounds of a side; every time is
+reported as the median and min-max spread over the rounds. Outputs of the
+two trees must agree byte for byte or the script exits 1.
 
     python3 scripts/perf_ladder.py --before /path/to/old/src > BENCH.json
 """
@@ -170,6 +175,16 @@ def measure(src):
 
         return run
 
+    def timed(block):
+        """block()'s result, its time at calibration speed, and the factor that
+        scales a time taken inside it the same way."""
+        before = bench.calibrate()
+        start = time.perf_counter()
+        result = block()
+        seconds = time.perf_counter() - start
+        scale = 2 * bench.CALIBRATION_REF_S / (before + bench.calibrate())
+        return result, seconds * scale, scale
+
     def flow_us(seconds, n):
         """Mean microseconds per max-flow run."""
         return round(seconds * 1e6 / max(n, 1), 2)
@@ -183,14 +198,15 @@ def measure(src):
         blob = (instance_hash(instance), sorted(solution.realization.items()), str(solution.cost), solution.trace)
         digest.update(repr(blob).encode())
 
+    def solve_text(text):
+        instance = parse_instance(text)
+        return instance, solve(instance)
+
     def run(text):
         calls[0], flow_s[0] = 0, 0.0
-        start = time.perf_counter()
-        instance = parse_instance(text)
-        solution = solve(instance)
-        elapsed = time.perf_counter() - start
+        (instance, solution), seconds, scale = timed(lambda: solve_text(text))
         record(instance, solution)
-        return calls[0], elapsed, flow_s[0]
+        return calls[0], seconds, flow_s[0] * scale
 
     ladder = {}
     for k, m in LADDER:
@@ -209,35 +225,35 @@ def measure(src):
         times.append(t)
         split_flow_s += f
     flat = [text for _, text in bench.WORKLOADS["flat-tree"]().setup(1)]
-    start_decode = time.perf_counter()
-    for text in flat:
-        json.loads(text)
-    decoded = time.perf_counter()
-    start = time.perf_counter()
-    instances = [parse_instance(text) for text in flat]
-    parsed = time.perf_counter()
-    solutions = [solve(instance) for instance in instances]
-    solved = time.perf_counter()
+
+    def decode():
+        for text in flat:
+            json.loads(text)
+
+    _, decode_s, _ = timed(decode)
+    instances, parse_s, _ = timed(lambda: [parse_instance(text) for text in flat])
+    solutions, solve_s, _ = timed(lambda: [solve(instance) for instance in instances])
     for instance, solution in zip(instances, solutions):
         record(instance, solution)
     # freed here, so that no timing covers the release of the last one
     del instances, solutions
     instances = [parse_instance(text) for text in flat]
-    start_base = time.perf_counter()
-    for instance in instances:
-        instance.base_capacity()
-    base_s = time.perf_counter() - start_base
+    _, base_s, _ = timed(lambda: [instance.base_capacity() for instance in instances])
     del instances
     audits = [(item[1], item[2]) for item in bench.WORKLOADS["audit-verify"]().setup(1)]
     calls[0], flow_s[0] = 0, 0.0
-    verdicts, audit_calls = [], []
-    start_audit = time.perf_counter()
-    for instance, realization in audits:
-        verdicts.append(verify_realization(instance, realization))
-        audit_calls.append(calls[0])
-    audit_s = time.perf_counter() - start_audit
+    audit_calls = []
+
+    def audit():
+        verdicts = []
+        for instance, realization in audits:
+            verdicts.append(verify_realization(instance, realization))
+            audit_calls.append(calls[0])
+        return verdicts
+
+    verdicts, audit_s, scale = timed(audit)
     digest.update(repr(verdicts).encode())
-    audit_flow_s = flow_s[0]
+    audit_flow_s = flow_s[0] * scale
     # the running totals as one count per audit; intact inputs at even indices
     audit_calls = [b - a for a, b in zip([0] + audit_calls, audit_calls)]
     damaged_ladder = {}
@@ -265,9 +281,9 @@ def measure(src):
         },
         "flat_tree": {
             "operations": len(flat),
-            "json_loads_ms": round((decoded - start_decode) * 1000 / len(flat), 2),
-            "parse_ms": round((parsed - start) * 1000 / len(flat), 2),
-            "solve_ms": round((solved - parsed) * 1000 / len(flat), 2),
+            "json_loads_ms": round(decode_s * 1000 / len(flat), 2),
+            "parse_ms": round(parse_s * 1000 / len(flat), 2),
+            "solve_ms": round(solve_s * 1000 / len(flat), 2),
             "base_capacity_ms": round(base_s * 1000 / len(flat), 2),
         },
         "audit_verify": {

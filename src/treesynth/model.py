@@ -7,7 +7,6 @@ distances and costs are int sums with one Fraction built per returned value.
 Every structure here is treated as immutable after construction.
 """
 
-from collections import deque
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -198,31 +197,59 @@ class MetricTree:
         return Fraction(sum(self.units[e] for e in self.path(i, j)), self.scale)
 
 
-class RequirementMatrix:
-    """Symmetric nonnegative integer requirements on unordered pairs.
+class _PairTable:
+    """Nonnegative ints on unordered pairs, built from ((u, v), value) entries.
 
-    Only positive entries are stored; absent pairs default to 0.
+    Only positive entries are stored; absent pairs read 0. A self pair, a
+    non-int or negative value, or a pair repeated in either orientation (zero
+    entries count) raises InvalidInstance worded by the subclass's `_SELF`,
+    `_NOT_INT`, `_NEGATIVE` or `_REPEAT`.
     """
 
-    def __init__(self, triples=()):
+    def __init__(self, entries):
         values = {}
-        zeros = False
-        for s, t, r in triples:
-            if s == t or type(r) is not int or r <= 0:
-                if s == t:
-                    raise InvalidInstance(f"requirement pairs {s!r} with itself")
-                if isinstance(r, bool) or not isinstance(r, int):
-                    raise InvalidInstance(f"requirement r({s!r},{t!r}) must be an int, got {r!r}")
-                if r < 0:
-                    raise InvalidInstance(f"requirement r({s!r},{t!r}) is negative")
-                zeros = zeros or r == 0
-            e = node_pair(s, t)
+        for pair, value in entries:
+            u, v = pair
+            if u == v or type(value) is not int or value <= 0:
+                fields = {"u": u, "v": v, "pair": pair, "value": value}
+                if u == v:
+                    raise InvalidInstance(self._SELF.format(**fields))
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise InvalidInstance(self._NOT_INT.format(**fields))
+                if value < 0:
+                    raise InvalidInstance(self._NEGATIVE.format(**fields))
+            e = node_pair(u, v)
             size = len(values)
-            values[e] = r
+            values[e] = value
             if len(values) == size:
-                raise InvalidInstance(f"pair {e[0]}-{e[1]} appears twice")
+                raise InvalidInstance(self._REPEAT.format(e=e))
         # zeros stay in `values` until here so that they count as seen pairs
-        self.values = {e: r for e, r in values.items() if r > 0} if zeros else values
+        self.values = {e: c for e, c in values.items() if c} if 0 in values.values() else values
+
+    def get(self, u, v):
+        return self.values.get(node_pair(u, v), 0)
+
+    def items(self):
+        return self.values.items()
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.values == other.values
+
+    __hash__ = None
+
+
+class RequirementMatrix(_PairTable):
+    """Symmetric nonnegative integer requirements on unordered pairs, from (s, t, r) triples."""
+
+    _SELF = "requirement pairs {u!r} with itself"
+    _NOT_INT = "requirement r({u!r},{v!r}) must be an int, got {value!r}"
+    _NEGATIVE = "requirement r({u!r},{v!r}) is negative"
+    _REPEAT = "pair {e[0]}-{e[1]} appears twice"
+
+    def __init__(self, triples=()):
+        super().__init__(((s, t), r) for s, t, r in triples)
 
     @classmethod
     def from_values(cls, values):
@@ -231,22 +258,10 @@ class RequirementMatrix:
         matrix.values = values
         return matrix
 
-    def get(self, s, t):
-        return self.values.get(node_pair(s, t), 0)
-
-    def pairs(self):
-        """Iterate (pair, value) over the stored positive entries."""
-        return self.values.items()
+    pairs = _PairTable.items  # (pair, value) over the stored positive entries
 
     def max_value(self):
         return max(self.values.values(), default=0)
-
-    def __eq__(self, other):
-        if not isinstance(other, RequirementMatrix):
-            return NotImplemented
-        return self.values == other.values
-
-    __hash__ = None
 
 
 class Instance:
@@ -351,6 +366,8 @@ class EdgeCapacity:
                 raise InvalidInstance(f"capacity on {e} must be an int, got {value!r}")
             if value < 0:
                 raise InvalidInstance(f"capacity on {e} is negative")
+            if e in cleaned:
+                raise InvalidInstance(f"capacity on {e} is given twice")
             cleaned[e] = value
         missing = set(tree.edges) - set(cleaned)
         if missing:
@@ -391,39 +408,16 @@ class EdgeCapacity:
     __hash__ = None
 
 
-class Realization:
-    """Sparse integer capacities on unordered terminal pairs; zeros are dropped."""
+class Realization(_PairTable):
+    """Sparse integer capacities on terminal pairs, from a map or its items; zeros are dropped."""
+
+    _SELF = "realization pairs {u!r} with itself"
+    _NOT_INT = "realization value on {pair!r} must be an int"
+    _NEGATIVE = "realization value on {pair!r} is negative"
+    _REPEAT = "pair {e} appears twice"
 
     def __init__(self, values=()):
-        items = values.items() if hasattr(values, "items") else values
-        store = {}
-        for pair, value in items:
-            u, v = pair
-            if u == v:
-                raise InvalidInstance(f"realization pairs {u!r} with itself")
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidInstance(f"realization value on {pair!r} must be an int")
-            if value < 0:
-                raise InvalidInstance(f"realization value on {pair!r} is negative")
-            e = node_pair(u, v)
-            if e in store:
-                raise InvalidInstance(f"pair {e} appears twice")
-            store[e] = value
-        # zeros stay in `store` until here so that they count as seen pairs
-        self.values = {e: c for e, c in store.items() if c} if 0 in store.values() else store
-
-    def get(self, u, v):
-        return self.values.get(node_pair(u, v), 0)
-
-    def items(self):
-        return self.values.items()
-
-    def __eq__(self, other):
-        if not isinstance(other, Realization):
-            return NotImplemented
-        return self.values == other.values
-
-    __hash__ = None
+        super().__init__(values.items() if hasattr(values, "items") else values)
 
     def __repr__(self):
         inside = ", ".join(f"{u}-{v}: {c}" for (u, v), c in sorted(self.values.items()))
@@ -433,10 +427,11 @@ class Realization:
 def build_instance(terminals, tree_nodes, tree_edges, requirements=()):
     """Validate raw input and assemble an Instance.
 
-    The root is the first terminal. Leaves that are not terminals sit on no
-    terminal-to-terminal path and are pruned (repeatedly) before the instance
-    is built, so they never influence cuts, costs, or parities. `requirements`
-    is a RequirementMatrix or an iterable of (s, t, r) triples.
+    The root is the first terminal. A node is kept when a terminal lies in
+    its subtree, marked by one pass from the deepest nodes up; the others sit
+    on no terminal-to-terminal path, so they never influence cuts, costs, or
+    parities. `requirements` is a RequirementMatrix or an iterable of
+    (s, t, r) triples.
     """
     terminals = list(terminals)
     if not terminals:
@@ -454,26 +449,14 @@ def build_instance(terminals, tree_nodes, tree_edges, requirements=()):
 
 
 def _prune_non_terminal_leaves(tree, terminal_set):
-    degrees = {v: len(tree._adj[v]) for v in tree.nodes}
-    alive = set(tree.nodes)
-    queue = deque(v for v in tree.nodes if v not in terminal_set and degrees[v] <= 1)
-    while queue:
-        v = queue.popleft()
-        if v not in alive:
-            continue
-        alive.discard(v)
-        for u in tree._adj[v]:
-            if u not in alive:
-                continue
-            degrees[u] -= 1
-            if u not in terminal_set and degrees[u] <= 1:
-                queue.append(u)
-    if len(alive) == len(tree.nodes):
+    # `parent` lists each child after its parent, so one reverse pass marks
+    # every node with a terminal below it; the root is a terminal
+    keep = set(terminal_set)
+    for v, p in reversed(tree.parent.items()):
+        if v in keep and p is not None:
+            keep.add(p)
+    if len(keep) == len(tree.nodes):
         return tree
-    nodes = [v for v in tree.nodes if v in alive]
-    edges = [
-        (u, v, tree.lengths[(u, v)])
-        for (u, v) in tree.edges
-        if u in alive and v in alive
-    ]
+    nodes = [v for v in tree.nodes if v in keep]
+    edges = [(u, v, tree.lengths[(u, v)]) for (u, v) in tree.edges if u in keep and v in keep]
     return MetricTree(nodes, edges, tree.root)

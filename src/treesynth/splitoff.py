@@ -13,11 +13,13 @@ every activation reads its demands off the tree.
 
 Only pairs from two branches of s can split, so no loop pair is probed. Let
 B be the branch of s (the side of tree edge e = (s, t) away from s) that
-holds u: in the tree c(B) = c(e), and splits never raise a cut. `solve`
-passes base plus join, so c(e) <= r + 1, with r the requirement of the
-terminal pair that set base(e), and the checks keep that pair's connectivity
-at least r. Splitting a >= 1 units of (u, u), or of (u, w) with w in B too,
-lowers c(B) by 2a, to at most c(e) - 2 < r: no such split is admissible.
+holds u: in the tree c(B) = c(e), and splits never raise a cut. Some
+terminal pair across e must have a tree bottleneck >= c(e) - 1, which the
+checks keep: in base plus join, which `solve` passes, the pair that set
+base(e) has one >= r >= c(e) - 1, and in a doubled base one of 2r = c(e).
+Splitting a >= 1 units of (u, u), or of (u, w) with w in B too, lowers c(B)
+by 2a, to at most c(e) - 2, below that bottleneck: no such split is
+admissible.
 
 Splitting `a` units of a pair lowers exactly the cuts that hold u and w but
 not s, each by 2a. One max-flow from {u, w} to s before the first probe gives
@@ -189,11 +191,11 @@ def split_node(state):
     have lost their capacity to the node. One pass is enough: a split never
     raises a cut value, so a refused pair stays refused, and a pair split at
     its maximum admits no further unit. The demands keep holding after every
-    step. Each tree edge must carry at most one more than the largest demand
-    across it, as every capacity `solve` builds does, so no loop pair could
-    split (the module docstring gives the argument). Raises
-    SolverInternalError when degree is left after the pass: the graph broke
-    that contract or a precondition (some demand cut of value 0 or 1).
+    step. Each tree edge e must have some terminal pair across it whose tree
+    bottleneck is at least c(e) - 1, as every capacity `solve` builds does,
+    so no loop pair could split (the module docstring gives the argument).
+    Raises SolverInternalError when degree is left after the pass: the graph
+    broke that contract or a precondition (some demand cut of value 0 or 1).
     """
     graph, s = state.graph, state.active
     assert graph.degree(s) % 2 == 0, f"odd degree at {s!r}"
@@ -233,8 +235,8 @@ def realize_capacity(instance, capacity):
     no graph is built. Otherwise inner nodes are processed in ascending
     identifier order: before the first split, Kruskal's joins of the graph's
     tree edges are taken once, and an activation that needs its demands
-    reads them off those joins. Each tree edge must carry at most one more
-    than the largest requirement across it, as base plus join does. Returns
+    reads them off those joins. Each tree edge e needs a terminal pair across
+    it of tree bottleneck >= c(e) - 1, as base plus join has. Returns
     (realization, trace), trace a tuple of (node, u, w, amount) records.
     """
     inner = sorted(instance.inner_nodes())

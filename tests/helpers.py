@@ -216,6 +216,19 @@ def zero_bridge_instance():
         return parse_instance(fh.read())
 
 
+def strip_non_terminal_leaves(nodes, edges, terminals):
+    """Reference pruning: remove one non-terminal leaf at a time until none is
+    left; returns the remaining nodes and (u, v, length) edges in input order."""
+    nodes, edges = list(nodes), list(edges)
+    while True:
+        degree = Counter(x for u, v, _ in edges for x in (u, v))
+        leaf = next((x for x in nodes if x not in terminals and degree[x] <= 1), None)
+        if leaf is None:
+            return nodes, edges
+        nodes.remove(leaf)
+        edges = [edge for edge in edges if leaf not in edge[:2]]
+
+
 def random_instance(seed, terminals, inner, rmin=2, rmax=6, lengths=LENGTH_POOL):
     doc = generate_document(
         terminals=terminals, inner=inner, rmin=rmin, rmax=rmax, seed=seed, lengths=lengths

@@ -29,6 +29,7 @@ from treesynth.cli import (
     parse_rational,
     run,
 )
+from treesynth.model import RequirementMatrix
 
 from helpers import caterpillar_instance, fixture_path, random_instance, star_instance
 
@@ -340,6 +341,42 @@ class TestEntryErrors:
         doc["requirements"][5]["r"] = "2"
         with pytest.raises(ParseError, match=r"^requirements\[5\]\.r: expected an integer, got '2'$"):
             parse_instance(json.dumps(doc))
+
+
+@st.composite
+def requirement_rows(draw):
+    """(s, t, r) rows over four names with int r in -1..3, so self pairs,
+    negatives, zeros and repeats all occur; some lists also get a repeated
+    pair, flipped or not, with its zero row first or last."""
+    names = st.sampled_from("abcd")
+    rows = draw(st.lists(st.tuples(names, names, st.integers(-1, 3)), max_size=8))
+    if draw(st.booleans()):
+        s, t = draw(names), draw(names)
+        zero = (s, t, 0)
+        other = (t, s, draw(st.integers(-1, 3))) if draw(st.booleans()) else (s, t, draw(st.integers(-1, 3)))
+        rows = [zero, *rows, other] if draw(st.booleans()) else [other, *rows, zero]
+    return rows
+
+
+@given(requirement_rows())
+def test_parsed_requirements_follow_the_matrix_rule(rows):
+    # the parser's one-pass row loop must agree with RequirementMatrix on
+    # every row list: the same entries in the same order, or the same error
+    doc = {
+        "version": "insp-json-v1",
+        "terminals": list("abcd"),
+        "tree": {"nodes": list("abcd"), "edges": [{"u": "a", "v": v, "length": 1} for v in "bcd"]},
+        "requirements": [{"s": s, "t": t, "r": r} for s, t, r in rows],
+    }
+
+    def outcome(build):
+        try:
+            return list(build().pairs())
+        except TreeSynthError as exc:
+            return type(exc), str(exc)
+
+    expected = outcome(lambda: RequirementMatrix(rows))
+    assert outcome(lambda: parse_instance(json.dumps(doc)).requirements) == expected
 
 
 class TestInstanceHash:

@@ -19,7 +19,7 @@ from treesynth.model import (
     node_pair,
 )
 
-from helpers import cut_side, metric_trees, side_containing, star_instance
+from helpers import cut_side, metric_trees, side_containing, star_instance, strip_non_terminal_leaves
 
 
 class TestNodePair:
@@ -214,6 +214,24 @@ def sparse_instances(draw):
     ]
     edges = [(u, v, tree.lengths[(u, v)]) for u, v in tree.edges]
     return build_instance(terminals, tree.nodes, edges, requirements)
+
+
+@given(metric_trees(max_nodes=14), st.data())
+def test_build_prunes_exactly_the_non_terminal_leaves(tree, data):
+    # nodes and edges in a random input order and orientation; the first
+    # terminal is the root
+    nodes = data.draw(st.permutations(tree.nodes))
+    edges = [
+        (v, u, tree.lengths[(u, v)]) if data.draw(st.booleans()) else (u, v, tree.lengths[(u, v)])
+        for u, v in data.draw(st.permutations(tree.edges))
+    ]
+    terminals = data.draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True))
+    instance = build_instance(terminals, nodes, edges)
+    kept_nodes, kept_edges = strip_non_terminal_leaves(nodes, edges, set(terminals))
+    expected = MetricTree(kept_nodes, kept_edges, terminals[0])
+    assert instance.tree == expected
+    assert instance.tree.units == expected.units and instance.tree.scale == expected.scale
+    assert set(instance.tree.leaves()) <= set(terminals)
 
 
 @given(sparse_instances())
@@ -503,6 +521,11 @@ class TestEdgeCapacity:
             EdgeCapacity(tree, {("a", "m"): -1, ("b", "m"): 1})
         with pytest.raises(InvalidInstance):
             EdgeCapacity(tree, {("a", "m"): True, ("b", "m"): 1})
+
+    def test_rejects_a_repeated_edge(self):
+        tree = path_tree()
+        with pytest.raises(InvalidInstance, match=re.escape("capacity on ('a', 'm') is given twice")):
+            EdgeCapacity(tree, {("a", "m"): 1, ("m", "a"): 5, ("b", "m"): 2})
 
     def test_load_and_cost(self):
         base = star_332().base_capacity()
