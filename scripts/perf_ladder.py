@@ -41,10 +41,14 @@ The output digest covers each solved instance's `cli.instance_hash` and its
 realization, cost and split trace.
 
 Every time (a key ending in `_s`, `_ms` or `_us`) is scaled to a fixed host
-speed with the calibration kernel of `bench/run.py`: the kernel runs just
-before and just after each timed block, and the block's wall time, and every
-flow time inside it, is multiplied by `CALIBRATION_REF_S` over the mean of
-the two kernel times.
+speed with the calibration kernel of `bench/run.py`. A single solve (ladder,
+chain, steiner-split, corpus) runs the kernel just before and just after it,
+and its wall time, and every flow time inside it, is multiplied by
+`CALIBRATION_REF_S` over the mean of the two kernel times. The flat-tree and
+audit-verify blocks run their operations through `bench.Loop`, which runs the
+kernel after every operation, and each operation is scaled by the factor its
+`scaled_times` gives it, the flow time inside it too; a block's time is the
+sum over its operations.
 
 Each tree is measured in ROUNDS processes, alternating before and after and
 which of them goes first, so the host's speed drift lands on both sides.
@@ -65,6 +69,7 @@ import statistics
 import subprocess
 import sys
 import time
+import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -151,6 +156,24 @@ def tally_probes(splitoff):
     return tally
 
 
+def calibrated(bench, operation, inputs):
+    """One `bench.Loop` round of `operation` over `inputs`: the outputs, and
+    per operation its time at calibration speed and the factor that scaled
+    it, for a time taken inside it."""
+    outputs = []
+
+    def keep(i, output):
+        outputs.append(output)
+        return []  # no problems: the digest checks the outputs
+
+    loop = bench.Loop(types.SimpleNamespace(operation=operation, check=keep), inputs)
+    loop.round()
+    if loop.failed:
+        raise RuntimeError(f"{loop.failed} of {len(inputs)} operations failed")
+    seconds = loop.scaled_times()
+    return outputs, seconds, [t / wall for t, wall in zip(seconds, loop.times[False])]
+
+
 def measure(src):
     """Counts, times and an output digest for the solver under `src`."""
     sys.path.insert(0, src)
@@ -184,6 +207,20 @@ def measure(src):
         seconds = time.perf_counter() - start
         scale = 2 * bench.CALIBRATION_REF_S / (before + bench.calibrate())
         return result, seconds * scale, scale
+
+    def per_operation(operation, inputs):
+        """`calibrated` over the inputs: the outputs, the block's scaled time
+        and the flow time inside it, each operation's by its own factor."""
+        flows = []
+
+        def run_one(item):
+            before = flow_s[0]
+            result = operation(item)
+            flows.append(flow_s[0] - before)
+            return result
+
+        outputs, seconds, factors = calibrated(bench, run_one, inputs)
+        return outputs, sum(seconds), sum(f * k for f, k in zip(flows, factors))
 
     def flow_us(seconds, n):
         """Mean microseconds per max-flow run."""
@@ -225,35 +262,27 @@ def measure(src):
         times.append(t)
         split_flow_s += f
     flat = [text for _, text in bench.WORKLOADS["flat-tree"]().setup(1)]
-
-    def decode():
-        for text in flat:
-            json.loads(text)
-
-    _, decode_s, _ = timed(decode)
-    instances, parse_s, _ = timed(lambda: [parse_instance(text) for text in flat])
-    solutions, solve_s, _ = timed(lambda: [solve(instance) for instance in instances])
+    _, decode_s, _ = per_operation(json.loads, flat)
+    instances, parse_s, _ = per_operation(parse_instance, flat)
+    solutions, solve_s, _ = per_operation(solve, instances)
     for instance, solution in zip(instances, solutions):
         record(instance, solution)
-    # freed here, so that no timing covers the release of the last one
+    # freed here, so that no timing covers their release
     del instances, solutions
     instances = [parse_instance(text) for text in flat]
-    _, base_s, _ = timed(lambda: [instance.base_capacity() for instance in instances])
+    _, base_s, _ = per_operation(lambda instance: instance.base_capacity(), instances)
     del instances
     audits = [(item[1], item[2]) for item in bench.WORKLOADS["audit-verify"]().setup(1)]
-    calls[0], flow_s[0] = 0, 0.0
+    calls[0] = 0
     audit_calls = []
 
-    def audit():
-        verdicts = []
-        for instance, realization in audits:
-            verdicts.append(verify_realization(instance, realization))
-            audit_calls.append(calls[0])
-        return verdicts
+    def audit(item):
+        verdict = verify_realization(*item)
+        audit_calls.append(calls[0])
+        return verdict
 
-    verdicts, audit_s, scale = timed(audit)
+    verdicts, audit_s, audit_flow_s = per_operation(audit, audits)
     digest.update(repr(verdicts).encode())
-    audit_flow_s = flow_s[0] * scale
     # the running totals as one count per audit; intact inputs at even indices
     audit_calls = [b - a for a, b in zip([0] + audit_calls, audit_calls)]
     damaged_ladder = {}

@@ -260,15 +260,15 @@ class RequirementMatrix(_PairTable):
 
     pairs = _PairTable.items  # (pair, value) over the stored positive entries
 
-    def max_value(self):
-        return max(self.values.values(), default=0)
-
 
 class Instance:
     """A validated problem: terminals, a representing tree, and requirements.
 
     The tree root is a terminal and every tree leaf is a terminal; use
     `build_instance` to get pruning and root selection from raw input.
+    `forest` holds a maximum spanning forest of the requirements, ((s, t), r)
+    pairs in Kruskal order (largest r first); every cut holds a pair of the
+    forest with the largest requirement across it.
     """
 
     def __init__(self, terminals, tree, requirements):
@@ -294,6 +294,7 @@ class Instance:
                 raise UnknownNode(f"requirement references non-terminal {s!r}-{t!r}")
         self.tree = tree
         self.requirements = requirements
+        self.forest = tuple((p, r) for p, r, _, _ in max_spanning_joins(self.terminals, requirements.pairs()))
         self._base = None
 
     def __eq__(self, other):
@@ -312,30 +313,26 @@ class Instance:
         return tuple(v for v in self.tree.nodes if v not in self.terminal_set)
 
     def cut_requirement(self, side):
-        """Largest requirement separated by the cut (side, complement)."""
+        """Largest requirement across the cut (side, complement), read off the forest."""
         side = frozenset(side)
         stray = side - self.terminal_set
         if stray:
             raise UnknownNode(f"cut side contains non-terminals: {sorted(stray)!r}")
         if not side or side == self.terminal_set:
             raise UnknownNode("cut side must be a nonempty proper subset of the terminals")
-        best = 0
-        for (s, t), r in self.requirements.pairs():
-            if r > best and (s in side) != (t in side):
-                best = r
-        return best
+        return next((r for (s, t), r in self.forest if (s in side) != (t in side)), 0)
 
     def base_capacity(self):
         """Per-edge cut requirements: the fractional-relaxation support capacity.
 
         A tree edge's cut separates exactly the pairs whose path crosses it,
-        so each edge gets the largest requirement routed over it. A maximum
-        spanning forest of the requirements holds a largest requirement across
-        every cut, so only the paths of its pairs are walked.
+        so each edge gets the largest requirement routed over it. Only the
+        paths of the `forest` pairs are walked, since the forest holds a
+        largest requirement across every cut.
         """
         if self._base is None:
             values = dict.fromkeys(self.tree.edges, 0)
-            for (s, t), r, _, _ in max_spanning_joins(self.terminals, self.requirements.pairs()):
+            for (s, t), r in self.forest:
                 for e in self.tree.path(s, t):
                     if r > values[e]:
                         values[e] = r

@@ -3,14 +3,14 @@
 How far each check stands apart from the solver pipeline:
 
 - `verify_realization` checks the requirements by max-flow on the graph the
-  realization spans: one flow per pair of a maximum spanning forest of the
-  requirements, each stopping at its requirement, and nothing more when none
-  falls short. A pair with a short flow on its forest path has two bounds:
-  the least of those flows from below, and from above any cut a short flow
-  left behind that separates the pair. Where they meet the pair is settled;
-  only the rest get a flow of their own. The pairs are read in their stored
-  order and only the violations are sorted. It shares the max-flow routine
-  and the Kruskal pass with the solver, none of the split logic.
+  realization spans: one flow per pair of `instance.forest`, each stopping
+  at its requirement, and nothing more when none falls short. A pair with a
+  short flow on its forest path has two bounds: the least of those flows from
+  below, and from above any cut a short flow left behind that separates the
+  pair. Where they meet the pair is settled; only the rest get a flow of
+  their own. The pairs are read in their stored order and only the
+  violations are sorted. It shares the max-flow routine and the instance's
+  requirement forest with the solver, none of the split logic.
 - `verify_feasible_capacity` scans inner-node parity directly, but its
   coverage check reads the solver's own cached `instance.base_capacity()`,
   so it certifies the parity join's bump, not the base capacity itself.
@@ -19,10 +19,11 @@ How far each check stands apart from the solver pipeline:
 """
 
 from itertools import combinations, product
+from operator import itemgetter
 
 from .errors import TooLarge, UnknownNode
 from .maxflow import CapacitatedMultigraph, max_flow
-from .model import Realization, max_spanning_joins, node_pair
+from .model import Realization, node_pair
 
 BRUTE_FORCE_TERMINAL_LIMIT = 5
 
@@ -31,32 +32,32 @@ def verify_realization(instance, realization):
     """All requirement violations of a realization, as (s, t, deficit) triples.
 
     Max-flow runs on the graph the realization spans over the terminals, first
-    on the pairs of a maximum spanning forest of the requirements, each
-    stopping at its pair's requirement. Every forest pair on the forest path
-    of a pair (s, t) requires at least r(s, t), so when none of those flows
-    falls short every requirement holds and the audit ends there.
+    on the pairs of `instance.forest`, each stopping at its requirement.
+    Every forest pair on the forest path of a pair (s, t) requires at least
+    r(s, t), so when none of those flows falls short every requirement holds
+    and the audit ends there.
 
     Otherwise each pair has two bounds. From below, any graph has
     lam(s, t) >= min(lam(s, z), lam(z, t)), so the least forest flow on the
-    pair's forest path bounds lam(s, t); a second Kruskal pass over the flows
-    finds it at the join that first links s and t, and a pair within it
-    holds. From above, a flow that falls short is exact and comes with its
-    residual side, a cut of that value, and any such cut that separates s
-    and t bounds lam(s, t). Where a kept cut's value equals the lower bound,
-    lam(s, t) is settled with no flow; the pairs left get a flow that stops
-    at their requirement, and its cut is kept when it falls short.
+    pair's forest path bounds lam(s, t); joining the forest's flows in
+    descending order finds it at the join that first links s and t, and a
+    pair within it holds. From above, a flow that falls short is exact and
+    comes with its residual side, a cut of that value, and any such cut that
+    separates s and t bounds lam(s, t). Where a kept cut's value equals the
+    lower bound, lam(s, t) is settled with no flow; the pairs left get a flow
+    that stops at their requirement, and its cut is kept when it falls short.
     Violations come in sorted pair order; an empty list means feasible.
     """
     for (u, v), _ in realization.items():
         if u not in instance.terminal_set or v not in instance.terminal_set:
             raise UnknownNode(f"{u!r}-{v!r} is not a terminal pair")
     terminals = instance.terminals
-    graph = CapacitatedMultigraph(terminals, dict(realization.items()))
+    graph = CapacitatedMultigraph(terminals, realization)
     pairs = instance.requirements.pairs()
     # cut value -> the residual sides of the short flows that found it
     cuts = {}
     flows = {}
-    for p, r, _, _ in max_spanning_joins(terminals, pairs):
+    for p, r in instance.forest:
         flows[p], cut = max_flow(graph, p[:1], p[1], r)
         if cut is not None:
             cuts.setdefault(flows[p], []).append(cut)
@@ -66,11 +67,12 @@ def verify_realization(instance, realization):
     for (s, t), _ in pairs:
         partners[s].append(t)
         partners[t].append(s)
-    # each join relabels its smaller component, so a node moves O(log n) times
+    # forest pairs close no cycle, so each one joins two components; each
+    # join relabels its smaller component, so a node moves O(log n) times
     component = {v: v for v in terminals}
     members = {v: [v] for v in terminals}
     bound = {}
-    for (u, v), flow, _, _ in max_spanning_joins(terminals, flows.items()):
+    for (u, v), flow in sorted(flows.items(), key=itemgetter(1), reverse=True):
         small, large = component[u], component[v]
         if len(members[small]) > len(members[large]):
             small, large = large, small
@@ -137,9 +139,9 @@ def brute_force_insp(instance):
     n = len(terminals)
     if n > BRUTE_FORCE_TERMINAL_LIMIT:
         raise TooLarge(f"{n} terminals; exhaustive search is capped at {BRUTE_FORCE_TERMINAL_LIMIT}")
-    bound = instance.requirements.max_value()
-    if bound == 0:
+    if not instance.forest:
         return Realization({})
+    bound = instance.forest[0][1]
 
     pairs = [node_pair(a, b) for a, b in combinations(terminals, 2)]
     # pair distances in the tree's integer units, so no loop touches Fractions

@@ -135,6 +135,14 @@ def cut_side(instance, edge):
     return side_containing(instance.tree, edge, instance.tree.root) & instance.terminal_set
 
 
+def largest_crossing_requirement(instance, side):
+    """Reference cut requirement: the largest requirement over all pairs the side separates."""
+    return max(
+        (r for (s, t), r in instance.requirements.pairs() if (s in side) != (t in side)),
+        default=0,
+    )
+
+
 def capacity_projection(instance, realization):
     """Tree-edge loads induced by a terminal-pair capacity map.
 

@@ -20,6 +20,7 @@ from treesynth import (
     generate_document,
     parse_instance,
     solve,
+    solver,
 )
 from treesynth.cli import (
     DEFAULT_LENGTH_POOL,
@@ -29,7 +30,7 @@ from treesynth.cli import (
     parse_rational,
     run,
 )
-from treesynth.model import RequirementMatrix
+from treesynth.model import Realization, RequirementMatrix
 
 from helpers import caterpillar_instance, fixture_path, random_instance, star_instance
 
@@ -543,6 +544,60 @@ class TestSolveCommand:
         code, out, err = run_cli(capsys, "solve", fixture_path("half_star.json"))
         assert (code, out, err) == (4, "", "internal invariant failure: RuntimeError: boom\n")
 
+    def test_realization_off_the_formula_cost_exits_4(self, monkeypatch, capsys):
+        realize = solver.realize_capacity
+
+        def one_unit_short(instance, capacity):
+            realization, trace = realize(instance, capacity)
+            values = dict(realization.items())
+            values[min(p for p in values if instance.tree.distance(*p) > 0)] -= 1
+            return Realization(values), trace
+
+        monkeypatch.setattr(solver, "realize_capacity", one_unit_short)
+        code, out, err = run_cli(capsys, "solve", fixture_path("half_star.json"))
+        assert (code, out, err) == (
+            4,
+            "",
+            "internal invariant failure: realization cost 2 does not match the formula value 3\n",
+        )
+
+    def test_infeasible_capacity_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(solver, "verify_feasible_capacity", lambda *_: [("parity", "hub", 3)])
+        code, out, err = run_cli(capsys, "solve", fixture_path("half_star.json"))
+        assert (code, out) == (4, "")
+        assert err == (
+            "internal invariant failure: chosen capacity is not feasible: [('parity', 'hub', 3)]\n"
+        )
+
+    def test_failed_audit_under_check_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(solver, "verify_realization", lambda *_: [("a", "b", 1)])
+        code, out, err = run_cli(capsys, "solve", fixture_path("half_star.json"))
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, "solve", fixture_path("half_star.json"), "--check")
+        assert (code, out) == (4, "")
+        assert err == "internal invariant failure: solution fails verification: [('a', 'b', 1)]\n"
+
+    def test_assertion_error_exits_4(self, monkeypatch, capsys):
+        def broken(instance):
+            raise AssertionError("cut screen and flow check disagree")
+
+        monkeypatch.setattr("treesynth.cli.solve", broken)
+        code, out, err = run_cli(capsys, "solve", fixture_path("half_star.json"))
+        assert (code, out, err) == (
+            4,
+            "",
+            "internal invariant failure: cut screen and flow check disagree\n",
+        )
+
+    def test_duplicate_terminals_exit_1(self, tmp_path, capsys):
+        with open(fixture_path("half_star.json")) as fh:
+            doc = json.load(fh)
+        doc["terminals"].append("a")
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, out, err) == (1, "", "error: duplicate terminal identifiers\n")
+
     def test_deeply_nested_document_exits_1(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text(DEEP_JSON)
@@ -737,6 +792,19 @@ class TestVerifyCommand:
         assert "realization[0]: endpoints must be strings" in err
         assert "Traceback" not in err
 
+    def test_missing_realization_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(capsys, "verify", fixture_path("half_star.json"), str(missing))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {missing}: ")
+        assert err.count("\n") == 1
+
+    def test_object_without_realization_exits_1(self, tmp_path, capsys):
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"instance_hash": "0" * 16}))
+        code, out, err = run_cli(capsys, "verify", fixture_path("half_star.json"), str(bare))
+        assert (code, out, err) == (1, "", f"error: {bare}: no 'realization' field\n")
+
 
 class TestGenCommand:
     def test_byte_identical_for_a_fixed_seed(self, capsys):
@@ -779,6 +847,11 @@ class TestGenCommand:
             generate_document(terminals=3, inner=0, rmin=2, rmax=2, seed=0, lengths=("1", "-1/2"))
         code, out, err = run_cli(capsys, "gen", "--terminals", "3", "--lengths=-1")
         assert (code, out, err) == (1, "", "error: length pool entries cannot be negative\n")
+
+    def test_too_few_terminals_to_pad_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--terminals", "1", "--inner", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: cannot pad every inner node with the terminals available\n"
 
 
 class TestArgumentParsing:

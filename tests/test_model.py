@@ -3,13 +3,22 @@
 import re
 from enum import IntEnum
 from fractions import Fraction
+from itertools import combinations
 from operator import itemgetter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treesynth import Instance, InvalidInstance, Realization, UnknownNode, build_instance
+from treesynth import (
+    Instance,
+    InvalidInstance,
+    Realization,
+    UnknownNode,
+    build_instance,
+    model,
+    verify_realization,
+)
 from treesynth.model import (
     EdgeCapacity,
     MetricTree,
@@ -19,7 +28,14 @@ from treesynth.model import (
     node_pair,
 )
 
-from helpers import cut_side, metric_trees, side_containing, star_instance, strip_non_terminal_leaves
+from helpers import (
+    cut_side,
+    largest_crossing_requirement,
+    metric_trees,
+    side_containing,
+    star_instance,
+    strip_non_terminal_leaves,
+)
 
 
 class TestNodePair:
@@ -268,6 +284,54 @@ def test_base_capacity_is_the_largest_requirement_on_each_path(instance):
     assert dict(instance.base_capacity().items()) == expected
 
 
+@st.composite
+def forest_inputs(draw):
+    """build_instance arguments with 1-6 terminals and requirements 0-3, so
+    that ties are common; some terminals get an all-zero row, which leaves
+    them isolated in the requirement forest."""
+    tree = draw(metric_trees(min_nodes=1, max_nodes=8))
+    terminals = draw(st.lists(st.sampled_from(tree.nodes), min_size=1, max_size=6, unique=True))
+    zero_rows = draw(st.sets(st.sampled_from(terminals)))
+    requirements = [
+        (s, t, 0 if zero_rows & {s, t} else draw(st.integers(0, 3)))
+        for s, t in combinations(terminals, 2)
+    ]
+    edges = [(u, v, tree.lengths[(u, v)]) for u, v in tree.edges]
+    return terminals, tree.nodes, edges, requirements
+
+
+@given(forest_inputs())
+def test_the_forest_decides_every_cut_and_is_built_once(args):
+    calls = []
+    joins = model.max_spanning_joins
+
+    def counted(*joins_args):
+        calls.append(joins_args)
+        return joins(*joins_args)
+
+    model.max_spanning_joins = counted
+    try:
+        instance = build_instance(*args)
+        assert len(calls) == 1
+        instance.base_capacity()
+        trivial = Realization(instance.requirements.pairs())
+        assert verify_realization(instance, trivial) == []
+        verify_realization(instance, Realization())
+        assert len(calls) == 1
+    finally:
+        model.max_spanning_joins = joins
+    values = [r for _, r in instance.requirements.pairs()]
+    if values:
+        assert instance.forest[0][1] == max(values)
+    else:
+        assert instance.forest == ()
+    terminals = instance.terminals
+    for size in range(1, len(terminals)):
+        for side in combinations(terminals, size):
+            expected = largest_crossing_requirement(instance, frozenset(side))
+            assert instance.cut_requirement(side) == expected
+
+
 def reference_joins(nodes, weighted_pairs):
     """Kruskal's joins with the weights sorted by a negated key."""
     up = {v: v for v in nodes}
@@ -362,12 +426,13 @@ class TestRequirementMatrix:
     def test_zero_entries_are_dropped(self):
         matrix = RequirementMatrix([("a", "b", 0)])
         assert dict(matrix.pairs()) == {}
-        assert matrix.max_value() == 0
+        assert build_instance(["a", "b"], ["a", "b"], [("a", "b", 1)], matrix).forest == ()
 
     def test_pairs_and_max(self):
         matrix = RequirementMatrix([("a", "b", 3), ("c", "a", 5)])
         assert dict(matrix.pairs()) == {("a", "b"): 3, ("a", "c"): 5}
-        assert matrix.max_value() == 5
+        instance = build_instance("abc", "abc", [("a", "b", 1), ("a", "c", 1)], matrix)
+        assert instance.forest == ((("a", "c"), 5), (("a", "b"), 3))
 
     def test_rejects_duplicates_across_orientations(self):
         with pytest.raises(InvalidInstance, match="pair a-b appears twice"):

@@ -4,12 +4,16 @@
 `splitoff.max_flow` and `splitoff._demands_hold` to count probe outcomes;
 renaming one of them breaks the script's `--before` comparison, so this test
 loads the script and tallies one small solve. It also pins the pairs the
-degree rule admits whole with no flow.
+degree rule admits whole with no flow, and that the script's per-operation
+timing runs through the benchmark's loop.
 """
 
 import importlib.util
 import json
 import os
+import sys
+
+import pytest
 
 from treesynth import cli, solver, splitoff
 
@@ -58,3 +62,15 @@ def test_tally_counts_the_probes_of_a_solve():
     assert tally["passed"] > 0
     assert tally["passed"] + tally["flow_refused"] == len(holds)
     assert tally["cut_refused"] <= len(probes)
+
+
+def test_calibrated_scales_each_operation(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    perf_ladder = load_perf_ladder()
+    bench = perf_ladder.load_bench()
+    outputs, seconds, factors = perf_ladder.calibrated(bench, lambda x: 2 * x, [1, 2, 3])
+    assert outputs == [2, 4, 6]
+    assert len(seconds) == len(factors) == 3
+    assert all(t > 0 for t in seconds) and all(f > 0 for f in factors)
+    with pytest.raises(RuntimeError, match="1 of 2 operations failed"):
+        perf_ladder.calibrated(bench, lambda x: 1 // x, [0, 1])
