@@ -16,10 +16,10 @@ share of `parse_ms`, and `Instance.base_capacity`, part of `solve_ms`, on
 a second parse of those texts, since an instance keeps its base. On the
 audit-verify inputs of `bench/run.py` (seed 1) it counts max-flow runs per
 `verify_realization`, over all inputs and apart for the intact (even index)
-and the damaged (odd index) ones, and times it, milliseconds per operation;
-the verdicts join the output digest. `flow_us` is the mean time of one
-max-flow run, in microseconds, on the ladder, steiner-split and audit-verify
-inputs.
+and the damaged (odd index) ones, and times it the same three ways,
+milliseconds per operation; the verdicts join the output digest. `flow_us`
+is the mean time of one max-flow run, in microseconds, on the ladder,
+steiner-split and audit-verify inputs.
 `damaged_ladder` audits the 30/10 and 60/20 solutions once per pair of
 positive length, with one unit taken off that pair, and totals the audit
 flows and the violations found.
@@ -209,8 +209,9 @@ def measure(src):
         return result, seconds * scale, scale
 
     def per_operation(operation, inputs):
-        """`calibrated` over the inputs: the outputs, the block's scaled time
-        and the flow time inside it, each operation's by its own factor."""
+        """`calibrated` over the inputs: the outputs, each operation's scaled
+        time, and the flow time inside the block, each operation's by its own
+        factor."""
         flows = []
 
         def run_one(item):
@@ -220,7 +221,11 @@ def measure(src):
             return result
 
         outputs, seconds, factors = calibrated(bench, run_one, inputs)
-        return outputs, sum(seconds), sum(f * k for f, k in zip(flows, factors))
+        return outputs, seconds, sum(f * k for f, k in zip(flows, factors))
+
+    def ms_per_op(seconds, digits):
+        """Mean milliseconds per operation."""
+        return round(statistics.mean(seconds) * 1000, digits)
 
     def flow_us(seconds, n):
         """Mean microseconds per max-flow run."""
@@ -310,17 +315,19 @@ def measure(src):
         },
         "flat_tree": {
             "operations": len(flat),
-            "json_loads_ms": round(decode_s * 1000 / len(flat), 2),
-            "parse_ms": round(parse_s * 1000 / len(flat), 2),
-            "solve_ms": round(solve_s * 1000 / len(flat), 2),
-            "base_capacity_ms": round(base_s * 1000 / len(flat), 2),
+            "json_loads_ms": ms_per_op(decode_s, 2),
+            "parse_ms": ms_per_op(parse_s, 2),
+            "solve_ms": ms_per_op(solve_s, 2),
+            "base_capacity_ms": ms_per_op(base_s, 2),
         },
         "audit_verify": {
             "operations": len(audits),
             "flows_per_op": round(sum(audit_calls) / len(audits), 1),
             "intact_flows_per_op": round(statistics.mean(audit_calls[0::2]), 1),
             "damaged_flows_per_op": round(statistics.mean(audit_calls[1::2]), 1),
-            "verify_ms": round(audit_s * 1000 / len(audits), 3),
+            "verify_ms": ms_per_op(audit_s, 3),
+            "intact_verify_ms": ms_per_op(audit_s[0::2], 3),
+            "damaged_verify_ms": ms_per_op(audit_s[1::2], 3),
             "flow_us": flow_us(audit_flow_s, sum(audit_calls)),
         },
         "damaged_ladder": damaged_ladder,

@@ -6,12 +6,10 @@ that ever carried capacity owns two mutually reverse arcs, both holding the
 pair's current capacity (0 once it is removed).
 
 `max_flow` does only the work its caller needs. It augments along shortest
-residual paths (Edmonds-Karp), and each path search stops once it reaches
+residual paths (Edmonds-Karp); each path search stops at the arc that labels
 the sink. A flow with a `limit` stops once it carries that much, with no cut
 side; any other returns the residual closure of the sources as its side.
 """
-
-from collections import deque
 
 from .errors import UnknownNode
 from .model import node_pair
@@ -51,11 +49,12 @@ class CapacitatedMultigraph:
         return 0 if a is None else self._cap[a]
 
     def set_capacity(self, u, v, value):
-        self._check(u)
-        self._check(v)
+        if u not in self._index or v not in self._index:
+            self._check(u)
+            self._check(v)
         if u == v:
             raise UnknownNode(f"a loop at {u!r} cannot carry capacity")
-        if isinstance(value, bool) or not isinstance(value, int):
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
             raise ValueError(f"capacity must be an int, got {value!r}")
         if value < 0:
             raise ValueError(f"capacity on {u!r}-{v!r} cannot go negative")
@@ -140,8 +139,9 @@ def _augment(graph, sources, sink, limit=None):
 
     Each round searches breadth-first from every source at once over arcs
     with residual capacity, so the sources act as one merged node. It stops
-    once it labels the sink and pushes that path's bottleneck; a round that
-    never labels the sink has labelled the residual closure of the sources.
+    at the arc that labels the sink; unscanned arcs label only other nodes,
+    so each path, and a capped flow's overshoot, is the one a full scan finds.
+    A round that never labels the sink has queued the sources' residual closure.
     """
     names, head, to = graph.nodes, graph._head, graph._to
     cap = graph._cap[:]
@@ -153,25 +153,29 @@ def _augment(graph, sources, sink, limit=None):
         via = [None] * len(names)
         for s in starts:
             via[s] = -1
-        queue = deque(starts)
-        while queue and via[t] is None:
-            x = queue.popleft()
+        queue = list(starts)
+        for x in queue:
             for a in head[x]:
                 y = to[a]
-                if cap[a] > 0 and via[y] is None:
+                if cap[a] and via[y] is None:
                     via[y] = a
+                    if y == t:
+                        break
                     queue.append(y)
-        if via[t] is None:
-            return flow, frozenset(v for v, a in zip(names, via) if a is not None)
-        path = []
-        a = via[t]
+            else:
+                continue
+            break
+        else:
+            return flow, frozenset(names[x] for x in queue)
+        b, moved = a, cap[a]
+        while b >= 0:
+            if cap[b] < moved:
+                moved = cap[b]
+            b = via[to[b ^ 1]]
         while a >= 0:
-            path.append(a)
-            a = via[to[a ^ 1]]
-        moved = min(cap[a] for a in path)
-        for a in path:
             cap[a] -= moved
             cap[a ^ 1] += moved
+            a = via[to[a ^ 1]]
         flow += moved
         if limit is not None and flow >= limit:
             return flow, None

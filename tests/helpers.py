@@ -48,6 +48,49 @@ def add_capacity(graph, u, v, delta):
     graph.set_capacity(u, v, graph.capacity(u, v) + delta)
 
 
+def reference_augment(graph, sources, sink, limit=None):
+    """Oracle for `maxflow._augment`: the same shortest augmenting paths,
+    found by a deque BFS that scans every arc of a node before it looks at
+    the sink, with the bottleneck taken by a separate `min` over the path.
+
+    It reads the graph's arc arrays in the same order, so it finds the same
+    paths in the same order and returns the same (value, side), including
+    the value a capped flow overshoots to.
+    """
+    names, head, to = graph.nodes, graph._head, graph._to
+    cap = graph._cap[:]
+    t = graph._index[sink]
+    starts = [graph._index[v] for v in sources]
+    flow = 0
+    while True:
+        # the arc that labelled each node: -1 at a source, None if unlabelled
+        via = [None] * len(names)
+        for s in starts:
+            via[s] = -1
+        queue = deque(starts)
+        while queue and via[t] is None:
+            x = queue.popleft()
+            for a in head[x]:
+                y = to[a]
+                if cap[a] > 0 and via[y] is None:
+                    via[y] = a
+                    queue.append(y)
+        if via[t] is None:
+            return flow, frozenset(v for v, a in zip(names, via) if a is not None)
+        path = []
+        a = via[t]
+        while a >= 0:
+            path.append(a)
+            a = via[to[a ^ 1]]
+        moved = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= moved
+            cap[a ^ 1] += moved
+        flow += moved
+        if limit is not None and flow >= limit:
+            return flow, None
+
+
 def tree_joins(graph, tree_edges=None):
     """The (lam, ru, rv) Kruskal joins `connectivity_snapshot` replays.
 

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesynth import UnknownNode
+from treesynth import UnknownNode, maxflow
 from treesynth.maxflow import (
     CapacitatedMultigraph,
     all_pairs_connectivity,
     max_flow,
 )
 
-from helpers import add_capacity
+from helpers import add_capacity, reference_augment
 
 
 def graph_of(nodes, caps):
@@ -65,6 +65,28 @@ class TestCapacitatedMultigraph:
         assert dict(g.positive_pairs()) == {("a", "b"): 1}
         with pytest.raises(UnknownNode, match="a loop at 'a' cannot carry capacity"):
             graph_of("ab", {("a", "a"): 4, ("a", "b"): 1})
+
+    @pytest.mark.parametrize(
+        "u, v, value, missing",
+        [
+            ("zz", "a", True, "zz"),
+            ("a", "zz", -1, "zz"),
+            ("a", "zz", True, "zz"),
+            ("zz", "zz", 1, "zz"),
+            ("zz", "zz", True, "zz"),
+            ("zz", "yy", -1, "zz"),
+            ("a", "yy", 1.5, "yy"),
+        ],
+    )
+    def test_an_unknown_endpoint_is_named_before_a_bad_value(self, u, v, value, missing):
+        # a call with an unknown endpoint and a bool, a negative value or a
+        # loop fails on the first unknown endpoint, and changes no degree
+        g = graph_of("ab", {("a", "b"): 2})
+        degrees = list(g._degree)
+        with pytest.raises(UnknownNode, match=f"^unknown node {missing!r}$"):
+            g.set_capacity(u, v, value)
+        assert g._degree == degrees
+        assert graph_state(g) == ({("a", "b"): 2}, [2, 2])
 
     def test_nodes_and_contains(self):
         g = graph_of("ab", {})
@@ -374,3 +396,52 @@ def test_a_limited_flow_answers_whether_it_reaches_the_limit(g):
             else:
                 assert side is None
     assert dict(g.positive_pairs()) == capacities
+
+
+@st.composite
+def kernel_cases(draw, max_nodes=16):
+    """A graph of 2-16 nodes with dead arcs among its live ones, 1-3 sources
+    and a sink apart.
+
+    Each step sets a pair; or sets it and then zeroes it, so its two arcs stay
+    at capacity 0; or splits at a node and keeps the split or undoes it with
+    `split(..., -amount)`, which leaves two dead arcs where the split made
+    its pair.
+    """
+    n = draw(st.integers(2, max_nodes))
+    names = [f"n{i}" for i in range(n)]
+    g = CapacitatedMultigraph(names)
+    node = st.integers(0, n - 1)
+    kinds = st.sampled_from(("set", "dead", "split", "undone"))
+    steps = st.lists(st.tuples(kinds, node, node, node, st.integers(1, 5)), max_size=4 * n)
+    for kind, i, j, k, c in draw(steps):
+        s, u, w = names[i], names[j], names[k]
+        if kind in ("set", "dead") and s != u:
+            g.set_capacity(s, u, c)
+            if kind == "dead":
+                g.set_capacity(s, u, 0)
+        elif len({s, u, w}) == 3 and g.capacity(s, u) and g.capacity(s, w):
+            amount = min(c, g.capacity(s, u), g.capacity(s, w))
+            g.split(s, u, w, amount)
+            if kind == "undone":
+                g.split(s, u, w, -amount)
+    size = draw(st.integers(2, min(4, n)))
+    ends = draw(st.lists(st.sampled_from(names), min_size=size, max_size=size, unique=True))
+    return g, tuple(ends[1:]), ends[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_augment_finds_the_reference_paths(case):
+    """`_augment` stops its scan at the arc that labels the sink and takes the
+    bottleneck on the walk back; the reference scans the whole node and takes
+    a separate `min`. Both find the same paths in the same order, so they
+    return the same (value, side) uncapped and at every cap up to the exact
+    value plus one, overshoot included, and neither touches the graph."""
+    g, sources, sink = case
+    caps = list(g._cap)
+    exact = reference_augment(g, sources, sink)
+    assert maxflow._augment(g, sources, sink) == exact
+    for limit in range(1, exact[0] + 2):
+        assert maxflow._augment(g, sources, sink, limit) == reference_augment(g, sources, sink, limit)
+    assert g._cap == caps
