@@ -22,7 +22,14 @@ is the mean time of one max-flow run, in microseconds, on the ladder,
 steiner-split and audit-verify inputs.
 `damaged_ladder` audits the 30/10 and 60/20 solutions once per pair of
 positive length, with one unit taken off that pair, and totals the audit
-flows and the violations found.
+flows and the violations found. `audit_chain` audits the flat chain of
+AUDIT_CHAIN terminals t0-t1-..., unit lengths and r = 2 on each consecutive
+pair, against the realization that puts 1 on each of those pairs: every
+forest flow falls short and every pair is a violation, the audit's worst
+case. It reports the flows, the violations, the audit's time and, from a
+second run under `tracemalloc`, its peak of traced memory in MB.
+`steiner_split.solve_p50_ms` is the median solve again, in milliseconds
+with 3 decimals, since `solve_p50_s` rounds about 1 ms to 4.
 
 A fixed corpus of CORPUS small `gen` instances (6-24 terminals, a third as
 many inner nodes, rmax 3, 6 or 9) reaches the probe outcomes the ladder
@@ -52,8 +59,9 @@ sum over its operations.
 
 Each tree is measured in ROUNDS processes, alternating before and after and
 which of them goes first, so the host's speed drift lands on both sides.
-Counts and digests must agree between the rounds of a side; every time is
-reported as the median and min-max spread over the rounds. Outputs of the
+Counts and digests must agree between the rounds of a side; every time and
+memory peak (a key ending in `_mb`) is reported as the median and min-max
+spread over the rounds. Outputs of the
 two trees must agree byte for byte or the script exits 1.
 
     python3 scripts/perf_ladder.py --before /path/to/old/src > BENCH.json
@@ -69,6 +77,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,6 +85,7 @@ SRC = os.path.join(ROOT, "src")
 BENCH = os.path.join(ROOT, "bench")
 LADDER = ((30, 10), (60, 20), (100, 40), (150, 60), (500, 170))
 CHAIN = (1000, 2000, 20000)
+AUDIT_CHAIN = 1500
 CORPUS = 300
 ROUNDS = 5
 
@@ -108,6 +118,19 @@ def chain_document(n):
     }
 
 
+def audit_chain_document(n):
+    """INSP-JSON of the flat chain t0-t1-...-t(n-1), unit lengths, r = 2 on
+    each consecutive pair."""
+    names = [f"t{i}" for i in range(n)]
+    pairs = list(zip(names, names[1:]))
+    return {
+        "version": "insp-json-v1",
+        "terminals": names,
+        "tree": {"nodes": names, "edges": [{"u": u, "v": v, "length": 1} for u, v in pairs]},
+        "requirements": [{"s": u, "t": v, "r": 2} for u, v in pairs],
+    }
+
+
 def corpus_documents(generate_document):
     for seed in range(CORPUS):
         k = 6 + seed % 19
@@ -129,17 +152,17 @@ def tally_probes(splitoff):
             cuts.append(result)
         return result
 
-    def counted_hold(state, safe):
-        held = hold(state, safe)
+    def counted_hold(state, safe, *split):
+        held = hold(state, safe, *split)
         tally["passed" if held else "flow_refused"] += 1
         return held
 
-    def counted_amount(state, u, w):
+    def counted_amount(state, u, w, *known):
         active[0] = state.active
         cuts.clear()
         zu, zw = state.graph.capacity(state.active, u), state.graph.capacity(state.active, w)
         cap = min(zu, zw)
-        got = amount(state, u, w)
+        got = amount(state, u, w, *known)
         if cuts:
             mu, side = cuts[0]
             crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
@@ -300,6 +323,16 @@ def measure(src):
             damaged[pair] -= 1
             violations += len(verify_realization(instance, Realization(damaged)))
         damaged_ladder[f"{k}x{m}"] = {"audit_flows": calls[0], "violations": violations}
+    chain_instance = parse_instance(json.dumps(audit_chain_document(AUDIT_CHAIN)))
+    names = chain_instance.terminals
+    ones = Realization({(u, v): 1 for u, v in zip(names, names[1:])})
+    calls[0] = 0
+    _, chain_s, _ = timed(lambda: verify_realization(chain_instance, ones))
+    chain_flows = calls[0]
+    tracemalloc.start()
+    chain_violations = len(verify_realization(chain_instance, ones))
+    chain_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     tally.update(dict.fromkeys(tally, 0))
     corpus_calls = 0
     for doc in corpus_documents(generate_document):
@@ -311,6 +344,7 @@ def measure(src):
             "operations": len(docs),
             "flows_per_op": round(sum(flows) / len(docs), 1),
             "solve_p50_s": round(statistics.median(times), 4),
+            "solve_p50_ms": round(statistics.median(times) * 1000, 3),
             "flow_us": flow_us(split_flow_s, sum(flows)),
         },
         "flat_tree": {
@@ -331,6 +365,13 @@ def measure(src):
             "flow_us": flow_us(audit_flow_s, sum(audit_calls)),
         },
         "damaged_ladder": damaged_ladder,
+        "audit_chain": {
+            "terminals": AUDIT_CHAIN,
+            "flows": chain_flows,
+            "violations": chain_violations,
+            "verify_s": round(chain_s, 3),
+            "peak_mb": round(chain_peak / 1e6, 1),
+        },
         "corpus": {"instances": CORPUS, "flows": corpus_calls, "probes": dict(tally)},
         "output_sha256": digest.hexdigest(),
     }
@@ -341,7 +382,7 @@ def merge(rounds, where="result"):
     first = rounds[0]
     if isinstance(first, dict):
         return {key: merge([r[key] for r in rounds], key) for key in first}
-    if where.endswith(("_s", "_ms", "_us")):
+    if where.endswith(("_s", "_ms", "_us", "_mb")):
         return {"median": statistics.median(rounds), "min": min(rounds), "max": max(rounds)}
     if any(r != first for r in rounds):
         raise ValueError(f"{where} differs between rounds of one tree: {rounds}")

@@ -3,7 +3,11 @@
 Parallel edges collapse into one integer capacity per unordered pair of
 distinct nodes. The graph keeps the arc arrays the flow runs on: each pair
 that ever carried capacity owns two mutually reverse arcs, both holding the
-pair's current capacity (0 once it is removed).
+pair's current capacity (0 once it is removed). The constructor lays out the
+arcs of well-formed entries in one pass (known endpoints, no loop, an int
+above 0, a pair not seen before) and passes every other entry to
+`set_capacity`, so errors, messages and overrides are those of the same
+`set_capacity` calls in entry order.
 
 `max_flow` does only the work its caller needs. It augments along shortest
 residual paths (Edmonds-Karp); each path search stops at the arc that labels
@@ -32,8 +36,20 @@ class CapacitatedMultigraph:
         self._degree = [0] * len(self.nodes)
         # (u, v) -> the arc from u to v; its reverse is arc ^ 1
         self._arc = {}
+        index, head, to, cap, degree, arc = self._index, self._head, self._to, self._cap, self._degree, self._arc
         for (u, v), c in (capacities or {}).items():
-            self.set_capacity(u, v, c)
+            i, j = index.get(u), index.get(v)
+            if i is None or j is None or i == j or type(c) is not int or c <= 0 or (u, v) in arc:
+                self.set_capacity(u, v, c)
+                continue
+            a = len(to)
+            arc[(u, v)], arc[(v, u)] = a, a + 1
+            head[i].append(a)
+            head[j].append(a + 1)
+            to += (j, i)
+            cap += (c, c)
+            degree[i] += c
+            degree[j] += c
 
     def __contains__(self, v):
         return v in self._index
@@ -194,13 +210,15 @@ def max_flow(graph, sources, sink, limit=None):
     """
     if not sources:
         raise UnknownNode("a flow needs at least one source")
+    index = graph._index
     for v in (*sources, sink):
-        if v not in graph:
+        if v not in index:
             raise UnknownNode(f"unknown node {v!r}")
     if sink in sources:
         raise UnknownNode(f"flow endpoints must differ, got {sink!r} on both sides")
-    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
-        raise ValueError(f"a flow limit must be an int of at least 1, got {limit!r}")
+    if limit is not None and not (type(limit) is int and limit >= 1):
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+            raise ValueError(f"a flow limit must be an int of at least 1, got {limit!r}")
     return _augment(graph, sources, sink, limit)
 
 

@@ -96,6 +96,8 @@ class MetricTree:
     None); its insertion order is breadth-first from the root. `lengths` maps
     each edge to its Fraction length; `units` maps it to the int
     length * `scale`, where `scale` is the LCM of the length denominators.
+    Each non-root node also keeps its parent edge and that edge's units, so
+    a path sum walks both ends up to their meeting node with no edge list.
     """
 
     def __init__(self, nodes, edges, root):
@@ -154,6 +156,9 @@ class MetricTree:
         self.parent = parent
         self._depth = depth
         self._adj = adj
+        # non-root node -> the edge to its parent, and that edge's units
+        self._up_edge = {v: node_pair(v, p) for v, p in parent.items() if p is not None}
+        self._up_units = {v: self.units[e] for v, e in self._up_edge.items()}
 
     def __eq__(self, other):
         if not isinstance(other, MetricTree):
@@ -192,9 +197,26 @@ class MetricTree:
                 j = parent[j]
         return up + down[::-1]
 
+    def path_units(self, i, j):
+        """Length of the tree path between two tree nodes in `units`, an int.
+
+        The nodes are not checked; `distance` is the checked form.
+        """
+        parent, depth, up = self.parent, self._depth, self._up_units
+        total = 0
+        while i != j:
+            if depth[i] < depth[j]:
+                i, j = j, i
+            total += up[i]
+            i = parent[i]
+        return total
+
     def distance(self, i, j):
         """Exact path length between two tree nodes."""
-        return Fraction(sum(self.units[e] for e in self.path(i, j)), self.scale)
+        for v in (i, j):
+            if v not in self._adj:
+                raise UnknownNode(f"unknown tree node {v!r}")
+        return Fraction(self.path_units(i, j), self.scale)
 
 
 class _PairTable:
@@ -327,27 +349,47 @@ class Instance:
 
         A tree edge's cut separates exactly the pairs whose path crosses it,
         so each edge gets the largest requirement routed over it. Only the
-        paths of the `forest` pairs are walked, since the forest holds a
-        largest requirement across every cut.
+        paths of the `forest` pairs are painted, since the forest holds a
+        largest requirement across every cut, and in its Kruskal order
+        (largest r first), so the first pair to reach an edge sets it. Skip
+        pointers, halved as they are followed, jump over painted edges, so
+        each edge is written once.
         """
         if self._base is None:
-            values = dict.fromkeys(self.tree.edges, 0)
+            tree = self.tree
+            parent, depth, up = tree.parent, tree._depth, tree._up_edge
+            values = dict.fromkeys(tree.edges, 0)
+            # node -> a node above it; every edge between them is painted
+            skip = {}
             for (s, t), r in self.forest:
-                for e in self.tree.path(s, t):
-                    if r > values[e]:
-                        values[e] = r
-            self._base = EdgeCapacity(self.tree, values)
+                # the deeper end climbs; it meets an unpainted edge only
+                # below the meeting node, since the ends cross painted
+                # edges alone and cannot pass the first unpainted one
+                i, j = s, t
+                while i != j:
+                    if depth[i] < depth[j]:
+                        i, j = j, i
+                    k = skip.get(i)
+                    if k is None:
+                        values[up[i]] = r
+                        k = parent[i]
+                    else:
+                        # path halving: two painted stretches in one jump
+                        k = skip.get(k, k)
+                    skip[i] = k
+                    i = k
+            self._base = EdgeCapacity(tree, values)
         return self._base
 
     def realization_cost(self, realization):
         """Total cost of a terminal-pair capacity map under tree distances."""
-        tree = self.tree
+        path_units = self.tree.path_units
         total = 0
         for (i, j), value in realization.items():
             if i not in self.terminal_set or j not in self.terminal_set:
                 raise UnknownNode(f"{i!r}-{j!r} is not a terminal pair")
-            total += sum(tree.units[e] for e in tree.path(i, j)) * value
-        return Fraction(total, tree.scale)
+            total += path_units(i, j) * value
+        return Fraction(total, self.tree.scale)
 
 
 class EdgeCapacity:

@@ -110,21 +110,34 @@ class SplitState:
         return connectivity_snapshot(self.graph, self.active, self.joins)
 
 
-def _demands_hold(state, safe):
-    """Whether every demand above `safe` holds by max-flow in the graph.
+def _demands_hold(state, safe, u, w, amount):
+    """Whether every demand above `safe` holds by max-flow once `amount`
+    units of (u, w) are split at the active node.
 
-    Demands up to `safe` are known to hold and run no flow.
+    Demands up to `safe` are known to hold and run no flow; with none above
+    it the graph is not touched. The split is undone before returning.
     """
-    graph = state.graph
-    return all(r <= safe or max_flow(graph, (x,), y, r)[0] >= r for x, y, r in state.demands)
+    graph, s = state.graph, state.active
+    above = [(x, y, r) for x, y, r in state.demands if r > safe]
+    if not above:
+        return True
+    graph.split(s, u, w, amount)
+    try:
+        return all(max_flow(graph, (x,), y, r)[0] >= r for x, y, r in above)
+    finally:
+        graph.split(s, u, w, -amount)
 
 
-def admissible_amount(state, u, w):
+def admissible_amount(state, u, w, known=None):
     """Largest amount the pair (u, w) can be split at the active node.
 
     Bounded by the incident capacities and by demand preservation, which is
     monotone in the amount. Returns 0 for unsplittable pairs; raises
     UnknownNode for a loop pair (u, u) or when u or w has no capacity to s.
+    `known`, which `split_node` passes from its running tallies, is
+    (zu, zw, deg(s)): the capacities from the active node s to u and to w,
+    and its degree. Without it the pair is checked and those are read off
+    the graph.
 
     Splitting `a` units lowers only the cuts X with u, w in X and s not in X,
     each by exactly 2a: (s, u) and (s, w) cross X and the new (u, w) capacity
@@ -138,7 +151,8 @@ def admissible_amount(state, u, w):
       a > (mu - R) / 2 fails without a flow.
     - Every lowered cut keeps at least mu - 2a and every other cut keeps its
       value, and the demands held before the split, so a demand
-      r <= mu - 2a cannot fail and `_demands_hold` skips its flow.
+      r <= mu - 2a cannot fail and `_demands_hold` skips its flow; a probe
+      with no demand above mu - 2a passes without splitting the graph.
 
     Before any flow, degree arithmetic settles most pairs: every amount up
     to free = zu + zw - deg(s)/2 keeps every demand (the module docstring
@@ -151,17 +165,20 @@ def admissible_amount(state, u, w):
     flow.
     """
     graph, s = state.graph, state.active
-    if u == s or w == s:
-        raise UnknownNode(f"{s!r} is the active node, not a neighbor of itself")
-    if u == w:
-        raise UnknownNode(f"{u!r} cannot pair with itself: a loop adds no connectivity")
-    zu = graph.capacity(s, u)
-    zw = graph.capacity(s, w)
-    if zu <= 0 or zw <= 0:
-        missing = u if zu <= 0 else w
-        raise UnknownNode(f"{missing!r} does not neighbor {s!r}")
+    if known is None:
+        if u == s or w == s:
+            raise UnknownNode(f"{s!r} is the active node, not a neighbor of itself")
+        if u == w:
+            raise UnknownNode(f"{u!r} cannot pair with itself: a loop adds no connectivity")
+        zu = graph.capacity(s, u)
+        zw = graph.capacity(s, w)
+        if zu <= 0 or zw <= 0:
+            missing = u if zu <= 0 else w
+            raise UnknownNode(f"{missing!r} does not neighbor {s!r}")
+        known = zu, zw, graph.degree(s)
+    zu, zw, degree = known
     cap = min(zu, zw)
-    free = zu + zw - graph.degree(s) // 2
+    free = zu + zw - degree // 2
     if free >= cap:
         return cap
     mu, side = max_flow(graph, (u, w), s)
@@ -170,12 +187,7 @@ def admissible_amount(state, u, w):
     lo, hi = max(0, min(free, top)), top
     amount = top
     while lo < hi:
-        graph.split(s, u, w, amount)
-        try:
-            held = _demands_hold(state, mu - 2 * amount)
-        finally:
-            graph.split(s, u, w, -amount)
-        if held:
+        if _demands_hold(state, mu - 2 * amount, u, w, amount):
             lo = amount
         else:
             hi = amount - 1
@@ -198,14 +210,20 @@ def split_node(state):
     broke that contract or a precondition (some demand cut of value 0 or 1).
     """
     graph, s = state.graph, state.active
-    assert graph.degree(s) % 2 == 0, f"odd degree at {s!r}"
-    for u, w in combinations(sorted(graph.neighbors(s)), 2):
-        if graph.capacity(s, u) == 0 or graph.capacity(s, w) == 0:
+    degree = graph.degree(s)
+    assert degree % 2 == 0, f"odd degree at {s!r}"
+    # capacity from s to each neighbor, kept with the degree across splits
+    z = {u: graph.capacity(s, u) for u in graph.neighbors(s)}
+    for u, w in combinations(sorted(z), 2):
+        zu, zw = z[u], z[w]
+        if zu == 0 or zw == 0:
             continue
-        amount = admissible_amount(state, u, w)
+        amount = admissible_amount(state, u, w, (zu, zw, degree))
         if amount > 0:
             graph.split(s, u, w, amount)
             state.events.append((u, w, amount))
+            z[u], z[w] = zu - amount, zw - amount
+            degree -= 2 * amount
     if graph.degree(s) > 0:
         raise SolverInternalError(f"no admissible split remains at {s!r}")
 

@@ -4,13 +4,14 @@ How far each check stands apart from the solver pipeline:
 
 - `verify_realization` checks the requirements by max-flow on the graph the
   realization spans: one flow per pair of `instance.forest`, each stopping
-  at its requirement, and nothing more when none falls short. A pair with a
-  short flow on its forest path has two bounds: the least of those flows from
-  below, and from above any cut a short flow left behind that separates the
-  pair. Where they meet the pair is settled; only the rest get a flow of
-  their own. The pairs are read in their stored order and only the
-  violations are sorted. It shares the max-flow routine and the instance's
-  requirement forest with the solver, none of the split logic.
+  at its requirement, and nothing more when none falls short. Otherwise one
+  join of the forest flows, largest first, names the candidates: the pairs
+  whose requirement is above the least flow on their forest path, their lower
+  bound. A candidate is settled with no flow when a cut some short flow left
+  behind separates it at that bound; only the rest get a flow of their own.
+  Candidates run in stored pair order and only the violations are sorted. It
+  shares the max-flow routine and the instance's requirement forest with the
+  solver, none of the split logic.
 - `verify_feasible_capacity` scans inner-node parity directly, but its
   coverage check reads the solver's own cached `instance.base_capacity()`,
   so it certifies the parity join's bump, not the base capacity itself.
@@ -19,7 +20,6 @@ How far each check stands apart from the solver pipeline:
 """
 
 from itertools import combinations, product
-from operator import itemgetter
 
 from .errors import TooLarge, UnknownNode
 from .maxflow import CapacitatedMultigraph, max_flow
@@ -39,55 +39,42 @@ def verify_realization(instance, realization):
 
     Otherwise each pair has two bounds. From below, any graph has
     lam(s, t) >= min(lam(s, z), lam(z, t)), so the least forest flow on the
-    pair's forest path bounds lam(s, t); joining the forest's flows in
-    descending order finds it at the join that first links s and t, and a
-    pair within it holds. From above, a flow that falls short is exact and
-    comes with its residual side, a cut of that value, and any such cut that
-    separates s and t bounds lam(s, t). Where a kept cut's value equals the
-    lower bound, lam(s, t) is settled with no flow; the pairs left get a flow
-    that stops at their requirement, and its cut is kept when it falls short.
-    Violations come in sorted pair order; an empty list means feasible.
+    pair's forest path bounds lam(s, t), and a pair within it holds. Joining
+    the forest's flows in descending order meets that bound at the join that
+    first links s and t: the join emits the pair's stored index, with the
+    join's flow, only when the requirement is above it. A pair at or below
+    the least forest flow holds whatever its path and stays out of the
+    join. Each join relabels its smaller side and scans only that side's
+    pairs, so the pass is O(pairs log n) and keeps nothing for the pairs
+    that hold. From above, a flow that falls short is exact and comes with
+    its residual side, a cut of that value, and any such cut that separates
+    s and t bounds lam(s, t). The candidates run in stored pair order:
+    where a kept cut's value equals the lower bound, lam(s, t) is settled
+    with no flow; the others get a flow that stops at their requirement,
+    and its cut is kept when it falls short. Violations come in sorted pair
+    order; an empty list means feasible.
     """
     for (u, v), _ in realization.items():
         if u not in instance.terminal_set or v not in instance.terminal_set:
             raise UnknownNode(f"{u!r}-{v!r} is not a terminal pair")
     terminals = instance.terminals
     graph = CapacitatedMultigraph(terminals, realization)
-    pairs = instance.requirements.pairs()
     # cut value -> the residual sides of the short flows that found it
     cuts = {}
-    flows = {}
+    flows = []
     for p, r in instance.forest:
-        flows[p], cut = max_flow(graph, p[:1], p[1], r)
+        flow, cut = max_flow(graph, p[:1], p[1], r)
+        flows.append(flow)
         if cut is not None:
-            cuts.setdefault(flows[p], []).append(cut)
+            cuts.setdefault(flow, []).append(cut)
     if not cuts:
         return []
-    partners = {v: [] for v in terminals}
-    for (s, t), _ in pairs:
-        partners[s].append(t)
-        partners[t].append(s)
-    # forest pairs close no cycle, so each one joins two components; each
-    # join relabels its smaller component, so a node moves O(log n) times
-    component = {v: v for v in terminals}
-    members = {v: [v] for v in terminals}
-    bound = {}
-    for (u, v), flow in sorted(flows.items(), key=itemgetter(1), reverse=True):
-        small, large = component[u], component[v]
-        if len(members[small]) > len(members[large]):
-            small, large = large, small
-        for x in members[small]:
-            for y in partners[x]:
-                if component[y] == large:
-                    bound[node_pair(x, y)] = flow
-        for x in members[small]:
-            component[x] = large
-        members[large] += members.pop(small)
+    required = instance.requirements.values
+    pairs = list(required)
     violations = []
-    for (s, t), r in pairs:
-        lam = bound[(s, t)]
-        if r <= lam:
-            continue
+    for k, lam in _short_pairs(terminals, required, instance.forest, flows):
+        s, t = pairs[k]
+        r = required[(s, t)]
         if not any((s in cut) != (t in cut) for cut in cuts.get(lam, ())):
             lam, cut = max_flow(graph, (s,), t, r)
             if cut is None:
@@ -96,6 +83,44 @@ def verify_realization(instance, realization):
         violations.append((s, t, r - lam))
     violations.sort()
     return violations
+
+
+def _short_pairs(terminals, required, forest, flows):
+    """(stored index, lower bound) of each pair required above its lower
+    bound, in stored order.
+
+    `required` maps each requirement pair to r in stored order, and `flows`
+    holds the flow of each pair of `forest`. The forest pairs join in descending flow, and the join
+    that first links s and t emits the pair when r is above its flow.
+    """
+    # node -> (other end, requirement, stored index) of each of its pairs;
+    # a pair at or below the least forest flow is within every bound
+    least = min(flows)
+    partners = {v: [] for v in terminals}
+    for k, ((s, t), r) in enumerate(required.items()):
+        if r > least:
+            partners[s].append((t, r, k))
+            partners[t].append((s, r, k))
+    # forest pairs close no cycle, so each one joins two components; each
+    # join relabels its smaller component, so a node moves O(log n) times
+    component = {v: v for v in terminals}
+    members = {v: [v] for v in terminals}
+    short = []
+    for i in sorted(range(len(flows)), key=flows.__getitem__, reverse=True):
+        (u, v), _ = forest[i]
+        flow = flows[i]
+        small, large = component[u], component[v]
+        if len(members[small]) > len(members[large]):
+            small, large = large, small
+        for x in members[small]:
+            for y, r, k in partners[x]:
+                if r > flow and component[y] == large:
+                    short.append((k, flow))
+        for x in members[small]:
+            component[x] = large
+        members[large] += members.pop(small)
+    short.sort()
+    return short
 
 
 def verify_feasible_capacity(instance, capacity):
@@ -145,8 +170,7 @@ def brute_force_insp(instance):
 
     pairs = [node_pair(a, b) for a, b in combinations(terminals, 2)]
     # pair distances in the tree's integer units, so no loop touches Fractions
-    units = instance.tree.units
-    weights = [sum(units[e] for e in instance.tree.path(*p)) for p in pairs]
+    weights = [instance.tree.path_units(*p) for p in pairs]
 
     rest = terminals[1:]
     cuts = []

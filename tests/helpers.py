@@ -4,11 +4,14 @@ import json
 import os
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import combinations
+from operator import itemgetter
 
 from hypothesis import strategies as st
 
 from treesynth import TooLarge, UnknownNode, build_instance, generate_document, parse_instance
 from treesynth.join import JoinResult
+from treesynth.maxflow import CapacitatedMultigraph, max_flow
 from treesynth.model import EdgeCapacity, MetricTree, max_spanning_joins, node_pair
 
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "instances")
@@ -324,3 +327,76 @@ def solvable_instances(draw, max_terminals=6, max_inner=3, rmin=2, rmax=6):
     m = draw(st.integers(0, max_inner))
     seed = draw(st.integers(0, 2**32 - 1))
     return random_instance(seed, terminals=k, inner=m, rmin=rmin, rmax=rmax)
+
+
+@st.composite
+def forest_inputs(draw):
+    """build_instance arguments with 1-6 terminals and requirements 0-3, so
+    that ties are common; some terminals get an all-zero row, which leaves
+    them isolated in the requirement forest."""
+    tree = draw(metric_trees(min_nodes=1, max_nodes=8))
+    terminals = draw(st.lists(st.sampled_from(tree.nodes), min_size=1, max_size=6, unique=True))
+    zero_rows = draw(st.sets(st.sampled_from(terminals)))
+    requirements = [
+        (s, t, 0 if zero_rows & {s, t} else draw(st.integers(0, 3)))
+        for s, t in combinations(terminals, 2)
+    ]
+    edges = [(u, v, tree.lengths[(u, v)]) for u, v in tree.edges]
+    return terminals, tree.nodes, edges, requirements
+
+
+def reference_verify(instance, realization):
+    """Oracle for `verify.verify_realization`: its earlier form, which keeps
+    a lower bound for every requirement pair and scans every pair after the
+    join.
+
+    It runs the same forest flows, and the same per-pair flows in the same
+    order, so it returns the same violations after the same number of
+    `max_flow` calls, looked up here by name so that a test can count them.
+    """
+    for (u, v), _ in realization.items():
+        if u not in instance.terminal_set or v not in instance.terminal_set:
+            raise UnknownNode(f"{u!r}-{v!r} is not a terminal pair")
+    terminals = instance.terminals
+    graph = CapacitatedMultigraph(terminals, realization)
+    pairs = instance.requirements.pairs()
+    # cut value -> the residual sides of the short flows that found it
+    cuts = {}
+    flows = {}
+    for p, r in instance.forest:
+        flows[p], cut = max_flow(graph, p[:1], p[1], r)
+        if cut is not None:
+            cuts.setdefault(flows[p], []).append(cut)
+    if not cuts:
+        return []
+    partners = {v: [] for v in terminals}
+    for (s, t), _ in pairs:
+        partners[s].append(t)
+        partners[t].append(s)
+    component = {v: v for v in terminals}
+    members = {v: [v] for v in terminals}
+    bound = {}
+    for (u, v), flow in sorted(flows.items(), key=itemgetter(1), reverse=True):
+        small, large = component[u], component[v]
+        if len(members[small]) > len(members[large]):
+            small, large = large, small
+        for x in members[small]:
+            for y in partners[x]:
+                if component[y] == large:
+                    bound[node_pair(x, y)] = flow
+        for x in members[small]:
+            component[x] = large
+        members[large] += members.pop(small)
+    violations = []
+    for (s, t), r in pairs:
+        lam = bound[(s, t)]
+        if r <= lam:
+            continue
+        if not any((s in cut) != (t in cut) for cut in cuts.get(lam, ())):
+            lam, cut = max_flow(graph, (s,), t, r)
+            if cut is None:
+                continue
+            cuts.setdefault(lam, []).append(cut)
+        violations.append((s, t, r - lam))
+    violations.sort()
+    return violations

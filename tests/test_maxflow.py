@@ -107,6 +107,59 @@ class TestCapacitatedMultigraph:
         assert [g.degree(v) for v in "abc"] == [7, 4, 3]
 
 
+def built_entry_by_entry(nodes, entries):
+    g = CapacitatedMultigraph(nodes)
+    for (u, v), c in entries.items():
+        g.set_capacity(u, v, c)
+    return g
+
+
+def build_outcome(build, nodes, entries):
+    """The exception a build raises, type and message, or the arc arrays and
+    degrees of the graph it returns."""
+    try:
+        g = build(nodes, entries)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g._head, g._to, g._cap, g._arc, g._degree
+
+
+class TestOnePassBuild:
+    """The constructor lays out well-formed entries itself and hands every
+    other entry to set_capacity: the outcome is that of the same
+    set_capacity calls in entry order."""
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {("a", "b"): 2, ("a", "zz"): 1},
+            {("zz", "a"): True},
+            {("a", "b"): 2, ("c", "c"): 1},
+            {("a", "b"): True},
+            {("a", "b"): 1.0},
+            {("b", "c"): 3, ("a", "b"): -1},
+            {("a", "b"): 0, ("b", "c"): 2},
+            {("a", "b"): 2, ("b", "a"): 3},
+            {("a", "b"): 2, ("b", "a"): 0, ("a", "c"): 1},
+            {("c", "a"): 4, ("b", "c"): 1, ("a", "c"): 4},
+        ],
+    )
+    def test_matches_set_capacity_calls(self, entries):
+        outcome = build_outcome(CapacitatedMultigraph, "abc", entries)
+        assert outcome == build_outcome(built_entry_by_entry, "abc", entries)
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from("abcdz"), st.sampled_from("abcdz")),
+            st.one_of(st.integers(-2, 4), st.booleans(), st.sampled_from((1.0, "1", None))),
+            max_size=8,
+        )
+    )
+    def test_random_entries_match_set_capacity_calls(self, entries):
+        outcome = build_outcome(CapacitatedMultigraph, "abcd", entries)
+        assert outcome == build_outcome(built_entry_by_entry, "abcd", entries)
+
+
 def graph_state(g):
     return dict(g.positive_pairs()), [g.degree(v) for v in g.nodes]
 

@@ -30,8 +30,10 @@ from treesynth.model import (
 
 from helpers import (
     cut_side,
+    forest_inputs,
     largest_crossing_requirement,
     metric_trees,
+    random_instance,
     side_containing,
     star_instance,
     strip_non_terminal_leaves,
@@ -274,6 +276,23 @@ def requirement_shapes(draw):
     return build_instance(terminals, tree.nodes, edges, requirements)
 
 
+def test_painted_base_matches_the_path_walk_and_sums_match_the_paths():
+    # the base as it was built before painting: every forest path walked,
+    # each edge keeping the largest requirement routed over it
+    for seed in range(120):
+        k = 2 + seed % 17
+        rmin = seed % 3
+        instance = random_instance(seed, k, seed % (k // 2 + 1), rmin=rmin, rmax=rmin + seed % 5)
+        tree = instance.tree
+        expected = dict.fromkeys(tree.edges, 0)
+        for (s, t), r in instance.forest:
+            for e in tree.path(s, t):
+                expected[e] = max(expected[e], r)
+        assert dict(instance.base_capacity().items()) == expected, seed
+        for i, j in combinations(tree.nodes, 2):
+            assert tree.path_units(i, j) == sum(tree.units[e] for e in tree.path(i, j)), (seed, i, j)
+
+
 @given(requirement_shapes())
 def test_base_capacity_is_the_largest_requirement_on_each_path(instance):
     # reference: walk the tree path of every requirement pair
@@ -282,22 +301,6 @@ def test_base_capacity_is_the_largest_requirement_on_each_path(instance):
         for e in instance.tree.path(s, t):
             expected[e] = max(expected[e], r)
     assert dict(instance.base_capacity().items()) == expected
-
-
-@st.composite
-def forest_inputs(draw):
-    """build_instance arguments with 1-6 terminals and requirements 0-3, so
-    that ties are common; some terminals get an all-zero row, which leaves
-    them isolated in the requirement forest."""
-    tree = draw(metric_trees(min_nodes=1, max_nodes=8))
-    terminals = draw(st.lists(st.sampled_from(tree.nodes), min_size=1, max_size=6, unique=True))
-    zero_rows = draw(st.sets(st.sampled_from(terminals)))
-    requirements = [
-        (s, t, 0 if zero_rows & {s, t} else draw(st.integers(0, 3)))
-        for s, t in combinations(terminals, 2)
-    ]
-    edges = [(u, v, tree.lengths[(u, v)]) for u, v in tree.edges]
-    return terminals, tree.nodes, edges, requirements
 
 
 @given(forest_inputs())

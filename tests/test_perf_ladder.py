@@ -4,8 +4,9 @@
 `splitoff.max_flow` and `splitoff._demands_hold` to count probe outcomes;
 renaming one of them breaks the script's `--before` comparison, so this test
 loads the script and tallies one small solve. It also pins the pairs the
-degree rule admits whole with no flow, and that the script's per-operation
-timing runs through the benchmark's loop.
+degree rule admits whole with no flow, that the script's per-operation
+timing runs through the benchmark's loop, and that its audit chain is the
+audit's worst case: every forest flow short and every pair a violation.
 """
 
 import importlib.util
@@ -15,7 +16,7 @@ import sys
 
 import pytest
 
-from treesynth import cli, solver, splitoff
+from treesynth import Realization, cli, solver, splitoff, verify
 
 PERF_LADDER = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "perf_ladder.py"
@@ -36,17 +37,17 @@ def test_tally_counts_the_probes_of_a_solve():
     untallied = solver.solve(cli.parse_instance(text))
     probes, holds, whole = [], [], []
 
-    def counted_amount(state, u, w):
+    def counted_amount(state, u, w, *known):
         probes.append((u, w))
         graph, s = state.graph, state.active
         zu, zw = graph.capacity(s, u), graph.capacity(s, w)
         if min(zu, zw) <= zu + zw - graph.degree(s) // 2:
             whole.append((u, w))
-        return originals["admissible_amount"](state, u, w)
+        return originals["admissible_amount"](state, u, w, *known)
 
-    def counted_hold(state, safe):
+    def counted_hold(state, safe, *split):
         holds.append(safe)
-        return originals["_demands_hold"](state, safe)
+        return originals["_demands_hold"](state, safe, *split)
 
     try:
         # the tally wraps these counters, so both see the same calls
@@ -74,3 +75,25 @@ def test_calibrated_scales_each_operation(monkeypatch):
     assert all(t > 0 for t in seconds) and all(f > 0 for f in factors)
     with pytest.raises(RuntimeError, match="1 of 2 operations failed"):
         perf_ladder.calibrated(bench, lambda x: 1 // x, [0, 1])
+
+
+def test_audit_chain_leaves_every_forest_flow_short():
+    # r = 2 on each consecutive pair against 1 unit on each: every forest
+    # flow is 1, and every pair is a violation of 1
+    n = 12
+    instance = cli.parse_instance(json.dumps(load_perf_ladder().audit_chain_document(n)))
+    names = instance.terminals
+    ones = Realization({(u, v): 1 for u, v in zip(names, names[1:])})
+    flows = []
+    real = verify.max_flow
+
+    def counted(*args):
+        result = real(*args)
+        flows.append(result[0])
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "max_flow", counted)
+        violations = verify.verify_realization(instance, ones)
+    assert flows == [1] * (n - 1)
+    assert violations == sorted((*sorted(p), 1) for p in zip(names, names[1:]))

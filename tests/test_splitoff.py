@@ -253,6 +253,16 @@ class TestAdmissibleAmount:
         with pytest.raises(UnknownNode, match="is the active node"):
             admissible_amount(state, "h", "a")
 
+    def test_a_probe_with_no_demand_above_safe_makes_no_split(self):
+        g = star_graph({"a": 2, "b": 2, "c": 2})
+        state = SplitState(g, "h", tree_joins(g))
+        top = max(r for _, _, r in state.demands)
+        # 5 units exceed both capacities at h, so making the split would raise
+        assert splitoff._demands_hold(state, top, "a", "b", 5)
+        with pytest.raises(ValueError, match="cannot split 5 units"):
+            splitoff._demands_hold(state, top - 1, "a", "b", 5)
+        assert dict(g.positive_pairs()) == {("a", "h"): 2, ("b", "h"): 2, ("c", "h"): 2}
+
     def test_partial_amount_on_skewed_star(self):
         # splitting a-b beyond 2 units would strand a from c
         g = star_graph({"a": 3, "b": 3, "c": 2})
@@ -501,10 +511,14 @@ def reference_amount(state, u, w):
 def test_every_probe_matches_the_all_flows_reference(instance):
     real = splitoff.admissible_amount
 
-    def checked(state, u, w):
+    def checked(state, u, w, *known):
+        graph, s = state.graph, state.active
+        if known:
+            # split_node's running tallies are the graph's
+            assert known == ((graph.capacity(s, u), graph.capacity(s, w), graph.degree(s)),)
         expected = reference_amount(state, u, w)
-        got = real(state, u, w)
-        assert got == expected, (state.active, u, w)
+        got = real(state, u, w, *known)
+        assert got == expected, (s, u, w)
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -527,11 +541,11 @@ def test_every_pair_the_degree_rule_settles_matches_the_reference():
         cuts.append(result)
         return result
 
-    def hold(state, safe):
+    def hold(state, safe, *split):
         holds.append(safe)
-        return real_hold(state, safe)
+        return real_hold(state, safe, *split)
 
-    def checked(state, u, w):
+    def checked(state, u, w, *known):
         graph, s = state.graph, state.active
         zu, zw = graph.capacity(s, u), graph.capacity(s, w)
         cap = min(zu, zw)
@@ -539,7 +553,7 @@ def test_every_pair_the_degree_rule_settles_matches_the_reference():
         expected = reference_amount(state, u, w)
         cuts.clear()
         holds.clear()
-        got = real_amount(state, u, w)
+        got = real_amount(state, u, w, *known)
         assert got == expected, (s, u, w)
         if cap <= free:
             whole.append((s, u, w))
@@ -575,11 +589,11 @@ def test_every_refusal_by_the_merged_cut_is_refused_by_the_reference():
             cuts.append(result)
         return result
 
-    def checked(state, u, w):
+    def checked(state, u, w, *known):
         active[0] = state.active
         cuts.clear()
         expected = reference_amount(state, u, w)
-        got = real_amount(state, u, w)
+        got = real_amount(state, u, w, *known)
         assert len(cuts) <= 1, (state.active, u, w)
         if cuts:
             mu, side = cuts[0]
@@ -603,12 +617,17 @@ def test_checks_the_safe_bound_skips_hold_by_max_flow():
     skipped = []
     real = splitoff._demands_hold
 
-    def checked(state, safe):
-        for x, y, needed in state.demands:
-            if needed <= safe:
-                skipped.append((x, y))
-                assert max_flow(state.graph, (x,), y)[0] >= needed, (state.active, x, y, needed, safe)
-        return real(state, safe)
+    def checked(state, safe, u, w, amount):
+        graph, s = state.graph, state.active
+        graph.split(s, u, w, amount)
+        try:
+            for x, y, needed in state.demands:
+                if needed <= safe:
+                    skipped.append((x, y))
+                    assert max_flow(graph, (x,), y)[0] >= needed, (s, x, y, needed, safe)
+        finally:
+            graph.split(s, u, w, -amount)
+        return real(state, safe, u, w, amount)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(splitoff, "_demands_hold", checked)
@@ -666,14 +685,14 @@ def test_a_flow_still_refuses_probes_and_the_search_goes_below_top():
     real_amount, real_hold = splitoff.admissible_amount, splitoff._demands_hold
     holds = []
 
-    def hold(state, safe):
-        held = real_hold(state, safe)
+    def hold(state, safe, *split):
+        held = real_hold(state, safe, *split)
         holds.append(held)
         return held
 
-    def checked(state, u, w):
+    def checked(state, u, w, *known):
         holds.clear()
-        got = real_amount(state, u, w)
+        got = real_amount(state, u, w, *known)
         if False in holds:
             refused.append((state.active, u, w, got, holds.count(False)))
             assert got == reference_amount(state, u, w), (state.active, u, w)

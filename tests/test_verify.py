@@ -1,6 +1,7 @@
 """Independent checkers and the exhaustive reference solver."""
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -18,15 +19,19 @@ from treesynth import (
     fractional_lower_bound,
     maxflow,
     solve,
+    verify,
     verify_realization,
 )
 from treesynth.maxflow import CapacitatedMultigraph, max_flow
 from treesynth.model import EdgeCapacity, node_pair
 from treesynth.verify import verify_feasible_capacity
 
+import helpers
 from helpers import (
     capacity_projection,
+    forest_inputs,
     random_instance,
+    reference_verify,
     solvable_instances,
     star_instance,
     uniform_integer_formula,
@@ -242,6 +247,67 @@ class TestForestAudit:
         with counted_flows() as calls:
             assert verify_realization(instance, realization) == []
         assert len(calls) == 3
+
+
+def counted_audits(instance, realization):
+    """(violations, max_flow calls) of `verify_realization` and of the
+    reference, each counted at the name it calls max-flow by."""
+    calls = Counter()
+
+    def counted(key):
+        def run(*args):
+            calls[key] += 1
+            return max_flow(*args)
+
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "max_flow", counted("audit"))
+        mp.setattr(helpers, "max_flow", counted("reference"))
+        got = verify_realization(instance, realization)
+        expected = reference_verify(instance, realization)
+    return (got, calls["audit"]), (expected, calls["reference"])
+
+
+AUDIT_KINDS = ("intact", "damaged", "random", "empty", "tied")
+
+
+def audit_values(instance, kind, rng):
+    """A realization of one kind: as solved, damaged, random, empty, or
+    random pairs all at 1, whose forest flows tie. One terminal has no pair."""
+    if kind == "empty" or len(instance.terminals) < 2:
+        return {}
+    if kind == "random":
+        return random_values(instance, rng)
+    if kind == "tied":
+        return dict.fromkeys(random_values(instance, rng), 1)
+    values = intact_values(instance)
+    return values if kind == "intact" else damaged_values(values, rng.randint(1, 3), rng)
+
+
+class TestCandidateJoin:
+    """verify_realization against its earlier form, which kept a bound for
+    every pair: the same violations after the same max-flow calls."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(forest_inputs(), st.sampled_from(AUDIT_KINDS), st.integers(0, 2**32 - 1))
+    def test_matches_the_full_bound_table(self, args, kind, seed):
+        instance = build_instance(*args)
+        realization = Realization(audit_values(instance, kind, random.Random(seed)))
+        got, expected = counted_audits(instance, realization)
+        assert got == expected
+
+    def test_seeded_sweep_matches_the_full_bound_table(self):
+        rng = random.Random(27)
+        violations = 0
+        for seed in range(40):
+            k = rng.randint(8, 18)
+            instance = random_instance(seed, k, k // 3, rmin=seed % 3, rmax=rng.randint(2, 6))
+            for kind in AUDIT_KINDS:
+                got, expected = counted_audits(instance, Realization(audit_values(instance, kind, rng)))
+                assert got == expected, (seed, kind)
+                violations += len(got[0])
+        assert violations > 1000
 
 
 class TestVerifyFeasibleCapacity:
