@@ -157,12 +157,12 @@ def tally_probes(splitoff):
         tally["passed" if held else "flow_refused"] += 1
         return held
 
-    def counted_amount(state, u, w, *known):
+    def counted_amount(state, u, w):
         active[0] = state.active
         cuts.clear()
         zu, zw = state.graph.capacity(state.active, u), state.graph.capacity(state.active, w)
         cap = min(zu, zw)
-        got = amount(state, u, w, *known)
+        got = amount(state, u, w)
         if cuts:
             mu, side = cuts[0]
             crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)

@@ -36,18 +36,14 @@ class CapacitatedMultigraph:
         self._degree = [0] * len(self.nodes)
         # (u, v) -> the arc from u to v; its reverse is arc ^ 1
         self._arc = {}
-        index, head, to, cap, degree, arc = self._index, self._head, self._to, self._cap, self._degree, self._arc
+        index, cap, degree, arc = self._index, self._cap, self._degree, self._arc
         for (u, v), c in (capacities or {}).items():
             i, j = index.get(u), index.get(v)
             if i is None or j is None or i == j or type(c) is not int or c <= 0 or (u, v) in arc:
                 self.set_capacity(u, v, c)
                 continue
-            a = len(to)
-            arc[(u, v)], arc[(v, u)] = a, a + 1
-            head[i].append(a)
-            head[j].append(a + 1)
-            to += (j, i)
-            cap += (c, c)
+            a = self._new_arc(u, v)
+            cap[a] = cap[a ^ 1] = c
             degree[i] += c
             degree[j] += c
 

@@ -96,8 +96,8 @@ class MetricTree:
     None); its insertion order is breadth-first from the root. `lengths` maps
     each edge to its Fraction length; `units` maps it to the int
     length * `scale`, where `scale` is the LCM of the length denominators.
-    Each non-root node also keeps its parent edge and that edge's units, so
-    a path sum walks both ends up to their meeting node with no edge list.
+    Each non-root node also keeps its parent edge, so a walk over a path
+    climbs both ends to their meeting node with no edge list.
     """
 
     def __init__(self, nodes, edges, root):
@@ -156,9 +156,8 @@ class MetricTree:
         self.parent = parent
         self._depth = depth
         self._adj = adj
-        # non-root node -> the edge to its parent, and that edge's units
+        # non-root node -> the edge to its parent
         self._up_edge = {v: node_pair(v, p) for v, p in parent.items() if p is not None}
-        self._up_units = {v: self.units[e] for v, e in self._up_edge.items()}
 
     def __eq__(self, other):
         if not isinstance(other, MetricTree):
@@ -202,12 +201,12 @@ class MetricTree:
 
         The nodes are not checked; `distance` is the checked form.
         """
-        parent, depth, up = self.parent, self._depth, self._up_units
+        parent, depth, up, units = self.parent, self._depth, self._up_edge, self.units
         total = 0
         while i != j:
             if depth[i] < depth[j]:
                 i, j = j, i
-            total += up[i]
+            total += units[up[i]]
             i = parent[i]
         return total
 
@@ -349,35 +348,22 @@ class Instance:
 
         A tree edge's cut separates exactly the pairs whose path crosses it,
         so each edge gets the largest requirement routed over it. Only the
-        paths of the `forest` pairs are painted, since the forest holds a
-        largest requirement across every cut, and in its Kruskal order
-        (largest r first), so the first pair to reach an edge sets it. Skip
-        pointers, halved as they are followed, jump over painted edges, so
-        each edge is written once.
+        paths of the `forest` pairs are walked, since the forest holds a
+        largest requirement across every cut.
         """
         if self._base is None:
             tree = self.tree
             parent, depth, up = tree.parent, tree._depth, tree._up_edge
             values = dict.fromkeys(tree.edges, 0)
-            # node -> a node above it; every edge between them is painted
-            skip = {}
-            for (s, t), r in self.forest:
-                # the deeper end climbs; it meets an unpainted edge only
-                # below the meeting node, since the ends cross painted
-                # edges alone and cannot pass the first unpainted one
-                i, j = s, t
+            for (i, j), r in self.forest:
+                # the deeper end climbs until the ends meet
                 while i != j:
                     if depth[i] < depth[j]:
                         i, j = j, i
-                    k = skip.get(i)
-                    if k is None:
-                        values[up[i]] = r
-                        k = parent[i]
-                    else:
-                        # path halving: two painted stretches in one jump
-                        k = skip.get(k, k)
-                    skip[i] = k
-                    i = k
+                    e = up[i]
+                    if r > values[e]:
+                        values[e] = r
+                    i = parent[i]
             self._base = EdgeCapacity(tree, values)
         return self._base
 

@@ -128,16 +128,12 @@ def _demands_hold(state, safe, u, w, amount):
         graph.split(s, u, w, -amount)
 
 
-def admissible_amount(state, u, w, known=None):
+def admissible_amount(state, u, w):
     """Largest amount the pair (u, w) can be split at the active node.
 
     Bounded by the incident capacities and by demand preservation, which is
     monotone in the amount. Returns 0 for unsplittable pairs; raises
     UnknownNode for a loop pair (u, u) or when u or w has no capacity to s.
-    `known`, which `split_node` passes from its running tallies, is
-    (zu, zw, deg(s)): the capacities from the active node s to u and to w,
-    and its degree. Without it the pair is checked and those are read off
-    the graph.
 
     Splitting `a` units lowers only the cuts X with u, w in X and s not in X,
     each by exactly 2a: (s, u) and (s, w) cross X and the new (u, w) capacity
@@ -165,20 +161,17 @@ def admissible_amount(state, u, w, known=None):
     flow.
     """
     graph, s = state.graph, state.active
-    if known is None:
-        if u == s or w == s:
-            raise UnknownNode(f"{s!r} is the active node, not a neighbor of itself")
-        if u == w:
-            raise UnknownNode(f"{u!r} cannot pair with itself: a loop adds no connectivity")
-        zu = graph.capacity(s, u)
-        zw = graph.capacity(s, w)
-        if zu <= 0 or zw <= 0:
-            missing = u if zu <= 0 else w
-            raise UnknownNode(f"{missing!r} does not neighbor {s!r}")
-        known = zu, zw, graph.degree(s)
-    zu, zw, degree = known
+    if u == s or w == s:
+        raise UnknownNode(f"{s!r} is the active node, not a neighbor of itself")
+    if u == w:
+        raise UnknownNode(f"{u!r} cannot pair with itself: a loop adds no connectivity")
+    zu = graph.capacity(s, u)
+    zw = graph.capacity(s, w)
+    if zu <= 0 or zw <= 0:
+        missing = u if zu <= 0 else w
+        raise UnknownNode(f"{missing!r} does not neighbor {s!r}")
     cap = min(zu, zw)
-    free = zu + zw - degree // 2
+    free = zu + zw - graph.degree(s) // 2
     if free >= cap:
         return cap
     mu, side = max_flow(graph, (u, w), s)
@@ -210,20 +203,14 @@ def split_node(state):
     broke that contract or a precondition (some demand cut of value 0 or 1).
     """
     graph, s = state.graph, state.active
-    degree = graph.degree(s)
-    assert degree % 2 == 0, f"odd degree at {s!r}"
-    # capacity from s to each neighbor, kept with the degree across splits
-    z = {u: graph.capacity(s, u) for u in graph.neighbors(s)}
-    for u, w in combinations(sorted(z), 2):
-        zu, zw = z[u], z[w]
-        if zu == 0 or zw == 0:
+    assert graph.degree(s) % 2 == 0, f"odd degree at {s!r}"
+    for u, w in combinations(sorted(graph.neighbors(s)), 2):
+        if graph.capacity(s, u) == 0 or graph.capacity(s, w) == 0:
             continue
-        amount = admissible_amount(state, u, w, (zu, zw, degree))
+        amount = admissible_amount(state, u, w)
         if amount > 0:
             graph.split(s, u, w, amount)
             state.events.append((u, w, amount))
-            z[u], z[w] = zu - amount, zw - amount
-            degree -= 2 * amount
     if graph.degree(s) > 0:
         raise SolverInternalError(f"no admissible split remains at {s!r}")
 

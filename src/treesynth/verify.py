@@ -69,12 +69,9 @@ def verify_realization(instance, realization):
             cuts.setdefault(flow, []).append(cut)
     if not cuts:
         return []
-    required = instance.requirements.values
-    pairs = list(required)
     violations = []
-    for k, lam in _short_pairs(terminals, required, instance.forest, flows):
-        s, t = pairs[k]
-        r = required[(s, t)]
+    required = instance.requirements.values
+    for _, s, t, r, lam in _short_pairs(terminals, required, instance.forest, flows):
         if not any((s in cut) != (t in cut) for cut in cuts.get(lam, ())):
             lam, cut = max_flow(graph, (s,), t, r)
             if cut is None:
@@ -86,21 +83,22 @@ def verify_realization(instance, realization):
 
 
 def _short_pairs(terminals, required, forest, flows):
-    """(stored index, lower bound) of each pair required above its lower
-    bound, in stored order.
+    """(stored index, s, t, r, lower bound) of each pair (s, t) required
+    above its lower bound, in stored order.
 
     `required` maps each requirement pair to r in stored order, and `flows`
-    holds the flow of each pair of `forest`. The forest pairs join in descending flow, and the join
-    that first links s and t emits the pair when r is above its flow.
+    holds the flow of each pair of `forest`. The forest pairs join in
+    descending flow, and the join that first links s and t emits the pair
+    when r is above its flow.
     """
-    # node -> (other end, requirement, stored index) of each of its pairs;
-    # a pair at or below the least forest flow is within every bound
+    # node -> (other end, stored index, s, t, r) of each of its pairs; a
+    # pair at or below the least forest flow is within every bound
     least = min(flows)
     partners = {v: [] for v in terminals}
     for k, ((s, t), r) in enumerate(required.items()):
         if r > least:
-            partners[s].append((t, r, k))
-            partners[t].append((s, r, k))
+            partners[s].append((t, k, s, t, r))
+            partners[t].append((s, k, s, t, r))
     # forest pairs close no cycle, so each one joins two components; each
     # join relabels its smaller component, so a node moves O(log n) times
     component = {v: v for v in terminals}
@@ -113,9 +111,9 @@ def _short_pairs(terminals, required, forest, flows):
         if len(members[small]) > len(members[large]):
             small, large = large, small
         for x in members[small]:
-            for y, r, k in partners[x]:
+            for y, k, s, t, r in partners[x]:
                 if r > flow and component[y] == large:
-                    short.append((k, flow))
+                    short.append((k, s, t, r, flow))
         for x in members[small]:
             component[x] = large
         members[large] += members.pop(small)

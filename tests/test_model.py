@@ -276,9 +276,9 @@ def requirement_shapes(draw):
     return build_instance(terminals, tree.nodes, edges, requirements)
 
 
-def test_painted_base_matches_the_path_walk_and_sums_match_the_paths():
-    # the base as it was built before painting: every forest path walked,
-    # each edge keeping the largest requirement routed over it
+def test_climbed_base_matches_the_path_walk_and_sums_match_the_paths():
+    # the base as it was built from edge lists: every forest path walked by
+    # `tree.path`, each edge keeping the largest requirement routed over it
     for seed in range(120):
         k = 2 + seed % 17
         rmin = seed % 3

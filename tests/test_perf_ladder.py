@@ -37,13 +37,13 @@ def test_tally_counts_the_probes_of_a_solve():
     untallied = solver.solve(cli.parse_instance(text))
     probes, holds, whole = [], [], []
 
-    def counted_amount(state, u, w, *known):
+    def counted_amount(state, u, w):
         probes.append((u, w))
         graph, s = state.graph, state.active
         zu, zw = graph.capacity(s, u), graph.capacity(s, w)
         if min(zu, zw) <= zu + zw - graph.degree(s) // 2:
             whole.append((u, w))
-        return originals["admissible_amount"](state, u, w, *known)
+        return originals["admissible_amount"](state, u, w)
 
     def counted_hold(state, safe, *split):
         holds.append(safe)

@@ -511,14 +511,10 @@ def reference_amount(state, u, w):
 def test_every_probe_matches_the_all_flows_reference(instance):
     real = splitoff.admissible_amount
 
-    def checked(state, u, w, *known):
-        graph, s = state.graph, state.active
-        if known:
-            # split_node's running tallies are the graph's
-            assert known == ((graph.capacity(s, u), graph.capacity(s, w), graph.degree(s)),)
+    def checked(state, u, w):
         expected = reference_amount(state, u, w)
-        got = real(state, u, w, *known)
-        assert got == expected, (s, u, w)
+        got = real(state, u, w)
+        assert got == expected, (state.active, u, w)
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -545,7 +541,7 @@ def test_every_pair_the_degree_rule_settles_matches_the_reference():
         holds.append(safe)
         return real_hold(state, safe, *split)
 
-    def checked(state, u, w, *known):
+    def checked(state, u, w):
         graph, s = state.graph, state.active
         zu, zw = graph.capacity(s, u), graph.capacity(s, w)
         cap = min(zu, zw)
@@ -553,7 +549,7 @@ def test_every_pair_the_degree_rule_settles_matches_the_reference():
         expected = reference_amount(state, u, w)
         cuts.clear()
         holds.clear()
-        got = real_amount(state, u, w, *known)
+        got = real_amount(state, u, w)
         assert got == expected, (s, u, w)
         if cap <= free:
             whole.append((s, u, w))
@@ -589,11 +585,11 @@ def test_every_refusal_by_the_merged_cut_is_refused_by_the_reference():
             cuts.append(result)
         return result
 
-    def checked(state, u, w, *known):
+    def checked(state, u, w):
         active[0] = state.active
         cuts.clear()
         expected = reference_amount(state, u, w)
-        got = real_amount(state, u, w, *known)
+        got = real_amount(state, u, w)
         assert len(cuts) <= 1, (state.active, u, w)
         if cuts:
             mu, side = cuts[0]
@@ -690,9 +686,9 @@ def test_a_flow_still_refuses_probes_and_the_search_goes_below_top():
         holds.append(held)
         return held
 
-    def checked(state, u, w, *known):
+    def checked(state, u, w):
         holds.clear()
-        got = real_amount(state, u, w, *known)
+        got = real_amount(state, u, w)
         if False in holds:
             refused.append((state.active, u, w, got, holds.count(False)))
             assert got == reference_amount(state, u, w), (state.active, u, w)
