@@ -72,23 +72,19 @@ def _entries(raw, where, keys):
     """Index, endpoints and value of each entry of a list of pair objects.
 
     `keys` names the two endpoint fields and the value field, in that order.
-    An object with exactly those keys and string endpoints builds no message;
-    the first other entry is re-checked by `_expect_keys` and reported under
-    `where[index]`.
+    Each entry must be an object with exactly those keys (`_expect_keys`) and
+    string endpoints; a bad one is reported under `where[index]`.
     """
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected a list")
     first, second, value = keys
     fields = frozenset(keys)
     for k, entry in enumerate(raw):
-        if isinstance(entry, dict) and entry.keys() == fields:
-            a, b = entry[first], entry[second]
-            if isinstance(a, str) and isinstance(b, str):
-                yield k, a, b, entry[value]
-                continue
-        spot = f"{where}[{k}]"
-        _expect_keys(entry, fields, spot)
-        raise ParseError(f"{spot}: endpoints must be strings")
+        _expect_keys(entry, fields, f"{where}[{k}]")
+        a, b = entry[first], entry[second]
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise ParseError(f"{where}[{k}]: endpoints must be strings")
+        yield k, a, b, entry[value]
 
 
 def _requirement_matrix(raw):

@@ -3,11 +3,8 @@
 Parallel edges collapse into one integer capacity per unordered pair of
 distinct nodes. The graph keeps the arc arrays the flow runs on: each pair
 that ever carried capacity owns two mutually reverse arcs, both holding the
-pair's current capacity (0 once it is removed). The constructor lays out the
-arcs of well-formed entries in one pass (known endpoints, no loop, an int
-above 0, a pair not seen before) and passes every other entry to
-`set_capacity`, so errors, messages and overrides are those of the same
-`set_capacity` calls in entry order.
+pair's current capacity (0 once it is removed). The constructor makes one
+`set_capacity` call per entry, in entry order.
 
 `max_flow` does only the work its caller needs. It augments along shortest
 residual paths (Edmonds-Karp); each path search stops at the arc that labels
@@ -36,16 +33,8 @@ class CapacitatedMultigraph:
         self._degree = [0] * len(self.nodes)
         # (u, v) -> the arc from u to v; its reverse is arc ^ 1
         self._arc = {}
-        index, cap, degree, arc = self._index, self._cap, self._degree, self._arc
         for (u, v), c in (capacities or {}).items():
-            i, j = index.get(u), index.get(v)
-            if i is None or j is None or i == j or type(c) is not int or c <= 0 or (u, v) in arc:
-                self.set_capacity(u, v, c)
-                continue
-            a = self._new_arc(u, v)
-            cap[a] = cap[a ^ 1] = c
-            degree[i] += c
-            degree[j] += c
+            self.set_capacity(u, v, c)
 
     def __contains__(self, v):
         return v in self._index
@@ -61,12 +50,11 @@ class CapacitatedMultigraph:
         return 0 if a is None else self._cap[a]
 
     def set_capacity(self, u, v, value):
-        if u not in self._index or v not in self._index:
-            self._check(u)
-            self._check(v)
+        self._check(u)
+        self._check(v)
         if u == v:
             raise UnknownNode(f"a loop at {u!r} cannot carry capacity")
-        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"capacity must be an int, got {value!r}")
         if value < 0:
             raise ValueError(f"capacity on {u!r}-{v!r} cannot go negative")
@@ -212,9 +200,8 @@ def max_flow(graph, sources, sink, limit=None):
             raise UnknownNode(f"unknown node {v!r}")
     if sink in sources:
         raise UnknownNode(f"flow endpoints must differ, got {sink!r} on both sides")
-    if limit is not None and not (type(limit) is int and limit >= 1):
-        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-            raise ValueError(f"a flow limit must be an int of at least 1, got {limit!r}")
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
+        raise ValueError(f"a flow limit must be an int of at least 1, got {limit!r}")
     return _augment(graph, sources, sink, limit)
 
 

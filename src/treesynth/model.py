@@ -96,8 +96,9 @@ class MetricTree:
     None); its insertion order is breadth-first from the root. `lengths` maps
     each edge to its Fraction length; `units` maps it to the int
     length * `scale`, where `scale` is the LCM of the length denominators.
-    Each non-root node also keeps its parent edge, so a walk over a path
-    climbs both ends to their meeting node with no edge list.
+    Each non-root node also keeps its depth and its parent edge, so `_climb`
+    walks a path by climbing the deeper end until the ends meet, with no
+    edge list.
     """
 
     def __init__(self, nodes, edges, root):
@@ -179,36 +180,21 @@ class MetricTree:
     def leaves(self):
         return tuple(v for v in self.nodes if len(self._adj[v]) <= 1)
 
-    def path(self, i, j):
-        """Edges (canonical pairs) on the tree path from i to j, in walk order."""
-        if i not in self._adj:
-            raise UnknownNode(f"unknown tree node {i!r}")
-        if j not in self._adj:
-            raise UnknownNode(f"unknown tree node {j!r}")
-        parent, depth = self.parent, self._depth
-        up, down = [], []
+    def _climb(self, i, j):
+        """Yield the edges of the tree path between two tree nodes, unchecked."""
+        parent, depth, up = self.parent, self._depth, self._up_edge
         while i != j:
-            if depth[i] >= depth[j]:
-                up.append(node_pair(i, parent[i]))
-                i = parent[i]
-            else:
-                down.append(node_pair(j, parent[j]))
-                j = parent[j]
-        return up + down[::-1]
+            if depth[i] < depth[j]:
+                i, j = j, i
+            yield up[i]
+            i = parent[i]
 
     def path_units(self, i, j):
         """Length of the tree path between two tree nodes in `units`, an int.
 
         The nodes are not checked; `distance` is the checked form.
         """
-        parent, depth, up, units = self.parent, self._depth, self._up_edge, self.units
-        total = 0
-        while i != j:
-            if depth[i] < depth[j]:
-                i, j = j, i
-            total += units[up[i]]
-            i = parent[i]
-        return total
+        return sum(map(self.units.__getitem__, self._climb(i, j)))
 
     def distance(self, i, j):
         """Exact path length between two tree nodes."""
@@ -353,17 +339,11 @@ class Instance:
         """
         if self._base is None:
             tree = self.tree
-            parent, depth, up = tree.parent, tree._depth, tree._up_edge
             values = dict.fromkeys(tree.edges, 0)
             for (i, j), r in self.forest:
-                # the deeper end climbs until the ends meet
-                while i != j:
-                    if depth[i] < depth[j]:
-                        i, j = j, i
-                    e = up[i]
+                for e in tree._climb(i, j):
                     if r > values[e]:
                         values[e] = r
-                    i = parent[i]
             self._base = EdgeCapacity(tree, values)
         return self._base
 

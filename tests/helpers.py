@@ -176,6 +176,28 @@ def side_containing(tree, edge, start):
     return frozenset(seen)
 
 
+def tree_path(tree, i, j):
+    """Edges (canonical pairs) on the tree path from i to j, in walk order.
+
+    Built from the two chains up `tree.parent` to the root, so it shares no
+    code with the climbs in `MetricTree`.
+    """
+
+    def to_root(v):
+        chain = [v]
+        while tree.parent[chain[-1]] is not None:
+            chain.append(tree.parent[chain[-1]])
+        return chain
+
+    up, down = to_root(i), to_root(j)
+    on_down = set(down)
+    meet = next(v for v in up if v in on_down)
+    up, down = up[: up.index(meet) + 1], down[: down.index(meet) + 1]
+    return [node_pair(a, b) for a, b in zip(up, up[1:])] + [
+        node_pair(a, b) for a, b in reversed(list(zip(down, down[1:])))
+    ]
+
+
 def cut_side(instance, edge):
     """Terminals on the root side of the cut a tree edge induces."""
     return side_containing(instance.tree, edge, instance.tree.root) & instance.terminal_set

@@ -38,6 +38,7 @@ from helpers import (
     forest_bottleneck,
     star_instance,
     tree_joins,
+    tree_path,
     uniform_integer_formula,
     uniform_star,
 )
@@ -130,7 +131,7 @@ def _replay(instance, solution, check_demands):
         demands = _flow_snapshot(graph, node) if check_demands else {}
         for (x, y), d in demands.items():
             out["snapshot_pairs"] += 1
-            if d != min(solution.capacity[e] for e in tree.path(x, y)):
+            if d != min(solution.capacity[e] for e in tree_path(tree, x, y)):
                 out["bottleneck_mismatches"] += 1
         if check_demands:
             checks = connectivity_snapshot(graph, node, joins)

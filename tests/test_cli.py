@@ -148,8 +148,8 @@ class TestParseInstance:
 # Bad entries for the pair lists. Each case maps the entry it replaces and the
 # list's (endpoint, endpoint, value) keys to the entries put in its place; a
 # value case replaces the value field instead. The expected exceptions and
-# messages are pinned literally: the parser's fast path for well-formed
-# entries must leave every error as it was.
+# messages are pinned literally: the one-pass read of well-formed requirement
+# rows must leave every error as it was.
 STRUCTURE_CASES = {
     "non-object": lambda e, a, b, v: [list(e.values())],
     "missing key": lambda e, a, b, v: [{x: e[x] for x in e if x != v}],

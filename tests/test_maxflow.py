@@ -125,9 +125,8 @@ def build_outcome(build, nodes, entries):
 
 
 class TestOnePassBuild:
-    """The constructor lays out well-formed entries itself and hands every
-    other entry to set_capacity: the outcome is that of the same
-    set_capacity calls in entry order."""
+    """The constructor is the same set_capacity calls, in entry order: its
+    outcome, graph or error, is theirs."""
 
     @pytest.mark.parametrize(
         "entries",

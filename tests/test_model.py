@@ -37,6 +37,7 @@ from helpers import (
     side_containing,
     star_instance,
     strip_non_terminal_leaves,
+    tree_path,
 )
 
 
@@ -213,7 +214,7 @@ def test_distance_sums_the_edges_that_separate_the_endpoints(tree):
         for j in tree.nodes:
             crossed = [e for e in tree.edges if j not in side_containing(tree, e, i)]
             assert tree.distance(i, j) == sum(tree.lengths[e] for e in crossed)
-            assert sorted(tree.path(i, j)) == sorted(crossed)
+            assert sorted(tree_path(tree, i, j)) == sorted(crossed)
 
 
 @st.composite
@@ -278,7 +279,7 @@ def requirement_shapes(draw):
 
 def test_climbed_base_matches_the_path_walk_and_sums_match_the_paths():
     # the base as it was built from edge lists: every forest path walked by
-    # `tree.path`, each edge keeping the largest requirement routed over it
+    # `tree_path`, each edge keeping the largest requirement routed over it
     for seed in range(120):
         k = 2 + seed % 17
         rmin = seed % 3
@@ -286,11 +287,11 @@ def test_climbed_base_matches_the_path_walk_and_sums_match_the_paths():
         tree = instance.tree
         expected = dict.fromkeys(tree.edges, 0)
         for (s, t), r in instance.forest:
-            for e in tree.path(s, t):
+            for e in tree_path(tree, s, t):
                 expected[e] = max(expected[e], r)
         assert dict(instance.base_capacity().items()) == expected, seed
         for i, j in combinations(tree.nodes, 2):
-            assert tree.path_units(i, j) == sum(tree.units[e] for e in tree.path(i, j)), (seed, i, j)
+            assert tree.path_units(i, j) == sum(tree.units[e] for e in tree_path(tree, i, j)), (seed, i, j)
 
 
 @given(requirement_shapes())
@@ -298,7 +299,7 @@ def test_base_capacity_is_the_largest_requirement_on_each_path(instance):
     # reference: walk the tree path of every requirement pair
     expected = dict.fromkeys(instance.tree.edges, 0)
     for (s, t), r in instance.requirements.pairs():
-        for e in instance.tree.path(s, t):
+        for e in tree_path(instance.tree, s, t):
             expected[e] = max(expected[e], r)
     assert dict(instance.base_capacity().items()) == expected
 

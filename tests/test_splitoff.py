@@ -38,6 +38,7 @@ from helpers import (
     solvable_instances,
     star_instance,
     tree_joins,
+    tree_path,
     uniform_star,
 )
 
@@ -261,6 +262,14 @@ class TestAdmissibleAmount:
         assert splitoff._demands_hold(state, top, "a", "b", 5)
         with pytest.raises(ValueError, match="cannot split 5 units"):
             splitoff._demands_hold(state, top - 1, "a", "b", 5)
+        assert dict(g.positive_pairs()) == {("a", "h"): 2, ("b", "h"): 2, ("c", "h"): 2}
+
+    def test_a_demand_at_safe_plus_one_runs_its_flow(self):
+        g = star_graph({"a": 2, "b": 2, "c": 2})
+        state = SplitState(g, "h", tree_joins(g))
+        state.demands = [("a", "c", 2)]
+        # splitting 2 units of a-b strands a from c, so the one demand above 1 fails
+        assert not splitoff._demands_hold(state, 1, "a", "b", 2)
         assert dict(g.positive_pairs()) == {("a", "h"): 2, ("b", "h"): 2, ("c", "h"): 2}
 
     def test_partial_amount_on_skewed_star(self):
@@ -642,7 +651,7 @@ def test_loop_and_same_branch_pairs_are_never_admissible():
     tree = None
 
     def branch(s, v):
-        return tree.path(s, v)[0]
+        return tree_path(tree, s, v)[0]
 
     def checked(state):
         s = state.active

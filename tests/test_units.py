@@ -15,7 +15,7 @@ from treesynth import generate_document, min_cost_ij_join, parse_instance, solve
 from treesynth.join import ParityInstance
 from treesynth.model import MetricTree
 
-from helpers import brute_force_join, random_instance
+from helpers import brute_force_join, random_instance, tree_path
 
 MIXED_POOL = ("0", "1/2", "7/3", "0.25", "3/7", "1e-3")
 
@@ -31,7 +31,7 @@ def first_primes(count):
 
 
 def fraction_distance(tree, i, j):
-    return sum((tree.lengths[e] for e in tree.path(i, j)), Fraction(0))
+    return sum((tree.lengths[e] for e in tree_path(tree, i, j)), Fraction(0))
 
 
 def assert_costs_are_fraction_sums(instance):
