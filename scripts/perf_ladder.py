@@ -28,6 +28,10 @@ pair, against the realization that puts 1 on each of those pairs: every
 forest flow falls short and every pair is a violation, the audit's worst
 case. It reports the flows, the violations, the audit's time and, from a
 second run under `tracemalloc`, its peak of traced memory in MB.
+`audit_intact` audits two realizations that meet every requirement, the
+500/170 solution and the same chain with 2 on each consecutive pair, where
+every forest flow holds and runs into a held class that grows as the audit
+goes (see `verify_realization`); it reports their flows and `verify_s`.
 `steiner_split.solve_p50_ms` is the median solve again, in milliseconds
 with 3 decimals, since `solve_p50_s` rounds about 1 ms to 4.
 
@@ -144,11 +148,11 @@ def tally_probes(splitoff):
     active = [None]
     amount, flow, hold = splitoff.admissible_amount, splitoff.max_flow, splitoff._demands_hold
 
-    def counted_flow(graph, *args):
-        result = flow(graph, *args)
+    def counted_flow(graph, sources, sinks, *limit):
+        result = flow(graph, sources, sinks, *limit)
         # check flows never touch the active node; the merged cut ends there.
-        # args is (sources, sink) or (sources, sink, limit)
-        if args[1] == active[0]:
+        # A tree whose max_flow takes a single sink gets it bare, a str.
+        if active[0] in ((sinks,) if isinstance(sinks, str) else sinks):
             cuts.append(result)
         return result
 
@@ -177,6 +181,32 @@ def tally_probes(splitoff):
     splitoff.max_flow = counted_flow
     splitoff._demands_hold = counted_hold
     return tally
+
+
+def audit_intact(treesynth, rung, chain_size, timed, flows):
+    """The `audit_intact` block: audits of two realizations that meet every
+    requirement, so that every forest flow holds. One is the solution of the
+    `treesynth gen --seed 1` rung (terminals, inner), the other the flat chain
+    of `audit_chain_document(chain_size)` with 2 on each consecutive pair. For
+    each it reports the audit's flows, read off the running count `flows()`,
+    and its time as `timed` gives it; a violation raises RuntimeError.
+    """
+    k, m = rung
+    ladder = treesynth.parse_instance(json.dumps(treesynth.generate_document(k, m, 2, 6, 1)))
+    chain = treesynth.parse_instance(json.dumps(audit_chain_document(chain_size)))
+    names = chain.terminals
+    cases = (
+        (f"ladder_{k}x{m}", ladder, treesynth.solve(ladder).realization),
+        (f"chain_{chain_size}", chain, treesynth.Realization({(u, v): 2 for u, v in zip(names, names[1:])})),
+    )
+    block = {}
+    for key, instance, realization in cases:
+        start = flows()
+        verdict, seconds, _ = timed(lambda: treesynth.verify_realization(instance, realization))
+        if verdict:
+            raise RuntimeError(f"the intact {key} audit found {len(verdict)} violations")
+        block[key] = {"flows": flows() - start, "verify_s": round(seconds, 4)}
+    return block
 
 
 def calibrated(bench, operation, inputs):
@@ -333,6 +363,7 @@ def measure(src):
     chain_violations = len(verify_realization(chain_instance, ones))
     chain_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    intact = audit_intact(treesynth, LADDER[-1], AUDIT_CHAIN, timed, lambda: calls[0])
     tally.update(dict.fromkeys(tally, 0))
     corpus_calls = 0
     for doc in corpus_documents(generate_document):
@@ -372,6 +403,7 @@ def measure(src):
             "verify_s": round(chain_s, 3),
             "peak_mb": round(chain_peak / 1e6, 1),
         },
+        "audit_intact": intact,
         "corpus": {"instances": CORPUS, "flows": corpus_calls, "probes": dict(tally)},
         "output_sha256": digest.hexdigest(),
     }

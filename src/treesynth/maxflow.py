@@ -6,10 +6,12 @@ that ever carried capacity owns two mutually reverse arcs, both holding the
 pair's current capacity (0 once it is removed). The constructor makes one
 `set_capacity` call per entry, in entry order.
 
-`max_flow` does only the work its caller needs. It augments along shortest
-residual paths (Edmonds-Karp); each path search stops at the arc that labels
-the sink. A flow with a `limit` stops once it carries that much, with no cut
-side; any other returns the residual closure of the sources as its side.
+`max_flow` does only the work its caller needs. It runs from a collection
+of sources to a set of sinks, each side acting as one merged node, and
+augments along shortest residual paths (Edmonds-Karp); each path search
+stops at the arc that labels the first sink. A flow with a `limit` stops
+once it carries that much, with no cut side; any other returns the residual
+closure of the sources as its side.
 """
 
 from .errors import UnknownNode
@@ -134,18 +136,18 @@ class CapacitatedMultigraph:
                 yield node_pair(self.nodes[self._to[a + 1]], self.nodes[self._to[a]]), self._cap[a]
 
 
-def _augment(graph, sources, sink, limit=None):
+def _augment(graph, sources, sinks, limit=None):
     """Max flow by shortest augmenting paths; see `max_flow`.
 
     Each round searches breadth-first from every source at once over arcs
-    with residual capacity, so the sources act as one merged node. It stops
-    at the arc that labels the sink; unscanned arcs label only other nodes,
-    so each path, and a capped flow's overshoot, is the one a full scan finds.
-    A round that never labels the sink has queued the sources' residual closure.
+    with residual capacity, so the sources act as one merged node, and so do
+    the sinks. It stops at the arc that labels the first sink; unscanned arcs
+    label only other nodes, so each path, and a capped flow's overshoot, is
+    the one a full scan finds. A round that labels no sink has queued the
+    sources' residual closure.
     """
     names, head, to = graph.nodes, graph._head, graph._to
     cap = graph._cap[:]
-    t = graph._index[sink]
     starts = [graph._index[v] for v in sources]
     flow = 0
     while True:
@@ -156,17 +158,18 @@ def _augment(graph, sources, sink, limit=None):
         queue = list(starts)
         for x in queue:
             for a in head[x]:
-                y = to[a]
-                if cap[a] and via[y] is None:
-                    via[y] = a
-                    if y == t:
-                        break
-                    queue.append(y)
+                if cap[a]:
+                    y = to[a]
+                    if via[y] is None:
+                        via[y] = a
+                        if names[y] in sinks:
+                            break
+                        queue.append(y)
             else:
                 continue
             break
         else:
-            return flow, frozenset(names[x] for x in queue)
+            return flow, frozenset(map(names.__getitem__, queue))
         b, moved = a, cap[a]
         while b >= 0:
             if cap[b] < moved:
@@ -181,28 +184,42 @@ def _augment(graph, sources, sink, limit=None):
             return flow, None
 
 
-def max_flow(graph, sources, sink, limit=None):
-    """Exact undirected max flow from the node set `sources` to `sink`.
+def max_flow(graph, sources, sinks, limit=None):
+    """Exact undirected max flow from the nodes `sources` to the node set
+    `sinks`.
 
-    Returns (value, side): the least value of a cut with every source on one
-    side and the sink on the other, and the least such side, the residual
-    closure of the sources (the same for every maximum flow). With an int
-    `limit` >= 1 the flow stops on reaching it and returns (value, None),
-    value >= limit, overshooting by up to the last path's bottleneck; a value
-    below `limit` is exact and has its side. Shortest augmenting paths need
-    O(VE) rounds of O(E) each, whatever the capacities.
+    `sources` is a collection of nodes, searched in its order; `sinks` is a
+    set or frozenset, whose members are looked up as the search labels them
+    and never copied, so a large sink set costs only its O(len(sinks))
+    check. Anything else, such as a bare str that would stand for one node
+    per character, raises TypeError. Returns (value, side): the least value
+    of a cut with every source on one side and every sink on the other, and
+    the least such side, the residual closure of the sources (the same for
+    every maximum flow). With an int `limit` >= 1 the flow stops on reaching
+    it and returns (value, None), value >= limit, overshooting by up to the
+    last path's bottleneck; a value below `limit` is exact and has its side.
+    Shortest augmenting paths need O(VE) rounds of O(E) each, whatever the
+    capacities.
     """
+    if isinstance(sources, str):
+        raise TypeError("flow sources are a collection of nodes, not a str")
+    if not isinstance(sinks, (set, frozenset)):
+        raise TypeError(f"flow sinks are a set of nodes, not a {type(sinks).__name__}")
     if not sources:
         raise UnknownNode("a flow needs at least one source")
+    if not sinks:
+        raise UnknownNode("a flow needs at least one sink")
     index = graph._index
-    for v in (*sources, sink):
+    for v in sources:
         if v not in index:
             raise UnknownNode(f"unknown node {v!r}")
-    if sink in sources:
-        raise UnknownNode(f"flow endpoints must differ, got {sink!r} on both sides")
+    if not index.keys() >= sinks:
+        raise UnknownNode(f"unknown node {min(map(repr, sinks - index.keys()))}")
+    if not sinks.isdisjoint(sources):
+        raise UnknownNode(f"flow endpoints must differ, got {min(map(repr, sinks.intersection(sources)))} on both sides")
     if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
         raise ValueError(f"a flow limit must be an int of at least 1, got {limit!r}")
-    return _augment(graph, sources, sink, limit)
+    return _augment(graph, sources, sinks, limit)
 
 
 def all_pairs_connectivity(graph):
@@ -219,7 +236,7 @@ def all_pairs_connectivity(graph):
     for i in range(1, len(names)):
         u = names[i]
         p = parent[u]
-        w, side = _augment(graph, (u,), p)
+        w, side = _augment(graph, (u,), {p})
         for v in names[i + 1 :]:
             if parent[v] == p and v in side:
                 parent[v] = u

@@ -123,7 +123,7 @@ def _demands_hold(state, safe, u, w, amount):
         return True
     graph.split(s, u, w, amount)
     try:
-        return all(max_flow(graph, (x,), y, r)[0] >= r for x, y, r in above)
+        return all(max_flow(graph, (x,), {y}, r)[0] >= r for x, y, r in above)
     finally:
         graph.split(s, u, w, -amount)
 
@@ -174,7 +174,7 @@ def admissible_amount(state, u, w):
     free = zu + zw - graph.degree(s) // 2
     if free >= cap:
         return cap
-    mu, side = max_flow(graph, (u, w), s)
+    mu, side = max_flow(graph, (u, w), {s})
     crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
     top = min(cap, (mu - crossing) // 2)
     lo, hi = max(0, min(free, top)), top

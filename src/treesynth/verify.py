@@ -4,14 +4,16 @@ How far each check stands apart from the solver pipeline:
 
 - `verify_realization` checks the requirements by max-flow on the graph the
   realization spans: one flow per pair of `instance.forest`, each stopping
-  at its requirement, and nothing more when none falls short. Otherwise one
-  join of the forest flows, largest first, names the candidates: the pairs
-  whose requirement is above the least flow on their forest path, their lower
-  bound. A candidate is settled with no flow when a cut some short flow left
-  behind separates it at that bound; only the rest get a flow of their own.
-  Candidates run in stored pair order and only the violations are sorted. It
-  shares the max-flow routine and the instance's requirement forest with the
-  solver, none of the split logic.
+  at its requirement and ending at the held class of its far end (the
+  terminals the forest pairs that held so far join it to), and nothing more
+  when none falls short. Otherwise one join of the forest flows, largest
+  first, names the candidates: the pairs whose requirement is above the
+  least flow on their forest path, their lower bound. A candidate is
+  settled with no flow when a cut some short flow left behind separates it
+  at that bound; only the rest get a flow of their own. Candidates run in
+  stored pair order and only the violations are sorted. It shares the
+  max-flow routine and the instance's requirement forest with the solver,
+  none of the split logic.
 - `verify_feasible_capacity` scans inner-node parity directly, but its
   coverage check reads the solver's own cached `instance.base_capacity()`,
   so it certifies the parity join's bump, not the base capacity itself.
@@ -37,6 +39,22 @@ def verify_realization(instance, realization):
     r(s, t), so when none of those flows falls short every requirement holds
     and the audit ends there.
 
+    The forest comes largest r first, and a forest pair whose flow reaches
+    its r holds: its ends join one held class, the smaller class merging
+    into the larger. Each forest flow (s, t) runs from the end of the
+    smaller class into the whole class T of the other end, so its search
+    stops at the first member of T it meets, and that is exact. T is joined
+    by held pairs, each with an r' >= r, so any cut that splits T crosses
+    one of them and has value >= r. Every cut with s on one side and all of
+    T on the other is an (s, t) cut, and a least (s, t) cut below r cannot
+    split T, so it is one of them. So the flow reaches r exactly when
+    lam(s, t) >= r, and one that falls short has the value lam(s, t) and, as
+    its residual side, the least (s, t) cut around the end it ran from. A
+    held flow is at least r, which is at least the requirement of any pair
+    whose forest path crosses it, so the same forest pairs fall short, with
+    the same values, as when each flow ran from s to t alone. The classes
+    are sets, handed to `max_flow` as they are.
+
     Otherwise each pair has two bounds. From below, any graph has
     lam(s, t) >= min(lam(s, z), lam(z, t)), so the least forest flow on the
     pair's forest path bounds lam(s, t), and a pair within it holds. Joining
@@ -59,13 +77,24 @@ def verify_realization(instance, realization):
             raise UnknownNode(f"{u!r}-{v!r} is not a terminal pair")
     terminals = instance.terminals
     graph = CapacitatedMultigraph(terminals, realization)
+    # terminal -> its held class: the terminals joined to it by forest pairs
+    # whose flow reached r, one set shared by the whole class
+    held = {v: {v} for v in terminals}
     # cut value -> the residual sides of the short flows that found it
     cuts = {}
     flows = []
-    for p, r in instance.forest:
-        flow, cut = max_flow(graph, p[:1], p[1], r)
+    for (s, t), r in instance.forest:
+        if len(held[s]) > len(held[t]):
+            s, t = t, s
+        flow, cut = max_flow(graph, (s,), held[t], r)
         flows.append(flow)
-        if cut is not None:
+        if cut is None:
+            # the smaller class joins the larger
+            small, large = held[s], held[t]
+            large |= small
+            for x in small:
+                held[x] = large
+        else:
             cuts.setdefault(flow, []).append(cut)
     if not cuts:
         return []
@@ -73,7 +102,7 @@ def verify_realization(instance, realization):
     required = instance.requirements.values
     for _, s, t, r, lam in _short_pairs(terminals, required, instance.forest, flows):
         if not any((s in cut) != (t in cut) for cut in cuts.get(lam, ())):
-            lam, cut = max_flow(graph, (s,), t, r)
+            lam, cut = max_flow(graph, (s,), {t}, r)
             if cut is None:
                 continue
             cuts.setdefault(lam, []).append(cut)

@@ -51,18 +51,19 @@ def add_capacity(graph, u, v, delta):
     graph.set_capacity(u, v, graph.capacity(u, v) + delta)
 
 
-def reference_augment(graph, sources, sink, limit=None):
+def reference_augment(graph, sources, sinks, limit=None):
     """Oracle for `maxflow._augment`: the same shortest augmenting paths,
-    found by a deque BFS that scans every arc of a node before it looks at
-    the sink, with the bottleneck taken by a separate `min` over the path.
+    found by a deque BFS that scans every arc of a node before it looks for
+    a sink, with the bottleneck taken by a separate `min` over the path.
 
-    It reads the graph's arc arrays in the same order, so it finds the same
-    paths in the same order and returns the same (value, side), including
-    the value a capped flow overshoots to.
+    It reads the graph's arc arrays in the same order and takes the first
+    sink a node's arcs label, so it finds the same paths in the same order
+    and returns the same (value, side), including the value a capped flow
+    overshoots to.
     """
     names, head, to = graph.nodes, graph._head, graph._to
     cap = graph._cap[:]
-    t = graph._index[sink]
+    targets = {graph._index[v] for v in sinks}
     starts = [graph._index[v] for v in sources]
     flow = 0
     while True:
@@ -71,17 +72,19 @@ def reference_augment(graph, sources, sink, limit=None):
         for s in starts:
             via[s] = -1
         queue = deque(starts)
-        while queue and via[t] is None:
+        reached = None
+        while queue and reached is None:
             x = queue.popleft()
             for a in head[x]:
                 y = to[a]
                 if cap[a] > 0 and via[y] is None:
                     via[y] = a
                     queue.append(y)
-        if via[t] is None:
+            reached = next((to[a] for a in head[x] if to[a] in targets and via[to[a]] == a), None)
+        if reached is None:
             return flow, frozenset(v for v, a in zip(names, via) if a is not None)
         path = []
-        a = via[t]
+        a = via[reached]
         while a >= 0:
             path.append(a)
             a = via[to[a ^ 1]]
@@ -372,9 +375,12 @@ def reference_verify(instance, realization):
     a lower bound for every requirement pair and scans every pair after the
     join.
 
-    It runs the same forest flows, and the same per-pair flows in the same
-    order, so it returns the same violations after the same number of
-    `max_flow` calls, looked up here by name so that a test can count them.
+    Its forest pass keeps each held class as a set and runs each forest flow
+    from the end of the smaller class into the other's whole class, so it
+    runs the same forest flows as the audit and keeps the same cuts. It then
+    runs the same per-pair flows in the same order, so it returns the same
+    violations after the same number of `max_flow` calls, looked up here by
+    name so that a test can count them.
     """
     for (u, v), _ in realization.items():
         if u not in instance.terminal_set or v not in instance.terminal_set:
@@ -382,12 +388,19 @@ def reference_verify(instance, realization):
     terminals = instance.terminals
     graph = CapacitatedMultigraph(terminals, realization)
     pairs = instance.requirements.pairs()
+    # terminal -> the set of terminals its held forest pairs join it to
+    held = {v: {v} for v in terminals}
     # cut value -> the residual sides of the short flows that found it
     cuts = {}
     flows = {}
     for p, r in instance.forest:
-        flows[p], cut = max_flow(graph, p[:1], p[1], r)
-        if cut is not None:
+        s, t = p if len(held[p[0]]) <= len(held[p[1]]) else p[::-1]
+        flows[p], cut = max_flow(graph, (s,), held[t], r)
+        if cut is None:
+            joined = held[s] | held[t]
+            for x in joined:
+                held[x] = joined
+        else:
             cuts.setdefault(flows[p], []).append(cut)
     if not cuts:
         return []
@@ -415,7 +428,7 @@ def reference_verify(instance, realization):
         if r <= lam:
             continue
         if not any((s in cut) != (t in cut) for cut in cuts.get(lam, ())):
-            lam, cut = max_flow(graph, (s,), t, r)
+            lam, cut = max_flow(graph, (s,), {t}, r)
             if cut is None:
                 continue
             cuts.setdefault(lam, []).append(cut)

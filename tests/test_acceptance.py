@@ -153,7 +153,7 @@ def _replay(instance, solution, check_demands):
             if graph.degree(node) % 2:
                 out["even"] = False
             for (x, y), d in demands.items():
-                if max_flow(graph, (x,), y)[0] < d:
+                if max_flow(graph, (x,), {y})[0] < d:
                     out["demands"] = False
         if graph.degree(node) != 0:
             out["even"] = False

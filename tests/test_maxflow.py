@@ -261,64 +261,103 @@ def test_degree_is_the_sum_of_incident_capacities(steps):
 class TestMaxFlow:
     def test_triangle_doubles_the_direct_edge(self):
         g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1})
-        assert max_flow(g, ("a",), "b")[0] == 2
+        assert max_flow(g, ("a",), {"b"})[0] == 2
 
     def test_star_bottleneck(self):
         g = graph_of("abch", {("a", "h"): 3, ("b", "h"): 3, ("c", "h"): 2})
-        assert max_flow(g, ("a",), "b")[0] == 3
-        assert max_flow(g, ("a",), "c")[0] == 2
+        assert max_flow(g, ("a",), {"b"})[0] == 3
+        assert max_flow(g, ("a",), {"c"})[0] == 2
 
     def test_path_bottleneck(self):
         g = graph_of("abc", {("a", "b"): 5, ("b", "c"): 2})
-        assert max_flow(g, ("a",), "c")[0] == 2
+        assert max_flow(g, ("a",), {"c"})[0] == 2
 
     def test_disconnected_pair(self):
         g = graph_of("abcd", {("a", "b"): 5, ("c", "d"): 5})
-        assert max_flow(g, ("a",), "c")[0] == 0
+        assert max_flow(g, ("a",), {"c"})[0] == 0
 
     def test_removed_pairs_carry_no_flow(self):
         g = graph_of("abc", {("a", "b"): 9, ("a", "c"): 1, ("b", "c"): 1})
         g.set_capacity("a", "b", 0)
-        assert max_flow(g, ("a",), "b")[0] == max_flow(g, ("b",), "a")[0] == 1
+        assert max_flow(g, ("a",), {"b"})[0] == max_flow(g, ("b",), {"a"})[0] == 1
         g.set_capacity("a", "b", 2)
-        assert max_flow(g, ("a",), "b")[0] == 3
+        assert max_flow(g, ("a",), {"b"})[0] == 3
 
     def test_endpoint_errors(self):
         g = graph_of("ab", {("a", "b"): 1})
         with pytest.raises(UnknownNode, match="flow endpoints must differ"):
-            max_flow(g, ("a",), "a")
+            max_flow(g, ("a",), {"a"})
         with pytest.raises(UnknownNode):
-            max_flow(g, ("a",), "zz")
+            max_flow(g, ("a",), {"zz"})
 
     def test_source_set_errors(self):
         g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1})
         with pytest.raises(UnknownNode, match="unknown node 'zz'"):
-            max_flow(g, ("a", "zz"), "c")
+            max_flow(g, ("a", "zz"), {"c"})
         with pytest.raises(UnknownNode, match="unknown node 'zz'"):
-            max_flow(g, ("a", "b"), "zz")
+            max_flow(g, ("a", "b"), {"zz"})
         with pytest.raises(UnknownNode, match="at least one source"):
-            max_flow(g, (), "c")
+            max_flow(g, (), {"c"})
         with pytest.raises(UnknownNode, match="flow endpoints must differ"):
-            max_flow(g, ("a", "c"), "c")
+            max_flow(g, ("a", "c"), {"c"})
+
+    def test_sink_set_errors(self):
+        g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1})
+        with pytest.raises(UnknownNode, match="unknown node 'zz'"):
+            max_flow(g, ("a",), {"c", "zz"})
+        with pytest.raises(UnknownNode, match="unknown node 'yy'"):
+            max_flow(g, ("a",), frozenset(("zz", "c", "yy")))
+        with pytest.raises(UnknownNode, match="at least one sink"):
+            max_flow(g, ("a",), set())
+        with pytest.raises(UnknownNode, match="flow endpoints must differ, got 'a' on both sides"):
+            max_flow(g, ("a", "b"), {"c", "a"})
+        # a source is looked up before any sink
+        with pytest.raises(UnknownNode, match="unknown node 'yy'"):
+            max_flow(g, ("yy",), {"zz"})
+
+    def test_a_bare_str_is_refused(self):
+        # "ab" would otherwise read as the two nodes "a" and "b"
+        g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1})
+        with pytest.raises(TypeError, match="flow sources are a collection of nodes, not a str"):
+            max_flow(g, "ab", {"c"})
+        for sinks in ("c", "bc", ""):
+            with pytest.raises(TypeError, match="flow sinks are a set of nodes, not a str"):
+                max_flow(g, ("a",), sinks)
+
+    def test_sinks_are_a_set(self):
+        g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1})
+        for sinks, kind in ((("c",), "tuple"), (["c"], "list"), ({"c": 1}, "dict")):
+            with pytest.raises(TypeError, match=f"flow sinks are a set of nodes, not a {kind}"):
+                max_flow(g, ("a",), sinks)
+        assert max_flow(g, ("a",), frozenset("c")) == max_flow(g, ("a",), {"c"}) == (1, frozenset("a"))
+
+    def test_sinks_merge_into_one_node(self):
+        # a reaches b and c by 1 alone, and by 2 together
+        g = graph_of("abct", {("a", "b"): 1, ("a", "c"): 1, ("c", "t"): 3})
+        assert max_flow(g, ("a",), {"b"}) == (1, frozenset("act"))
+        assert max_flow(g, ("a",), {"c"}) == (1, frozenset("ab"))
+        assert max_flow(g, ("a",), {"b", "c"}) == (2, frozenset("a"))
+        assert max_flow(g, ("a",), {"b", "t"}) == (2, frozenset("a"))
+        assert max_flow(g, ("a",), {"b", "c"}, 1) == (1, None)
 
     def test_sources_merge_into_one_node(self):
         # b and c each reach t by 1 alone, and by 2 together
         g = graph_of("abct", {("a", "b"): 5, ("b", "t"): 1, ("c", "t"): 1})
-        assert max_flow(g, ("b",), "t") == (1, frozenset("ab"))
-        assert max_flow(g, ("b", "c"), "t") == (2, frozenset("abc"))
+        assert max_flow(g, ("b",), {"t"}) == (1, frozenset("ab"))
+        assert max_flow(g, ("b", "c"), {"t"}) == (2, frozenset("abc"))
 
     def test_limit_errors(self):
         g = graph_of("ab", {("a", "b"): 1})
         for limit in (0, -1, True, 1.5):
             with pytest.raises(ValueError, match="a flow limit must be an int of at least 1"):
-                max_flow(g, ("a",), "b", limit)
+                max_flow(g, ("a",), {"b"}, limit)
 
     def test_two_disjoint_routes_add_up(self):
         g = graph_of(
             "sxyt",
             {("s", "x"): 2, ("x", "t"): 2, ("s", "y"): 3, ("y", "t"): 1},
         )
-        assert max_flow(g, ("s",), "t")[0] == 3
+        assert max_flow(g, ("s",), {"t"})[0] == 3
 
 
 class TestAllPairsConnectivity:
@@ -361,7 +400,7 @@ def small_graphs(draw, max_nodes=6):
 def test_flow_tree_agrees_with_direct_flows(g):
     lam = all_pairs_connectivity(g)
     for u, v in combinations(g.nodes, 2):
-        assert lam[(u, v)] == max_flow(g, (u,), v)[0]
+        assert lam[(u, v)] == max_flow(g, (u,), {v})[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,7 +426,7 @@ def test_flow_is_bounded_by_every_cut(g):
     source = nodes[0]
     rest = nodes[1:]
     for t in rest:
-        value = max_flow(g, (source,), t)[0]
+        value = max_flow(g, (source,), {t})[0]
         best = None
         for mask in range(2 ** len(rest)):
             side = {source} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
@@ -408,27 +447,29 @@ def cut_value(g, side):
 
 @st.composite
 def source_sets(draw):
-    """A graph of at most 7 nodes, a nonempty source tuple and a sink apart."""
+    """A graph of at most 7 nodes, a nonempty source tuple and a nonempty
+    sink set apart."""
     g = draw(small_graphs(max_nodes=7))
-    sink = draw(st.sampled_from(g.nodes))
-    others = [v for v in g.nodes if v != sink]
-    sources = draw(st.lists(st.sampled_from(others), min_size=1, max_size=len(others), unique=True))
-    return g, tuple(sources), sink
+    ends = draw(st.permutations(g.nodes))
+    cut = draw(st.integers(1, len(ends) - 1))
+    sources = ends[:cut]
+    sinks = ends[cut:][: draw(st.integers(1, len(ends) - cut))]
+    return g, tuple(sources), set(sinks)
 
 
 @settings(max_examples=80, deadline=None)
 @given(source_sets())
 def test_multi_source_flow_is_the_least_cut_around_the_sources(problem):
-    g, sources, sink = problem
+    g, sources, sinks = problem
     capacities = dict(g.positive_pairs())
-    rest = [v for v in g.nodes if v not in sources and v != sink]
+    rest = [v for v in g.nodes if v not in sources and v not in sinks]
     sides = [set(sources) | {rest[i] for i in range(len(rest)) if mask >> i & 1} for mask in range(2 ** len(rest))]
     best = min(cut_value(g, candidate) for candidate in sides)
-    value, side = max_flow(g, sources, sink)
+    value, side = max_flow(g, sources, sinks)
     assert value == best
-    assert set(sources) <= side and sink not in side
+    assert set(sources) <= side and side.isdisjoint(sinks)
     assert cut_value(g, side) == value
-    # the last path search misses the sink and labels the whole residual
+    # the last path search misses every sink and labels the whole residual
     # closure of the sources, which lies inside every min-cut side around them
     assert side == set.intersection(*(c for c in sides if cut_value(g, c) == best))
     assert dict(g.positive_pairs()) == capacities
@@ -439,9 +480,9 @@ def test_multi_source_flow_is_the_least_cut_around_the_sources(problem):
 def test_a_limited_flow_answers_whether_it_reaches_the_limit(g):
     capacities = dict(g.positive_pairs())
     for s, t in combinations(g.nodes, 2):
-        exact = max_flow(g, (s,), t)
+        exact = max_flow(g, (s,), {t})
         for limit in range(1, exact[0] + 2):
-            value, side = max_flow(g, (s,), t, limit)
+            value, side = max_flow(g, (s,), {t}, limit)
             assert (value >= limit) == (exact[0] >= limit)
             if value < limit:
                 assert (value, side) == exact
@@ -452,8 +493,8 @@ def test_a_limited_flow_answers_whether_it_reaches_the_limit(g):
 
 @st.composite
 def kernel_cases(draw, max_nodes=16):
-    """A graph of 2-16 nodes with dead arcs among its live ones, 1-3 sources
-    and a sink apart.
+    """A graph of 2-16 nodes with dead arcs among its live ones, and 1-3
+    sources and 1-3 sinks apart.
 
     Each step sets a pair; or sets it and then zeroes it, so its two arcs stay
     at capacity 0; or splits at a node and keeps the split or undoes it with
@@ -477,23 +518,24 @@ def kernel_cases(draw, max_nodes=16):
             g.split(s, u, w, amount)
             if kind == "undone":
                 g.split(s, u, w, -amount)
-    size = draw(st.integers(2, min(4, n)))
-    ends = draw(st.lists(st.sampled_from(names), min_size=size, max_size=size, unique=True))
-    return g, tuple(ends[1:]), ends[0]
+    ends = draw(st.lists(st.sampled_from(names), min_size=2, max_size=min(6, n), unique=True))
+    cut = draw(st.integers(max(1, len(ends) - 3), min(3, len(ends) - 1)))
+    return g, tuple(ends[:cut]), frozenset(ends[cut:])
 
 
 @settings(max_examples=150, deadline=None)
 @given(kernel_cases())
 def test_augment_finds_the_reference_paths(case):
-    """`_augment` stops its scan at the arc that labels the sink and takes the
-    bottleneck on the walk back; the reference scans the whole node and takes
-    a separate `min`. Both find the same paths in the same order, so they
-    return the same (value, side) uncapped and at every cap up to the exact
-    value plus one, overshoot included, and neither touches the graph."""
-    g, sources, sink = case
+    """`_augment` stops its scan at the arc that labels the first sink and
+    takes the bottleneck on the walk back; the reference scans the whole
+    node and takes a separate `min`. Both find the same paths in the same
+    order, so they return the same (value, side) uncapped and at every cap up
+    to the exact value plus one, overshoot included, and neither touches the
+    graph."""
+    g, sources, sinks = case
     caps = list(g._cap)
-    exact = reference_augment(g, sources, sink)
-    assert maxflow._augment(g, sources, sink) == exact
+    exact = reference_augment(g, sources, sinks)
+    assert maxflow._augment(g, sources, sinks) == exact
     for limit in range(1, exact[0] + 2):
-        assert maxflow._augment(g, sources, sink, limit) == reference_augment(g, sources, sink, limit)
+        assert maxflow._augment(g, sources, sinks, limit) == reference_augment(g, sources, sinks, limit)
     assert g._cap == caps

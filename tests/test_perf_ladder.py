@@ -5,8 +5,9 @@
 renaming one of them breaks the script's `--before` comparison, so this test
 loads the script and tallies one small solve. It also pins the pairs the
 degree rule admits whole with no flow, that the script's per-operation
-timing runs through the benchmark's loop, and that its audit chain is the
-audit's worst case: every forest flow short and every pair a violation.
+timing runs through the benchmark's loop, that its audit chain is the
+audit's worst case: every forest flow short and every pair a violation, and
+the shape of its `audit_intact` block.
 """
 
 import importlib.util
@@ -16,6 +17,7 @@ import sys
 
 import pytest
 
+import treesynth
 from treesynth import Realization, cli, solver, splitoff, verify
 
 PERF_LADDER = os.path.join(
@@ -97,3 +99,24 @@ def test_audit_chain_leaves_every_forest_flow_short():
         violations = verify.verify_realization(instance, ones)
     assert flows == [1] * (n - 1)
     assert violations == sorted((*sorted(p), 1) for p in zip(names, names[1:]))
+
+
+def test_audit_intact_runs_one_held_flow_per_forest_pair():
+    flows = []
+    real = verify.max_flow
+
+    def counted(*args):
+        result = real(*args)
+        flows.append(result[0])
+        return result
+
+    def timed(block):
+        return block(), 0.5, 1.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "max_flow", counted)
+        block = load_perf_ladder().audit_intact(treesynth, (12, 4), 9, timed, flows.__len__)
+    assert block == {
+        "ladder_12x4": {"flows": 11, "verify_s": 0.5},
+        "chain_9": {"flows": 8, "verify_s": 0.5},
+    }

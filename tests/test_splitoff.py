@@ -309,9 +309,9 @@ class TestSplitNode:
         split_node(state)
         assert g.degree("h") == 0
         for x, y, d in state.demands:
-            assert max_flow(g, (x,), y)[0] >= d
+            assert max_flow(g, (x,), {y})[0] >= d
         for x, y in combinations("abcd", 2):
-            assert max_flow(g, (x,), y)[0] >= lam[(x, y)]
+            assert max_flow(g, (x,), {y})[0] >= lam[(x, y)]
 
     def test_unit_legs_are_cut_edges_and_block_splitting(self):
         # every leg is a bridge, so any split strands the remaining legs;
@@ -473,9 +473,9 @@ def test_split_preserves_snapshot_connectivities(data):
     split_node(state)
     assert g.degree("h") == 0
     for x, y, d in state.demands:
-        assert max_flow(g, (x,), y)[0] >= d
+        assert max_flow(g, (x,), {y})[0] >= d
     for x, y in combinations(sorted(caps), 2):
-        assert max_flow(g, (x,), y)[0] >= lam[(x, y)]
+        assert max_flow(g, (x,), {y})[0] >= lam[(x, y)]
 
 
 def _split_copy(graph, s, u, w, amount):
@@ -499,7 +499,7 @@ def reference_amount(state, u, w):
 
     def holds(amount):
         g = _split_copy(graph, s, u, w, amount)
-        return all(max_flow(g, (x,), y)[0] >= r for x, y, r in state.demands)
+        return all(max_flow(g, (x,), {y})[0] >= r for x, y, r in state.demands)
 
     if cap == 0 or not holds(1):
         return 0
@@ -541,8 +541,8 @@ def test_every_pair_the_degree_rule_settles_matches_the_reference():
         splitoff.admissible_amount, splitoff.max_flow, splitoff._demands_hold,
     )
 
-    def flow(graph, sources, sink, *limit):
-        result = real_flow(graph, sources, sink, *limit)
+    def flow(graph, sources, sinks, *limit):
+        result = real_flow(graph, sources, sinks, *limit)
         cuts.append(result)
         return result
 
@@ -588,9 +588,9 @@ def test_every_refusal_by_the_merged_cut_is_refused_by_the_reference():
     active = [None]
     real_amount, real_flow = splitoff.admissible_amount, splitoff.max_flow
 
-    def flow(graph, sources, sink, *limit):
-        result = real_flow(graph, sources, sink, *limit)
-        if sink == active[0]:
+    def flow(graph, sources, sinks, *limit):
+        result = real_flow(graph, sources, sinks, *limit)
+        if active[0] in sinks:
             cuts.append(result)
         return result
 
@@ -629,7 +629,7 @@ def test_checks_the_safe_bound_skips_hold_by_max_flow():
             for x, y, needed in state.demands:
                 if needed <= safe:
                     skipped.append((x, y))
-                    assert max_flow(graph, (x,), y)[0] >= needed, (s, x, y, needed, safe)
+                    assert max_flow(graph, (x,), {y})[0] >= needed, (s, x, y, needed, safe)
         finally:
             graph.split(s, u, w, -amount)
         return real(state, safe, u, w, amount)

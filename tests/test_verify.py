@@ -88,7 +88,7 @@ def per_pair_violations(instance, realization):
     graph = CapacitatedMultigraph(instance.terminals, dict(realization.items()))
     violations = []
     for (s, t), r in sorted(instance.requirements.pairs()):
-        flow = max_flow(graph, (s,), t)[0]
+        flow = max_flow(graph, (s,), {t})[0]
         if flow < r:
             violations.append((s, t, r - flow))
     return violations
@@ -96,13 +96,15 @@ def per_pair_violations(instance, realization):
 
 @contextmanager
 def counted_flows():
-    """A list that gets one entry per max-flow run inside the block."""
+    """A list that gets one entry per max-flow run inside the block: its
+    arguments, with the sinks frozen, since the audit passes a held class it
+    goes on to extend."""
     calls = []
     augment = maxflow._augment
 
-    def counted(*args):
-        calls.append(args)
-        return augment(*args)
+    def counted(graph, sources, sinks, *limit):
+        calls.append((graph, sources, frozenset(sinks), *limit))
+        return augment(graph, sources, sinks, *limit)
 
     maxflow._augment = counted
     try:
@@ -216,18 +218,19 @@ class TestForestAudit:
             assert verdict
             flows += len(calls)
             violations += len(verdict)
-        assert (flows, violations) == (1036, 1470)
+        assert (flows, violations) == (1029, 1470)
 
     def test_a_forest_cut_settles_a_pair_off_the_forest(self):
-        # forest a-b (4) and a-c (3); only a-c falls short (2), and its side
-        # {a, b} also cuts b-c, whose bound min(4, 2) = 2 meets that cut
+        # forest a-b (4) and a-c (3); a-b holds, so a-c runs from c into the
+        # held class {a, b} and falls short (2), and its side {c} also cuts
+        # b-c, whose bound min(4, 2) = 2 meets that cut
         instance = star_instance({("a", "b"): 4, ("a", "c"): 3, ("b", "c"): 3})
         realization = Realization({("a", "b"): 4, ("a", "c"): 1, ("b", "c"): 1})
         with counted_flows() as calls:
             verdict = verify_realization(instance, realization)
         assert verdict == [("a", "c", 1), ("b", "c", 1)]
         assert verdict == per_pair_violations(instance, realization)
-        assert [args[1:] for args in calls] == [(("a",), "b", 4), (("a",), "c", 3)]
+        assert [args[1:] for args in calls] == [(("a",), {"b"}, 4), (("c",), {"a", "b"}, 3)]
 
     def test_a_pair_no_kept_cut_separates_runs_its_own_flow(self):
         # both forest flows fall short (2) with side {a}, which does not cut
@@ -238,7 +241,7 @@ class TestForestAudit:
             verdict = verify_realization(instance, realization)
         assert verdict == [("a", "b", 2), ("a", "c", 1)]
         assert verdict == per_pair_violations(instance, realization)
-        assert [args[1:] for args in calls] == [(("a",), "b", 4), (("a",), "c", 3), (("b",), "c", 3)]
+        assert [args[1:] for args in calls] == [(("a",), {"b"}, 4), (("a",), {"c"}, 3), (("b",), {"c"}, 3)]
 
     def test_disconnected_requirements_flow_only_inside_components(self):
         # requirement components {a, b, c} and {d, e}: 2 + 1 forest joins
@@ -308,6 +311,52 @@ class TestCandidateJoin:
                 assert got == expected, (seed, kind)
                 violations += len(got[0])
         assert violations > 1000
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest_inputs(), st.sampled_from(AUDIT_KINDS), st.integers(0, 2**32 - 1))
+def test_forest_inputs_match_per_pair_flows(args, kind, seed):
+    # ties and zero rows are common here, so held classes merge in many orders
+    instance = build_instance(*args)
+    realization = Realization(audit_values(instance, kind, random.Random(seed)))
+    assert verify_realization(instance, realization) == per_pair_violations(instance, realization)
+
+
+class TestHeldClasses:
+    """Each forest flow runs from the end of the smaller held class into the
+    whole held class of the other end."""
+
+    def chain(self, n):
+        names = [f"t{i}" for i in range(n)]
+        instance = helpers.path_instance(names, [1] * (n - 1), [(u, v, 2) for u, v in zip(names, names[1:])])
+        return instance, names
+
+    def test_an_intact_chain_flows_into_its_growing_class(self):
+        instance, names = self.chain(5)
+        realization = Realization({(u, v): 2 for u, v in zip(names, names[1:])})
+        with counted_flows() as calls:
+            assert verify_realization(instance, realization) == []
+        # each pair holds, and the next runs from its new end into the class;
+        # a tie keeps the first end as the source, and t0 joins t1's class
+        assert [args[1:] for args in calls] == [
+            (("t0",), {"t1"}, 2),
+            (("t2",), {"t0", "t1"}, 2),
+            (("t3",), {"t0", "t1", "t2"}, 2),
+            (("t4",), {"t0", "t1", "t2", "t3"}, 2),
+        ]
+
+    def test_a_short_pair_merges_no_class(self):
+        instance, names = self.chain(4)
+        realization = Realization({("t0", "t1"): 2, ("t1", "t2"): 1, ("t2", "t3"): 2})
+        with counted_flows() as calls:
+            verdict = verify_realization(instance, realization)
+        assert verdict == [("t1", "t2", 1)] == per_pair_violations(instance, realization)
+        # t1-t2 falls short, so t2 and t3 start from classes of their own
+        assert [args[1:] for args in calls] == [
+            (("t0",), {"t1"}, 2),
+            (("t2",), {"t0", "t1"}, 2),
+            (("t2",), {"t3"}, 2),
+        ]
 
 
 class TestVerifyFeasibleCapacity:
