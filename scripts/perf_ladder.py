@@ -148,11 +148,12 @@ def tally_probes(splitoff):
     active = [None]
     amount, flow, hold = splitoff.admissible_amount, splitoff.max_flow, splitoff._demands_hold
 
-    def counted_flow(graph, sources, sinks, *limit):
-        result = flow(graph, sources, sinks, *limit)
+    def counted_flow(graph, sources, sink, *rest):
+        result = flow(graph, sources, sink, *rest)
         # check flows never touch the active node; the merged cut ends there.
-        # A tree whose max_flow takes a single sink gets it bare, a str.
-        if active[0] in ((sinks,) if isinstance(sinks, str) else sinks):
+        # The sink is a node index, or a set of names in a tree whose flows
+        # run on names.
+        if (graph.nodes[sink] == active[0]) if isinstance(sink, int) else active[0] in sink:
             cuts.append(result)
         return result
 
@@ -169,7 +170,12 @@ def tally_probes(splitoff):
         got = amount(state, u, w)
         if cuts:
             mu, side = cuts[0]
-            crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
+            # one byte per node index, or a set of names, the side's nodes
+            # named as the demands name them
+            if isinstance(side, frozenset):
+                crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
+            else:
+                crossing = max((r for x, y, r in state.demands if side[x] != side[y]), default=0)
             if (mu - crossing) // 2 < cap:
                 tally["cut_refused"] += 1
         elif got == cap:

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import SolverInternalError
 from .model import MetricTree
 
 
@@ -120,5 +121,6 @@ def min_cost_ij_join(p):
     if skip >= none:
         return None
     edges = tuple(e for i, e in enumerate(tree.edges) if skip >> i & 1)
-    assert satisfies_parity(p.even_set, p.odd_set, edges)
+    if not satisfies_parity(p.even_set, p.odd_set, edges):
+        raise SolverInternalError("the join's edges miss the parity they were chosen for")
     return JoinResult(edges=edges, cost=Fraction(skip >> m, tree.scale))

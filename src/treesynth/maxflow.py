@@ -6,12 +6,17 @@ that ever carried capacity owns two mutually reverse arcs, both holding the
 pair's current capacity (0 once it is removed). The constructor makes one
 `set_capacity` call per entry, in entry order.
 
-`max_flow` does only the work its caller needs. It runs from a collection
-of sources to a set of sinks, each side acting as one merged node, and
-augments along shortest residual paths (Edmonds-Karp); each path search
-stops at the arc that labels the first sink. A flow with a `limit` stops
-once it carries that much, with no cut side; any other returns the residual
-closure of the sources as its side.
+The graph's own methods take node names; the flow runs on node indices, the
+positions in `graph.nodes`, so its callers map names to indices once per
+graph and back only for what they report. `max_flow` does only the work its
+caller needs. It runs from a collection of sources to a sink class, each
+side acting as one merged node: the class is every node whose label equals
+the sink's, in a label list the caller keeps over many flows (by default
+each node is a class of its own). It augments along shortest residual paths
+(Edmonds-Karp); each path search stops at the arc that labels the first node
+of the class. A flow with a `limit` stops once it carries that much, with no
+cut side; any other returns the residual closure of the sources as its side,
+one byte per node.
 """
 
 from .errors import UnknownNode
@@ -28,6 +33,8 @@ class CapacitatedMultigraph:
             if v in self._index:
                 raise UnknownNode(f"duplicate node {v!r}")
             self._index[v] = i
+        # each node its own class: the label list of a flow to one node
+        self._ids = list(range(len(self.nodes)))
         self._head = [[] for _ in self.nodes]
         self._to = []
         self._cap = []
@@ -136,40 +143,46 @@ class CapacitatedMultigraph:
                 yield node_pair(self.nodes[self._to[a + 1]], self.nodes[self._to[a]]), self._cap[a]
 
 
-def _augment(graph, sources, sinks, limit=None):
+def _augment(graph, sources, sink, label, limit=None):
     """Max flow by shortest augmenting paths; see `max_flow`.
 
     Each round searches breadth-first from every source at once over arcs
     with residual capacity, so the sources act as one merged node, and so do
-    the sinks. It stops at the arc that labels the first sink; unscanned arcs
-    label only other nodes, so each path, and a capped flow's overshoot, is
-    the one a full scan finds. A round that labels no sink has queued the
-    sources' residual closure.
+    the nodes of the sink's class: a newly labelled node y is in the class
+    when label[y] equals the sink's label, one int compare. The search stops
+    at the arc that labels the first node of the class; unscanned arcs label
+    only other nodes, so each path, and a capped flow's overshoot, is the one
+    a full scan finds. A round that labels no node of the class has queued
+    the sources' residual closure, which it marks one byte per node.
     """
-    names, head, to = graph.nodes, graph._head, graph._to
+    head, to = graph._head, graph._to
     cap = graph._cap[:]
-    starts = [graph._index[v] for v in sources]
+    n = len(head)
+    target = label[sink]
     flow = 0
     while True:
         # the arc that labelled each node: -1 at a source, None if unlabelled
-        via = [None] * len(names)
-        for s in starts:
+        via = [None] * n
+        for s in sources:
             via[s] = -1
-        queue = list(starts)
+        queue = list(sources)
         for x in queue:
             for a in head[x]:
                 if cap[a]:
                     y = to[a]
                     if via[y] is None:
                         via[y] = a
-                        if names[y] in sinks:
+                        if label[y] == target:
                             break
                         queue.append(y)
             else:
                 continue
             break
         else:
-            return flow, frozenset(map(names.__getitem__, queue))
+            side = bytearray(n)
+            for x in queue:
+                side[x] = 1
+            return flow, side
         b, moved = a, cap[a]
         while b >= 0:
             if cap[b] < moved:
@@ -184,62 +197,77 @@ def _augment(graph, sources, sinks, limit=None):
             return flow, None
 
 
-def max_flow(graph, sources, sinks, limit=None):
-    """Exact undirected max flow from the nodes `sources` to the node set
-    `sinks`.
+def _bad_index(v):
+    """Raise the error for a flow endpoint that is not a node index."""
+    if type(v) is not int:
+        raise TypeError(f"flow nodes are int indices, not a {type(v).__name__}")
+    raise UnknownNode(f"unknown node index {v}")
 
-    `sources` is a collection of nodes, searched in its order; `sinks` is a
-    set or frozenset, whose members are looked up as the search labels them
-    and never copied, so a large sink set costs only its O(len(sinks))
-    check. Anything else, such as a bare str that would stand for one node
-    per character, raises TypeError. Returns (value, side): the least value
-    of a cut with every source on one side and every sink on the other, and
-    the least such side, the residual closure of the sources (the same for
-    every maximum flow). With an int `limit` >= 1 the flow stops on reaching
-    it and returns (value, None), value >= limit, overshooting by up to the
-    last path's bottleneck; a value below `limit` is exact and has its side.
-    Shortest augmenting paths need O(VE) rounds of O(E) each, whatever the
-    capacities.
+
+def max_flow(graph, sources, sink, label=None, limit=None):
+    """Exact undirected max flow from the nodes `sources` to the class of
+    the node `sink`.
+
+    Nodes are indices into `graph.nodes`. The sink class is every node y
+    with label[y] == label[sink], `label` holding one int per node; by
+    default each node is a class of its own, so the flow ends at `sink`
+    alone. Naming the class by one of its nodes keeps it from being empty.
+    The list is read only at the sources, at the sink and at the nodes the
+    search labels, never copied, so a large class costs nothing per flow and
+    a caller can keep one list over many flows, relabelling between them.
+    `sources` is a collection of indices, searched in its order, none of
+    them in the sink's class. The checks are O(len(sources)): every source
+    and the sink an int in range (a name or a bool raises TypeError), no
+    source in the sink's class, one label per node and a valid limit.
+
+    Returns (value, side): the least value of a cut with every source on one
+    side and the whole sink class on the other, and the least such side, the
+    residual closure of the sources (the same for every maximum flow), as a
+    bytearray with a 1 at each of its nodes and a 0 elsewhere. With an int
+    `limit` >= 1 the flow stops on reaching it and returns (value, None),
+    value >= limit, overshooting by up to the last path's bottleneck; a
+    value below `limit` is exact and has its side. Shortest augmenting paths
+    need O(VE) rounds of O(E) each, whatever the capacities.
     """
-    if isinstance(sources, str):
-        raise TypeError("flow sources are a collection of nodes, not a str")
-    if not isinstance(sinks, (set, frozenset)):
-        raise TypeError(f"flow sinks are a set of nodes, not a {type(sinks).__name__}")
+    n = len(graph.nodes)
     if not sources:
         raise UnknownNode("a flow needs at least one source")
-    if not sinks:
-        raise UnknownNode("a flow needs at least one sink")
-    index = graph._index
     for v in sources:
-        if v not in index:
-            raise UnknownNode(f"unknown node {v!r}")
-    if not index.keys() >= sinks:
-        raise UnknownNode(f"unknown node {min(map(repr, sinks - index.keys()))}")
-    if not sinks.isdisjoint(sources):
-        raise UnknownNode(f"flow endpoints must differ, got {min(map(repr, sinks.intersection(sources)))} on both sides")
+        if type(v) is not int or not 0 <= v < n:
+            _bad_index(v)
+    if type(sink) is not int or not 0 <= sink < n:
+        _bad_index(sink)
+    if label is None:
+        label = graph._ids
+    elif len(label) != n:
+        raise ValueError(f"a flow needs one label per node, got {len(label)} for {n} nodes")
+    target = label[sink]
+    for v in sources:
+        if label[v] == target:
+            raise UnknownNode(f"flow endpoints must differ, got {graph.nodes[v]!r} in the sink's class")
     if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
         raise ValueError(f"a flow limit must be an int of at least 1, got {limit!r}")
-    return _augment(graph, sources, sinks, limit)
+    return _augment(graph, sources, sink, label, limit)
 
 
 def all_pairs_connectivity(graph):
-    """Map from every unordered node pair to its exact connectivity.
+    """Map from every unordered pair of node names to its exact connectivity.
 
-    Builds a Gusfield flow-equivalent tree from n-1 max-flow runs; pairwise
-    connectivity is the least weight on the tree path. A tree parent precedes
-    its child in node order, so one pass fills
-    lam(v, x) = min(weight[v], lam(parent[v], x)) for every earlier x.
+    Builds a Gusfield flow-equivalent tree from n-1 max-flow runs on node
+    indices; pairwise connectivity is the least weight on the tree path. A
+    tree parent precedes its child in node order, so one pass fills
+    lam(i, x) = min(weight[i], lam(parent[i], x)) for every earlier x.
     """
-    names = graph.nodes
-    parent = {v: names[0] for v in names[1:]}
-    out = {}
-    for i in range(1, len(names)):
-        u = names[i]
-        p = parent[u]
-        w, side = _augment(graph, (u,), {p})
-        for v in names[i + 1 :]:
-            if parent[v] == p and v in side:
-                parent[v] = u
-        for x in names[:i]:
-            out[node_pair(u, x)] = w if x == p else min(w, out[node_pair(p, x)])
-    return out
+    names, ids = graph.nodes, graph._ids
+    n = len(names)
+    parent = [0] * n
+    # lam[i][x]: the connectivity of nodes i and x, for each x < i
+    lam = [[]]
+    for i in range(1, n):
+        p = parent[i]
+        w, side = _augment(graph, (i,), p, ids)
+        for v in range(i + 1, n):
+            if parent[v] == p and side[v]:
+                parent[v] = i
+        lam.append([w if x == p else min(w, lam[p][x] if x < p else lam[x][p]) for x in range(i)])
+    return {node_pair(names[i], names[x]): row[x] for i, row in enumerate(lam) for x in range(i)}

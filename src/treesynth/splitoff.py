@@ -27,6 +27,8 @@ the least such cut, of value mu, and its side X*. A probe fails with no flow
 when X* separates a demand above mu - 2a, and otherwise confirms by max-flow
 only the demands above mu - 2a (`admissible_amount` gives the argument). So
 the largest amount X* allows is probed first, and usually settles the pair.
+The flows, the demands and X* are on node indices, the positions in
+`graph.nodes`; names stay in the graph's own methods and the split trace.
 
 Most pairs need no flow at all. Let X be a lowered cut and primes mean
 "after the split". X + s is a cut the split leaves alone, and it separates
@@ -50,7 +52,8 @@ from .model import Realization, max_spanning_joins
 
 
 def connectivity_snapshot(graph, active_node, joins):
-    """Checks (x, y, lam) that imply every demand at one activation.
+    """Checks (ix, iy, lam) that imply every demand at one activation, ix
+    and iy the node indices of x and y.
 
     `joins` lists (lam, ru, rv) for each join of Kruskal's maximum spanning
     forest over the initial tree's edges (`max_spanning_joins`): the
@@ -71,8 +74,8 @@ def connectivity_snapshot(graph, active_node, joins):
     """
     if active_node not in graph:
         raise UnknownNode(f"unknown node {active_node!r}")
-    # component root -> one kept node of that component
-    kept = {v: v for v, d in graph.degrees() if d > 0 and v != active_node}
+    # component root -> the index of one kept node of that component
+    kept = {v: i for i, (v, d) in enumerate(graph.degrees()) if d > 0 and v != active_node}
     checks = []
     for lam, ru, rv in joins:
         # the merged side, rooted at rv, keeps ru's kept node if it has one
@@ -87,13 +90,14 @@ def connectivity_snapshot(graph, active_node, joins):
 class SplitState:
     """Mutable bookkeeping while one node is being eliminated.
 
-    `demands` lists (x, y, lam) checks, never touching the active node, whose
-    connectivity must survive every split: `connectivity_snapshot` replays
-    `joins`, the Kruskal joins of the capacitated tree split-off started
-    from, over the nodes that have degree. It runs on the first read, so an
-    activation whose pairs all split whole by degree builds none. A split at
-    the active node changes no other node's degree, so the checks are the
-    same whenever they are first read.
+    `demands` lists (ix, iy, lam) checks on node indices, never touching the
+    active node, whose connectivity must survive every split:
+    `connectivity_snapshot` replays `joins`, the Kruskal joins of the
+    capacitated tree split-off started from, over the nodes that have
+    degree. It runs on the first read, so an activation whose pairs all
+    split whole by degree builds none. A split at the active node changes no
+    other node's degree, so the checks are the same whenever they are first
+    read.
     `events` records executed splits as (u, w, amount) triples in order.
     """
 
@@ -123,7 +127,7 @@ def _demands_hold(state, safe, u, w, amount):
         return True
     graph.split(s, u, w, amount)
     try:
-        return all(max_flow(graph, (x,), {y}, r)[0] >= r for x, y, r in above)
+        return all(max_flow(graph, (x,), y, None, r)[0] >= r for x, y, r in above)
     finally:
         graph.split(s, u, w, -amount)
 
@@ -139,8 +143,9 @@ def admissible_amount(state, u, w):
     each by exactly 2a: (s, u) and (s, w) cross X and the new (u, w) capacity
     stays inside it. A cut that splits u from w trades a unit of (s, u) or
     (s, w) for one of (u, w), and one with u, w and s on a side is untouched.
-    One max-flow from {u, w} to s gives mu, the least value of a lowered cut
-    before the split, and X*, the side of one such cut. Then:
+    One max-flow from the indices of u and w to that of s gives mu, the
+    least value of a lowered cut before the split, and X*, the side of one
+    such cut, one byte per node. Then:
 
     - X* is an (x, y) cut of value mu - 2a after the split for every demand
       it separates, so with R the largest of those demands (0 if none) any
@@ -174,8 +179,9 @@ def admissible_amount(state, u, w):
     free = zu + zw - graph.degree(s) // 2
     if free >= cap:
         return cap
-    mu, side = max_flow(graph, (u, w), {s})
-    crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
+    index = graph._index
+    mu, side = max_flow(graph, (index[u], index[w]), index[s])
+    crossing = max((r for x, y, r in state.demands if side[x] != side[y]), default=0)
     top = min(cap, (mu - crossing) // 2)
     lo, hi = max(0, min(free, top)), top
     amount = top
@@ -203,7 +209,8 @@ def split_node(state):
     broke that contract or a precondition (some demand cut of value 0 or 1).
     """
     graph, s = state.graph, state.active
-    assert graph.degree(s) % 2 == 0, f"odd degree at {s!r}"
+    if graph.degree(s) % 2:
+        raise SolverInternalError(f"odd degree at {s!r}")
     for u, w in combinations(sorted(graph.neighbors(s)), 2):
         if graph.capacity(s, u) == 0 or graph.capacity(s, w) == 0:
             continue

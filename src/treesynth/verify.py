@@ -11,9 +11,10 @@ How far each check stands apart from the solver pipeline:
   least flow on their forest path, their lower bound. A candidate is
   settled with no flow when a cut some short flow left behind separates it
   at that bound; only the rest get a flow of their own. Candidates run in
-  stored pair order and only the violations are sorted. It shares the
-  max-flow routine and the instance's requirement forest with the solver,
-  none of the split logic.
+  stored pair order and only the violations are sorted. Flows, held
+  classes and kept cuts are on terminal indices; names come back only in
+  the violations. It shares the max-flow routine and the instance's
+  requirement forest with the solver, none of the split logic.
 - `verify_feasible_capacity` scans inner-node parity directly, but its
   coverage check reads the solver's own cached `instance.base_capacity()`,
   so it certifies the parity join's bump, not the base capacity itself.
@@ -23,7 +24,7 @@ How far each check stands apart from the solver pipeline:
 
 from itertools import combinations, product
 
-from .errors import TooLarge, UnknownNode
+from .errors import SolverInternalError, TooLarge, UnknownNode
 from .maxflow import CapacitatedMultigraph, max_flow
 from .model import Realization, node_pair
 
@@ -33,9 +34,10 @@ BRUTE_FORCE_TERMINAL_LIMIT = 5
 def verify_realization(instance, realization):
     """All requirement violations of a realization, as (s, t, deficit) triples.
 
-    Max-flow runs on the graph the realization spans over the terminals, first
-    on the pairs of `instance.forest`, each stopping at its requirement.
-    Every forest pair on the forest path of a pair (s, t) requires at least
+    Max-flow runs on the graph the realization spans over the terminals, on
+    terminal indices (the positions in `instance.terminals`), first on the
+    pairs of `instance.forest`, each stopping at its requirement. Every
+    forest pair on the forest path of a pair (s, t) requires at least
     r(s, t), so when none of those flows falls short every requirement holds
     and the audit ends there.
 
@@ -53,7 +55,10 @@ def verify_realization(instance, realization):
     held flow is at least r, which is at least the requirement of any pair
     whose forest path crosses it, so the same forest pairs fall short, with
     the same values, as when each flow ran from s to t alone. The classes
-    are sets, handed to `max_flow` as they are.
+    are one label list over the terminal indices, the label of a class
+    being the index of one of its members, so `max_flow` takes the list as
+    it is and t as the sink that names T; a merge relabels the members of
+    the smaller class, kept as an index list per label.
 
     Otherwise each pair has two bounds. From below, any graph has
     lam(s, t) >= min(lam(s, z), lam(z, t)), so the least forest flow on the
@@ -65,87 +70,99 @@ def verify_realization(instance, realization):
     join. Each join relabels its smaller side and scans only that side's
     pairs, so the pass is O(pairs log n) and keeps nothing for the pairs
     that hold. From above, a flow that falls short is exact and comes with
-    its residual side, a cut of that value, and any such cut that separates
-    s and t bounds lam(s, t). The candidates run in stored pair order:
-    where a kept cut's value equals the lower bound, lam(s, t) is settled
-    with no flow; the others get a flow that stops at their requirement,
-    and its cut is kept when it falls short. Violations come in sorted pair
-    order; an empty list means feasible.
+    its residual side, a cut of that value kept as one byte per terminal,
+    and any such cut that separates s and t, cut[s] != cut[t], bounds
+    lam(s, t). The candidates run in stored pair order: where a kept cut's
+    value equals the lower bound, lam(s, t) is settled with no flow; the
+    others get a flow that stops at their requirement, and its cut is kept
+    when it falls short. Violations come in sorted pair order; an empty list
+    means feasible.
     """
     for (u, v), _ in realization.items():
         if u not in instance.terminal_set or v not in instance.terminal_set:
             raise UnknownNode(f"{u!r}-{v!r} is not a terminal pair")
     terminals = instance.terminals
     graph = CapacitatedMultigraph(terminals, realization)
-    # terminal -> its held class: the terminals joined to it by forest pairs
-    # whose flow reached r, one set shared by the whole class
-    held = {v: {v} for v in terminals}
+    index = graph._index
+    # terminal index -> the label of its held class: the terminals joined to
+    # it by forest pairs whose flow reached r
+    held = list(range(len(terminals)))
+    # class label -> the indices of its members
+    members = [[i] for i in held]
     # cut value -> the residual sides of the short flows that found it
     cuts = {}
+    ends = []
     flows = []
     for (s, t), r in instance.forest:
-        if len(held[s]) > len(held[t]):
-            s, t = t, s
-        flow, cut = max_flow(graph, (s,), held[t], r)
+        i, j = index[s], index[t]
+        ends.append((i, j))
+        if len(members[held[i]]) > len(members[held[j]]):
+            i, j = j, i
+        flow, cut = max_flow(graph, (i,), j, held, r)
         flows.append(flow)
         if cut is None:
             # the smaller class joins the larger
-            small, large = held[s], held[t]
-            large |= small
-            for x in small:
+            small, large = held[i], held[j]
+            for x in members[small]:
                 held[x] = large
+            members[large] += members[small]
+            members[small] = None
         else:
             cuts.setdefault(flow, []).append(cut)
     if not cuts:
         return []
     violations = []
-    required = instance.requirements.values
-    for _, s, t, r, lam in _short_pairs(terminals, required, instance.forest, flows):
-        if not any((s in cut) != (t in cut) for cut in cuts.get(lam, ())):
-            lam, cut = max_flow(graph, (s,), {t}, r)
+    for _, i, j, r, lam in _short_pairs(index, instance.requirements.values, ends, flows):
+        if not any(cut[i] != cut[j] for cut in cuts.get(lam, ())):
+            lam, cut = max_flow(graph, (i,), j, None, r)
             if cut is None:
                 continue
             cuts.setdefault(lam, []).append(cut)
-        violations.append((s, t, r - lam))
+        violations.append((terminals[i], terminals[j], r - lam))
     violations.sort()
     return violations
 
 
-def _short_pairs(terminals, required, forest, flows):
-    """(stored index, s, t, r, lower bound) of each pair (s, t) required
-    above its lower bound, in stored order.
+def _short_pairs(index, required, ends, flows):
+    """(stored index, i, j, r, lower bound) of each pair (s, t) required
+    above its lower bound, in stored order, i and j the terminal indices of
+    s and t.
 
-    `required` maps each requirement pair to r in stored order, and `flows`
-    holds the flow of each pair of `forest`. The forest pairs join in
-    descending flow, and the join that first links s and t emits the pair
-    when r is above its flow.
+    `index` maps each terminal to its index and `required` each requirement
+    pair to r in stored order; `ends` holds the terminal indices of each
+    forest pair and `flows` its flow. The forest pairs join in descending
+    flow, and the join that first links s and t emits the pair when r is
+    above its flow.
     """
-    # node -> (other end, stored index, s, t, r) of each of its pairs; a
+    # node -> (other end, stored index, i, j, r) of each of its pairs; a
     # pair at or below the least forest flow is within every bound
     least = min(flows)
-    partners = {v: [] for v in terminals}
+    n = len(index)
+    partners = [[] for _ in range(n)]
     for k, ((s, t), r) in enumerate(required.items()):
         if r > least:
-            partners[s].append((t, k, s, t, r))
-            partners[t].append((s, k, s, t, r))
+            i, j = index[s], index[t]
+            partners[i].append((j, k, i, j, r))
+            partners[j].append((i, k, i, j, r))
     # forest pairs close no cycle, so each one joins two components; each
     # join relabels its smaller component, so a node moves O(log n) times
-    component = {v: v for v in terminals}
-    members = {v: [v] for v in terminals}
+    component = list(range(n))
+    members = [[x] for x in component]
     short = []
-    for i in sorted(range(len(flows)), key=flows.__getitem__, reverse=True):
-        (u, v), _ = forest[i]
-        flow = flows[i]
+    for f in sorted(range(len(flows)), key=flows.__getitem__, reverse=True):
+        u, v = ends[f]
+        flow = flows[f]
         small, large = component[u], component[v]
         if len(members[small]) > len(members[large]):
             small, large = large, small
         for x in members[small]:
-            for y, k, s, t, r in partners[x]:
+            for y, k, i, j, r in partners[x]:
                 if r > flow and component[y] == large:
-                    short.append((k, s, t, r, flow))
+                    short.append((k, i, j, r, flow))
         for x in members[small]:
             component[x] = large
-        members[large] += members.pop(small)
+        members[large] += members[small]
+        members[small] = None
     short.sort()
     return short
 
@@ -224,5 +241,6 @@ def brute_force_insp(instance):
             best_cost = cost
     realization = Realization({p: c for p, c in zip(pairs, best) if c})
     leftover = verify_realization(instance, realization)
-    assert not leftover, f"cut screen and flow check disagree: {leftover}"
+    if leftover:
+        raise SolverInternalError(f"cut screen and flow check disagree: {leftover}")
     return realization

@@ -51,27 +51,63 @@ def add_capacity(graph, u, v, delta):
     graph.set_capacity(u, v, graph.capacity(u, v) + delta)
 
 
-def reference_augment(graph, sources, sinks, limit=None):
+def ids(graph, names):
+    """The indices in `graph.nodes` of the node names `names`, as a tuple.
+
+    The one map from names into the index space that `max_flow`,
+    `connectivity_snapshot` and split-off's demands work in; back from an
+    index, a test reads `graph.nodes[i]`.
+    """
+    return tuple(graph._index[v] for v in names)
+
+
+def name_flow(graph, sources, sinks, limit=None):
+    """`max_flow` stated in node names: from the names `sources` into the
+    set of names `sinks`, returned as (value, side), the side a frozenset of
+    names or None.
+
+    The sinks become one class by sharing the label of the first of them in
+    a fresh identity label list, and the flow runs through the module name
+    `max_flow`, so a test can count it there.
+    """
+    sources, sinks = ids(graph, sources), ids(graph, sinks)
+    label = list(range(len(graph.nodes)))
+    for y in sinks:
+        label[y] = sinks[0]
+    value, side = max_flow(graph, sources, sinks[0], label, limit)
+    if side is None:
+        return value, None
+    return value, frozenset(v for v, marked in zip(graph.nodes, side) if marked)
+
+
+def named_checks(graph, checks):
+    """(x, y, lam) checks on node indices as a list of (name, name, lam)."""
+    return [(graph.nodes[x], graph.nodes[y], lam) for x, y, lam in checks]
+
+
+def reference_augment(graph, sources, sink, label, limit=None):
     """Oracle for `maxflow._augment`: the same shortest augmenting paths,
     found by a deque BFS that scans every arc of a node before it looks for
-    a sink, with the bottleneck taken by a separate `min` over the path.
+    a node of the sink class, with the bottleneck taken by a separate `min`
+    over the path.
 
-    It reads the graph's arc arrays in the same order and takes the first
-    sink a node's arcs label, so it finds the same paths in the same order
-    and returns the same (value, side), including the value a capped flow
-    overshoots to.
+    It takes the class as the set of nodes whose label equals the sink's,
+    reads the graph's arc arrays in the same order and takes the first node
+    of the class a node's arcs label, so it finds the same paths in the same
+    order and returns the same (value, side), including the value a capped
+    flow overshoots to; its side marks every labelled node of the last
+    search.
     """
-    names, head, to = graph.nodes, graph._head, graph._to
+    head, to = graph._head, graph._to
     cap = graph._cap[:]
-    targets = {graph._index[v] for v in sinks}
-    starts = [graph._index[v] for v in sources]
+    targets = {y for y, c in enumerate(label) if c == label[sink]}
     flow = 0
     while True:
         # the arc that labelled each node: -1 at a source, None if unlabelled
-        via = [None] * len(names)
-        for s in starts:
+        via = [None] * len(head)
+        for s in sources:
             via[s] = -1
-        queue = deque(starts)
+        queue = deque(sources)
         reached = None
         while queue and reached is None:
             x = queue.popleft()
@@ -82,7 +118,7 @@ def reference_augment(graph, sources, sinks, limit=None):
                     queue.append(y)
             reached = next((to[a] for a in head[x] if to[a] in targets and via[to[a]] == a), None)
         if reached is None:
-            return flow, frozenset(v for v, a in zip(names, via) if a is not None)
+            return flow, bytearray(a is not None for a in via)
         path = []
         a = via[reached]
         while a >= 0:
@@ -379,8 +415,9 @@ def reference_verify(instance, realization):
     from the end of the smaller class into the other's whole class, so it
     runs the same forest flows as the audit and keeps the same cuts. It then
     runs the same per-pair flows in the same order, so it returns the same
-    violations after the same number of `max_flow` calls, looked up here by
-    name so that a test can count them.
+    violations after the same number of `max_flow` calls, made through
+    `name_flow`, which looks `max_flow` up here by name so that a test can
+    count them.
     """
     for (u, v), _ in realization.items():
         if u not in instance.terminal_set or v not in instance.terminal_set:
@@ -395,7 +432,7 @@ def reference_verify(instance, realization):
     flows = {}
     for p, r in instance.forest:
         s, t = p if len(held[p[0]]) <= len(held[p[1]]) else p[::-1]
-        flows[p], cut = max_flow(graph, (s,), held[t], r)
+        flows[p], cut = name_flow(graph, (s,), held[t], r)
         if cut is None:
             joined = held[s] | held[t]
             for x in joined:
@@ -428,7 +465,7 @@ def reference_verify(instance, realization):
         if r <= lam:
             continue
         if not any((s in cut) != (t in cut) for cut in cuts.get(lam, ())):
-            lam, cut = max_flow(graph, (s,), {t}, r)
+            lam, cut = name_flow(graph, (s,), {t}, r)
             if cut is None:
                 continue
             cuts.setdefault(lam, []).append(cut)

@@ -25,7 +25,7 @@ from treesynth import (
 )
 from treesynth.cli import run
 from treesynth.join import ParityInstance, parity_sets, satisfies_parity
-from treesynth.maxflow import CapacitatedMultigraph, all_pairs_connectivity, max_flow
+from treesynth.maxflow import CapacitatedMultigraph, all_pairs_connectivity
 from treesynth.model import MetricTree, node_pair
 from treesynth.splitoff import connectivity_snapshot
 from treesynth.verify import verify_feasible_capacity
@@ -36,6 +36,8 @@ from helpers import (
     capacity_projection,
     fixture_path,
     forest_bottleneck,
+    name_flow,
+    named_checks,
     star_instance,
     tree_joins,
     tree_path,
@@ -134,7 +136,7 @@ def _replay(instance, solution, check_demands):
             if d != min(solution.capacity[e] for e in tree_path(tree, x, y)):
                 out["bottleneck_mismatches"] += 1
         if check_demands:
-            checks = connectivity_snapshot(graph, node, joins)
+            checks = named_checks(graph, connectivity_snapshot(graph, node, joins))
             out["solver_checks"] += len(checks)
             for x, y, w in checks:
                 if demands.get(node_pair(x, y)) != w:
@@ -153,7 +155,7 @@ def _replay(instance, solution, check_demands):
             if graph.degree(node) % 2:
                 out["even"] = False
             for (x, y), d in demands.items():
-                if max_flow(graph, (x,), {y})[0] < d:
+                if name_flow(graph, (x,), {y})[0] < d:
                     out["demands"] = False
         if graph.degree(node) != 0:
             out["even"] = False

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesynth import TooLarge, min_cost_ij_join
+from treesynth import SolverInternalError, TooLarge, join as join_module, min_cost_ij_join
 from treesynth.join import ParityInstance, parity_sets, satisfies_parity
 from treesynth.model import MetricTree
 
@@ -83,6 +83,13 @@ class TestMinCostJoin:
         result = join(tree, odd=("a", "b"))
         assert result.edges == (("a", "b"),)
         assert result.cost == 1
+
+    def test_a_join_off_its_parity_is_an_internal_error(self, monkeypatch):
+        # the parity certificate raises, so `python -O` keeps it
+        monkeypatch.setattr(join_module, "satisfies_parity", lambda *_: False)
+        tree = MetricTree(["a", "b"], [("a", "b", 1)], "a")
+        with pytest.raises(SolverInternalError, match="the join's edges miss the parity they were chosen for"):
+            join(tree, odd=("a", "b"))
 
     def test_tie_breaks_toward_earliest_edges(self):
         # all three star edges cost the same; the first in tree order wins

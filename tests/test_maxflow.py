@@ -13,7 +13,7 @@ from treesynth.maxflow import (
     max_flow,
 )
 
-from helpers import add_capacity, reference_augment
+from helpers import add_capacity, ids, name_flow, reference_augment
 
 
 def graph_of(nodes, caps):
@@ -261,103 +261,139 @@ def test_degree_is_the_sum_of_incident_capacities(steps):
 class TestMaxFlow:
     def test_triangle_doubles_the_direct_edge(self):
         g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1})
-        assert max_flow(g, ("a",), {"b"})[0] == 2
+        assert name_flow(g, ("a",), {"b"})[0] == 2
 
     def test_star_bottleneck(self):
         g = graph_of("abch", {("a", "h"): 3, ("b", "h"): 3, ("c", "h"): 2})
-        assert max_flow(g, ("a",), {"b"})[0] == 3
-        assert max_flow(g, ("a",), {"c"})[0] == 2
+        assert name_flow(g, ("a",), {"b"})[0] == 3
+        assert name_flow(g, ("a",), {"c"})[0] == 2
 
     def test_path_bottleneck(self):
         g = graph_of("abc", {("a", "b"): 5, ("b", "c"): 2})
-        assert max_flow(g, ("a",), {"c"})[0] == 2
+        assert name_flow(g, ("a",), {"c"})[0] == 2
 
     def test_disconnected_pair(self):
         g = graph_of("abcd", {("a", "b"): 5, ("c", "d"): 5})
-        assert max_flow(g, ("a",), {"c"})[0] == 0
+        assert name_flow(g, ("a",), {"c"})[0] == 0
 
     def test_removed_pairs_carry_no_flow(self):
         g = graph_of("abc", {("a", "b"): 9, ("a", "c"): 1, ("b", "c"): 1})
         g.set_capacity("a", "b", 0)
-        assert max_flow(g, ("a",), {"b"})[0] == max_flow(g, ("b",), {"a"})[0] == 1
+        assert name_flow(g, ("a",), {"b"})[0] == name_flow(g, ("b",), {"a"})[0] == 1
         g.set_capacity("a", "b", 2)
-        assert max_flow(g, ("a",), {"b"})[0] == 3
+        assert name_flow(g, ("a",), {"b"})[0] == 3
 
     def test_endpoint_errors(self):
         g = graph_of("ab", {("a", "b"): 1})
-        with pytest.raises(UnknownNode, match="flow endpoints must differ"):
-            max_flow(g, ("a",), {"a"})
-        with pytest.raises(UnknownNode):
-            max_flow(g, ("a",), {"zz"})
+        with pytest.raises(UnknownNode, match="flow endpoints must differ, got 'a' in the sink's class"):
+            max_flow(g, (0,), 0)
+        with pytest.raises(UnknownNode, match="unknown node index 2"):
+            max_flow(g, (0,), 2)
 
     def test_source_set_errors(self):
         g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1})
-        with pytest.raises(UnknownNode, match="unknown node 'zz'"):
-            max_flow(g, ("a", "zz"), {"c"})
-        with pytest.raises(UnknownNode, match="unknown node 'zz'"):
-            max_flow(g, ("a", "b"), {"zz"})
+        with pytest.raises(UnknownNode, match="unknown node index 3"):
+            max_flow(g, (0, 3), 2)
+        with pytest.raises(UnknownNode, match="unknown node index -1"):
+            max_flow(g, (0, -1), 2)
+        with pytest.raises(UnknownNode, match="unknown node index 3"):
+            max_flow(g, (0, 1), 3)
         with pytest.raises(UnknownNode, match="at least one source"):
-            max_flow(g, (), {"c"})
-        with pytest.raises(UnknownNode, match="flow endpoints must differ"):
-            max_flow(g, ("a", "c"), {"c"})
+            max_flow(g, (), 2)
+        with pytest.raises(UnknownNode, match="flow endpoints must differ, got 'c' in the sink's class"):
+            max_flow(g, (0, 2), 2)
 
     def test_sink_set_errors(self):
         g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1})
-        with pytest.raises(UnknownNode, match="unknown node 'zz'"):
-            max_flow(g, ("a",), {"c", "zz"})
-        with pytest.raises(UnknownNode, match="unknown node 'yy'"):
-            max_flow(g, ("a",), frozenset(("zz", "c", "yy")))
-        with pytest.raises(UnknownNode, match="at least one sink"):
-            max_flow(g, ("a",), set())
-        with pytest.raises(UnknownNode, match="flow endpoints must differ, got 'a' on both sides"):
-            max_flow(g, ("a", "b"), {"c", "a"})
-        # a source is looked up before any sink
-        with pytest.raises(UnknownNode, match="unknown node 'yy'"):
-            max_flow(g, ("yy",), {"zz"})
+        with pytest.raises(UnknownNode, match="unknown node index 5"):
+            max_flow(g, (0,), 5)
+        with pytest.raises(UnknownNode, match="unknown node index -4"):
+            max_flow(g, (0,), -4)
+        # a source in the class the sink names, though not the sink itself
+        with pytest.raises(UnknownNode, match="flow endpoints must differ, got 'a' in the sink's class"):
+            max_flow(g, (1, 0), 2, [2, 1, 2])
+        # a source is looked up before the sink
+        with pytest.raises(UnknownNode, match="unknown node index 7"):
+            max_flow(g, (7,), 9)
+
+    def test_labels_are_one_per_node(self):
+        g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1})
+        for label in ([0, 1], [0, 1, 2, 3], []):
+            with pytest.raises(ValueError, match=f"a flow needs one label per node, got {len(label)} for 3 nodes"):
+                max_flow(g, (0,), 2, label)
+        assert max_flow(g, (0,), 2, [5, 6, 7]) == max_flow(g, (0,), 2) == (1, bytearray(b"\1\0\0"))
 
     def test_a_bare_str_is_refused(self):
-        # "ab" would otherwise read as the two nodes "a" and "b"
+        # "ab" would otherwise read as the two nodes "a" and "b"; a flow
+        # takes node indices, so every name is refused
         g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1})
-        with pytest.raises(TypeError, match="flow sources are a collection of nodes, not a str"):
-            max_flow(g, "ab", {"c"})
-        for sinks in ("c", "bc", ""):
-            with pytest.raises(TypeError, match="flow sinks are a set of nodes, not a str"):
-                max_flow(g, ("a",), sinks)
+        with pytest.raises(TypeError, match="flow nodes are int indices, not a str"):
+            max_flow(g, "ab", 2)
+        for sink in ("c", "bc", ""):
+            with pytest.raises(TypeError, match="flow nodes are int indices, not a str"):
+                max_flow(g, (0,), sink)
+        with pytest.raises(TypeError, match="flow nodes are int indices, not a bool"):
+            max_flow(g, (True,), 2)
 
     def test_sinks_are_a_set(self):
+        # the sinks are the set of nodes that share the sink's label; the
+        # earlier collection forms of the sink are refused
         g = graph_of("abc", {("a", "b"): 1, ("b", "c"): 1})
-        for sinks, kind in ((("c",), "tuple"), (["c"], "list"), ({"c": 1}, "dict")):
-            with pytest.raises(TypeError, match=f"flow sinks are a set of nodes, not a {kind}"):
-                max_flow(g, ("a",), sinks)
-        assert max_flow(g, ("a",), frozenset("c")) == max_flow(g, ("a",), {"c"}) == (1, frozenset("a"))
+        for sinks, kind in (((2,), "tuple"), ([2], "list"), ({2}, "set"), ({2: 1}, "dict")):
+            with pytest.raises(TypeError, match=f"flow nodes are int indices, not a {kind}"):
+                max_flow(g, (0,), sinks)
+        assert name_flow(g, ("a",), frozenset("c")) == name_flow(g, ("a",), {"c"}) == (1, frozenset("a"))
+        # b and c share a label: one class, named by either of them
+        assert max_flow(g, (0,), 2, [0, 1, 1]) == max_flow(g, (0,), 1, [0, 1, 1]) == (1, bytearray(b"\1\0\0"))
 
     def test_sinks_merge_into_one_node(self):
         # a reaches b and c by 1 alone, and by 2 together
         g = graph_of("abct", {("a", "b"): 1, ("a", "c"): 1, ("c", "t"): 3})
-        assert max_flow(g, ("a",), {"b"}) == (1, frozenset("act"))
-        assert max_flow(g, ("a",), {"c"}) == (1, frozenset("ab"))
-        assert max_flow(g, ("a",), {"b", "c"}) == (2, frozenset("a"))
-        assert max_flow(g, ("a",), {"b", "t"}) == (2, frozenset("a"))
-        assert max_flow(g, ("a",), {"b", "c"}, 1) == (1, None)
+        assert name_flow(g, ("a",), {"b"}) == (1, frozenset("act"))
+        assert name_flow(g, ("a",), {"c"}) == (1, frozenset("ab"))
+        assert name_flow(g, ("a",), {"b", "c"}) == (2, frozenset("a"))
+        assert name_flow(g, ("a",), {"b", "t"}) == (2, frozenset("a"))
+        assert name_flow(g, ("a",), {"b", "c"}, 1) == (1, None)
 
     def test_sources_merge_into_one_node(self):
         # b and c each reach t by 1 alone, and by 2 together
         g = graph_of("abct", {("a", "b"): 5, ("b", "t"): 1, ("c", "t"): 1})
-        assert max_flow(g, ("b",), {"t"}) == (1, frozenset("ab"))
-        assert max_flow(g, ("b", "c"), {"t"}) == (2, frozenset("abc"))
+        assert name_flow(g, ("b",), {"t"}) == (1, frozenset("ab"))
+        assert name_flow(g, ("b", "c"), {"t"}) == (2, frozenset("abc"))
 
     def test_limit_errors(self):
         g = graph_of("ab", {("a", "b"): 1})
         for limit in (0, -1, True, 1.5):
             with pytest.raises(ValueError, match="a flow limit must be an int of at least 1"):
-                max_flow(g, ("a",), {"b"}, limit)
+                max_flow(g, (0,), 1, None, limit)
 
     def test_two_disjoint_routes_add_up(self):
         g = graph_of(
             "sxyt",
             {("s", "x"): 2, ("x", "t"): 2, ("s", "y"): 3, ("y", "t"): 1},
         )
-        assert max_flow(g, ("s",), {"t"})[0] == 3
+        assert name_flow(g, ("s",), {"t"})[0] == 3
+
+    def test_a_held_class_costs_no_label_read_per_member(self):
+        # s - h0 - h1 - ... - h999, with h0..h999 one class named by h999:
+        # the flow labels h0, which ends its only path, so it reads the
+        # label at the source, the sink and h0, never at the other members
+        names = ["s"] + [f"h{i}" for i in range(1000)]
+        g = graph_of(names, {("s", "h0"): 2, **{(f"h{i}", f"h{i + 1}"): 1 for i in range(999)}})
+
+        class Reads(list):
+            def __getitem__(self, i):
+                read.append(i)
+                return list.__getitem__(self, i)
+
+        read = []
+        label = Reads([0] + [1000] * 1000)
+        assert max_flow(g, (0,), 1000, label) == (2, bytearray([1] + [0] * 1000))
+        assert set(read) == {0, 1, 1000}
+        assert len(read) <= 5
+        read.clear()
+        assert max_flow(g, (0,), 1000, label, 1) == (2, None)
+        assert set(read) == {0, 1, 1000} and len(read) <= 5
 
 
 class TestAllPairsConnectivity:
@@ -400,7 +436,7 @@ def small_graphs(draw, max_nodes=6):
 def test_flow_tree_agrees_with_direct_flows(g):
     lam = all_pairs_connectivity(g)
     for u, v in combinations(g.nodes, 2):
-        assert lam[(u, v)] == max_flow(g, (u,), {v})[0]
+        assert lam[(u, v)] == name_flow(g, (u,), {v})[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -426,7 +462,7 @@ def test_flow_is_bounded_by_every_cut(g):
     source = nodes[0]
     rest = nodes[1:]
     for t in rest:
-        value = max_flow(g, (source,), {t})[0]
+        value = name_flow(g, (source,), {t})[0]
         best = None
         for mask in range(2 ** len(rest)):
             side = {source} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
@@ -465,7 +501,7 @@ def test_multi_source_flow_is_the_least_cut_around_the_sources(problem):
     rest = [v for v in g.nodes if v not in sources and v not in sinks]
     sides = [set(sources) | {rest[i] for i in range(len(rest)) if mask >> i & 1} for mask in range(2 ** len(rest))]
     best = min(cut_value(g, candidate) for candidate in sides)
-    value, side = max_flow(g, sources, sinks)
+    value, side = name_flow(g, sources, sinks)
     assert value == best
     assert set(sources) <= side and side.isdisjoint(sinks)
     assert cut_value(g, side) == value
@@ -480,9 +516,9 @@ def test_multi_source_flow_is_the_least_cut_around_the_sources(problem):
 def test_a_limited_flow_answers_whether_it_reaches_the_limit(g):
     capacities = dict(g.positive_pairs())
     for s, t in combinations(g.nodes, 2):
-        exact = max_flow(g, (s,), {t})
+        exact = name_flow(g, (s,), {t})
         for limit in range(1, exact[0] + 2):
-            value, side = max_flow(g, (s,), {t}, limit)
+            value, side = name_flow(g, (s,), {t}, limit)
             assert (value >= limit) == (exact[0] >= limit)
             if value < limit:
                 assert (value, side) == exact
@@ -526,16 +562,24 @@ def kernel_cases(draw, max_nodes=16):
 @settings(max_examples=150, deadline=None)
 @given(kernel_cases())
 def test_augment_finds_the_reference_paths(case):
-    """`_augment` stops its scan at the arc that labels the first sink and
-    takes the bottleneck on the walk back; the reference scans the whole
-    node and takes a separate `min`. Both find the same paths in the same
-    order, so they return the same (value, side) uncapped and at every cap up
-    to the exact value plus one, overshoot included, and neither touches the
-    graph."""
+    """`_augment` stops its scan at the arc that labels the first node of
+    the sink class and takes the bottleneck on the walk back; the reference
+    scans the whole node and takes a separate `min`. Both find the same
+    paths in the same order, so they return the same (value, side) uncapped
+    and at every cap up to the exact value plus one, overshoot included, and
+    neither touches the graph. The side is one byte per node, set exactly on
+    the reference's residual closure, the nodes its last search labels."""
     g, sources, sinks = case
     caps = list(g._cap)
-    exact = reference_augment(g, sources, sinks)
-    assert maxflow._augment(g, sources, sinks) == exact
+    sources, sinks = ids(g, sources), ids(g, sorted(sinks))
+    label = list(range(len(g.nodes)))
+    for y in sinks:
+        label[y] = sinks[0]
+    sink = sinks[-1]
+    exact = reference_augment(g, sources, sink, label)
+    value, side = maxflow._augment(g, sources, sink, label)
+    assert (value, side) == exact
+    assert type(side) is bytearray and len(side) == len(g.nodes)
     for limit in range(1, exact[0] + 2):
-        assert maxflow._augment(g, sources, sinks, limit) == reference_augment(g, sources, sinks, limit)
+        assert maxflow._augment(g, sources, sink, label, limit) == reference_augment(g, sources, sink, label, limit)
     assert g._cap == caps

@@ -4,7 +4,8 @@
 `splitoff.max_flow` and `splitoff._demands_hold` to count probe outcomes;
 renaming one of them breaks the script's `--before` comparison, so this test
 loads the script and tallies one small solve. It also pins the pairs the
-degree rule admits whole with no flow, that the script's per-operation
+degree rule admits whole with no flow, the pairs the merged cut refuses,
+recounted from that cut stated in names, that the script's per-operation
 timing runs through the benchmark's loop, that its audit chain is the
 audit's worst case: every forest flow short and every pair a violation, and
 the shape of its `audit_intact` block.
@@ -19,6 +20,8 @@ import pytest
 
 import treesynth
 from treesynth import Realization, cli, solver, splitoff, verify
+
+from helpers import name_flow, named_checks
 
 PERF_LADDER = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "perf_ladder.py"
@@ -37,7 +40,7 @@ def test_tally_counts_the_probes_of_a_solve():
     originals = {name: getattr(splitoff, name) for name in NAMES}
     text = json.dumps(cli.generate_document(12, 4, 2, 6, 1))
     untallied = solver.solve(cli.parse_instance(text))
-    probes, holds, whole = [], [], []
+    probes, holds, whole, refused = [], [], [], []
 
     def counted_amount(state, u, w):
         probes.append((u, w))
@@ -45,6 +48,13 @@ def test_tally_counts_the_probes_of_a_solve():
         zu, zw = graph.capacity(s, u), graph.capacity(s, w)
         if min(zu, zw) <= zu + zw - graph.degree(s) // 2:
             whole.append((u, w))
+        else:
+            # the merged cut again, stated in names
+            mu, side = name_flow(graph, (u, w), {s})
+            demands = named_checks(graph, state.demands)
+            crossing = max((r for x, y, r in demands if (x in side) != (y in side)), default=0)
+            if (mu - crossing) // 2 < min(zu, zw):
+                refused.append((u, w))
         return originals["admissible_amount"](state, u, w)
 
     def counted_hold(state, safe, *split):
@@ -64,6 +74,7 @@ def test_tally_counts_the_probes_of_a_solve():
     assert tally["degree_admitted"] == len(whole) > 0
     assert tally["passed"] > 0
     assert tally["passed"] + tally["flow_refused"] == len(holds)
+    assert tally["cut_refused"] == len(refused) > 0
     assert tally["cut_refused"] <= len(probes)
 
 

@@ -247,9 +247,9 @@ def test_no_caller_reads_how_far_a_capped_flow_overshoots(monkeypatch):
     augment = maxflow._augment
     overshoot, flows = [None], [0]
 
-    def reported(graph, sources, sink, limit=None):
+    def reported(graph, sources, sink, label, limit=None):
         flows[0] += 1
-        value, side = augment(graph, sources, sink, limit)
+        value, side = augment(graph, sources, sink, label, limit)
         if side is None and overshoot[0] is not None:
             value = limit + overshoot[0]
         return value, side

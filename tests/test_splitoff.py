@@ -1,6 +1,9 @@
 """Node elimination by connectivity-preserving splits."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -33,6 +36,9 @@ from helpers import (
     add_capacity,
     LENGTH_POOL,
     forest_bottleneck,
+    ids,
+    name_flow,
+    named_checks,
     random_instance,
     reference_snapshot,
     solvable_instances,
@@ -41,6 +47,9 @@ from helpers import (
     tree_path,
     uniform_star,
 )
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def star_graph(caps):
@@ -75,8 +84,8 @@ class TestExpandCapacityGraph:
         assert "c" not in graph.neighbors("hub")
 
 
-def normalized(checks):
-    return {(node_pair(x, y), w) for x, y, w in checks}
+def normalized(graph, checks):
+    return {(node_pair(x, y), w) for x, y, w in named_checks(graph, checks)}
 
 
 class TestDominantDemands:
@@ -88,17 +97,17 @@ class TestDominantDemands:
 
     def test_single_pair(self):
         g = CapacitatedMultigraph("abs", {("a", "b"): 3})
-        assert normalized(connectivity_snapshot(g, "s", tree_joins(g))) == {(("a", "b"), 3)}
+        assert normalized(g, connectivity_snapshot(g, "s", tree_joins(g))) == {(("a", "b"), 3)}
 
     def test_zero_demands_are_dropped(self):
         # a and b lie in different components of the tree: lam(a, b) = 0
         g = CapacitatedMultigraph("abcs", {("a", "s"): 2, ("b", "c"): 3})
-        assert normalized(connectivity_snapshot(g, "s", tree_joins(g))) == {(("b", "c"), 3)}
+        assert normalized(g, connectivity_snapshot(g, "s", tree_joins(g))) == {(("b", "c"), 3)}
 
     def test_keeps_a_maximum_spanning_tree(self):
         # lam(b, c) = 4 and lam(a, b) = lam(a, c) = 3: the heavy pair stays
         g = CapacitatedMultigraph("abcs", {("a", "s"): 3, ("b", "s"): 5, ("c", "s"): 4})
-        checks = normalized(connectivity_snapshot(g, "s", tree_joins(g)))
+        checks = normalized(g, connectivity_snapshot(g, "s", tree_joins(g)))
         assert (("b", "c"), 4) in checks
         assert len(checks) == 2 and {w for _, w in checks} == {3, 4}
 
@@ -120,7 +129,7 @@ class TestDominantDemands:
             names, {e: c for e, c in caps.items() if not gone.intersection(e)}
         )
         kept = {v for v in names if v != active and graph.degree(v) > 0}
-        checks = connectivity_snapshot(graph, active, tree_joins(tree))
+        checks = named_checks(graph, connectivity_snapshot(graph, active, tree_joins(tree)))
         # every weight is the pair's connectivity in the tree
         for x, y, w in checks:
             assert x in kept and y in kept and x != y
@@ -160,24 +169,24 @@ class TestDominantDemands:
                 if u != w:
                     add_capacity(graph, u, w, 1)
         replayed = connectivity_snapshot(graph, active, tree_joins(tree, tree_edges))
-        assert replayed == reference_snapshot(graph, active, tree_edges)
+        assert named_checks(graph, replayed) == reference_snapshot(graph, active, tree_edges)
 
 
 class TestConnectivitySnapshot:
     def test_paths_through_the_excluded_node_still_count(self):
         g = CapacitatedMultigraph("asb", {("a", "s"): 2, ("s", "b"): 2})
-        assert normalized(connectivity_snapshot(g, "s", tree_joins(g))) == {(("a", "b"), 2)}
+        assert normalized(g, connectivity_snapshot(g, "s", tree_joins(g))) == {(("a", "b"), 2)}
 
     def test_paths_through_eliminated_nodes_still_count(self):
         # e was split off after the tree was read: it has no degree left,
         # but the tree path a-e-b still sets the demand of a and b
         tree = [(("a", "e"), 3), (("b", "e"), 2)]
         g = CapacitatedMultigraph("abes", {("a", "s"): 2, ("b", "s"): 2, ("a", "b"): 1})
-        assert normalized(connectivity_snapshot(g, "s", tree_joins(g, tree))) == {(("a", "b"), 2)}
+        assert normalized(g, connectivity_snapshot(g, "s", tree_joins(g, tree))) == {(("a", "b"), 2)}
 
     def test_zero_degree_nodes_are_dropped(self):
         g = CapacitatedMultigraph("asbd", {("a", "s"): 2, ("s", "b"): 2})
-        assert normalized(connectivity_snapshot(g, "s", tree_joins(g))) == {(("a", "b"), 2)}
+        assert normalized(g, connectivity_snapshot(g, "s", tree_joins(g))) == {(("a", "b"), 2)}
 
     def test_too_few_nodes_left(self):
         g = CapacitatedMultigraph("as", {("a", "s"): 2})
@@ -193,14 +202,14 @@ class TestConnectivitySnapshot:
         monkeypatch.setattr(maxflow, "_augment", None)
         g = CapacitatedMultigraph("abs", {("a", "s"): 2, ("b", "s"): 2})
         tree = [(("a", "s"), 7), (("b", "s"), 9)]
-        assert normalized(connectivity_snapshot(g, "s", tree_joins(g, tree))) == {(("a", "b"), 7)}
+        assert normalized(g, connectivity_snapshot(g, "s", tree_joins(g, tree))) == {(("a", "b"), 7)}
 
 
 class TestSplitState:
     def test_default_snapshot(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
         state = SplitState(g, "h", tree_joins(g))
-        checks = normalized(state.demands)
+        checks = normalized(g, state.demands)
         assert len(checks) == 2 and {w for _, w in checks} == {2}
         assert {v for pair, _ in checks for v in pair} == {"a", "b", "c"}
         assert state.events == []
@@ -267,7 +276,7 @@ class TestAdmissibleAmount:
     def test_a_demand_at_safe_plus_one_runs_its_flow(self):
         g = star_graph({"a": 2, "b": 2, "c": 2})
         state = SplitState(g, "h", tree_joins(g))
-        state.demands = [("a", "c", 2)]
+        state.demands = [(*ids(g, "ac"), 2)]
         # splitting 2 units of a-b strands a from c, so the one demand above 1 fails
         assert not splitoff._demands_hold(state, 1, "a", "b", 2)
         assert dict(g.positive_pairs()) == {("a", "h"): 2, ("b", "h"): 2, ("c", "h"): 2}
@@ -309,9 +318,9 @@ class TestSplitNode:
         split_node(state)
         assert g.degree("h") == 0
         for x, y, d in state.demands:
-            assert max_flow(g, (x,), {y})[0] >= d
+            assert max_flow(g, (x,), y)[0] >= d
         for x, y in combinations("abcd", 2):
-            assert max_flow(g, (x,), {y})[0] >= lam[(x, y)]
+            assert name_flow(g, (x,), {y})[0] >= lam[(x, y)]
 
     def test_unit_legs_are_cut_edges_and_block_splitting(self):
         # every leg is a bridge, so any split strands the remaining legs;
@@ -329,6 +338,28 @@ class TestSplitNode:
         with pytest.raises(SolverInternalError, match="no admissible split remains at 'h'"):
             split_node(state)
         assert state.events == [("a", "b", 2)]
+
+    def test_an_odd_degree_is_refused(self):
+        g = star_graph({"a": 2, "b": 1})
+        with pytest.raises(SolverInternalError, match="odd degree at 'h'"):
+            split_node(SplitState(g, "h", tree_joins(g)))
+
+    def test_an_odd_degree_is_refused_under_python_O(self):
+        # `python -O` strips asserts; the parity check raises, so it stays
+        code = (
+            "from treesynth import SolverInternalError\n"
+            "from treesynth.maxflow import CapacitatedMultigraph\n"
+            "from treesynth.splitoff import SplitState, split_node\n"
+            "print(__debug__)\n"
+            "g = CapacitatedMultigraph('hab', {('h', 'a'): 2, ('h', 'b'): 1})\n"
+            "try:\n"
+            "    split_node(SplitState(g, 'h', []))\n"
+            "except SolverInternalError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nodd degree at 'h'\n", "")
 
 
 class TestExtractRealization:
@@ -473,9 +504,9 @@ def test_split_preserves_snapshot_connectivities(data):
     split_node(state)
     assert g.degree("h") == 0
     for x, y, d in state.demands:
-        assert max_flow(g, (x,), {y})[0] >= d
+        assert max_flow(g, (x,), y)[0] >= d
     for x, y in combinations(sorted(caps), 2):
-        assert max_flow(g, (x,), {y})[0] >= lam[(x, y)]
+        assert name_flow(g, (x,), {y})[0] >= lam[(x, y)]
 
 
 def _split_copy(graph, s, u, w, amount):
@@ -499,7 +530,7 @@ def reference_amount(state, u, w):
 
     def holds(amount):
         g = _split_copy(graph, s, u, w, amount)
-        return all(max_flow(g, (x,), {y})[0] >= r for x, y, r in state.demands)
+        return all(max_flow(g, (x,), y)[0] >= r for x, y, r in state.demands)
 
     if cap == 0 or not holds(1):
         return 0
@@ -541,8 +572,8 @@ def test_every_pair_the_degree_rule_settles_matches_the_reference():
         splitoff.admissible_amount, splitoff.max_flow, splitoff._demands_hold,
     )
 
-    def flow(graph, sources, sinks, *limit):
-        result = real_flow(graph, sources, sinks, *limit)
+    def flow(*args):
+        result = real_flow(*args)
         cuts.append(result)
         return result
 
@@ -588,9 +619,9 @@ def test_every_refusal_by_the_merged_cut_is_refused_by_the_reference():
     active = [None]
     real_amount, real_flow = splitoff.admissible_amount, splitoff.max_flow
 
-    def flow(graph, sources, sinks, *limit):
-        result = real_flow(graph, sources, sinks, *limit)
-        if active[0] in sinks:
+    def flow(graph, sources, sink, *rest):
+        result = real_flow(graph, sources, sink, *rest)
+        if graph.nodes[sink] == active[0]:
             cuts.append(result)
         return result
 
@@ -602,7 +633,7 @@ def test_every_refusal_by_the_merged_cut_is_refused_by_the_reference():
         assert len(cuts) <= 1, (state.active, u, w)
         if cuts:
             mu, side = cuts[0]
-            crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
+            crossing = max((r for x, y, r in state.demands if side[x] != side[y]), default=0)
             refused = (mu - crossing) // 2 + 1
             zu, zw = state.graph.capacity(state.active, u), state.graph.capacity(state.active, w)
             if refused <= min(zu, zw):
@@ -629,7 +660,7 @@ def test_checks_the_safe_bound_skips_hold_by_max_flow():
             for x, y, needed in state.demands:
                 if needed <= safe:
                     skipped.append((x, y))
-                    assert max_flow(graph, (x,), {y})[0] >= needed, (s, x, y, needed, safe)
+                    assert max_flow(graph, (x,), y)[0] >= needed, (s, x, y, needed, safe)
         finally:
             graph.split(s, u, w, -amount)
         return real(state, safe, u, w, amount)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from treesynth import (
     PreconditionViolated,
     Realization,
+    SolverInternalError,
     TooLarge,
     UnknownNode,
     brute_force_insp,
@@ -30,6 +31,7 @@ import helpers
 from helpers import (
     capacity_projection,
     forest_inputs,
+    name_flow,
     random_instance,
     reference_verify,
     solvable_instances,
@@ -88,7 +90,7 @@ def per_pair_violations(instance, realization):
     graph = CapacitatedMultigraph(instance.terminals, dict(realization.items()))
     violations = []
     for (s, t), r in sorted(instance.requirements.pairs()):
-        flow = max_flow(graph, (s,), {t})[0]
+        flow = name_flow(graph, (s,), {t})[0]
         if flow < r:
             violations.append((s, t, r - flow))
     return violations
@@ -97,14 +99,17 @@ def per_pair_violations(instance, realization):
 @contextmanager
 def counted_flows():
     """A list that gets one entry per max-flow run inside the block: its
-    arguments, with the sinks frozen, since the audit passes a held class it
-    goes on to extend."""
+    arguments in names, (graph, sources, sink class, limit), the class read
+    off the label list when the flow starts, since the audit goes on to
+    relabel it."""
     calls = []
     augment = maxflow._augment
 
-    def counted(graph, sources, sinks, *limit):
-        calls.append((graph, sources, frozenset(sinks), *limit))
-        return augment(graph, sources, sinks, *limit)
+    def counted(graph, sources, sink, label, limit=None):
+        names = graph.nodes
+        sinks = frozenset(y for y, c in zip(names, label) if c == label[sink])
+        calls.append((graph, tuple(names[x] for x in sources), sinks, limit))
+        return augment(graph, sources, sink, label, limit)
 
     maxflow._augment = counted
     try:
@@ -459,6 +464,12 @@ class TestBruteForceInsp:
     def test_terminal_guard(self):
         with pytest.raises(TooLarge):
             brute_force_insp(uniform_star(6, 2))
+
+    def test_a_flow_audit_against_the_cut_screen_is_an_internal_error(self, monkeypatch):
+        # the certificate raises, so `python -O` keeps it
+        monkeypatch.setattr(verify, "verify_realization", lambda *_: [("a", "b", 1)])
+        with pytest.raises(SolverInternalError, match=r"cut screen and flow check disagree: \[\('a', 'b', 1\)\]"):
+            brute_force_insp(uniform_star(3, 2))
 
     def test_result_is_always_flow_feasible(self):
         instance = star_instance(
