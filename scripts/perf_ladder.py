@@ -151,9 +151,9 @@ def tally_probes(splitoff):
     def counted_flow(graph, sources, sink, *rest):
         result = flow(graph, sources, sink, *rest)
         # check flows never touch the active node; the merged cut ends there.
-        # The sink is a node index, or a set of names in a tree whose flows
-        # run on names.
-        if (graph.nodes[sink] == active[0]) if isinstance(sink, int) else active[0] in sink:
+        # graph.nodes[sink] is the active node as `state.active` holds it, a
+        # name where the graph holds names and an index where it does not
+        if graph.nodes[sink] == active[0]:
             cuts.append(result)
         return result
 
@@ -169,13 +169,9 @@ def tally_probes(splitoff):
         cap = min(zu, zw)
         got = amount(state, u, w)
         if cuts:
+            # the side is one byte per node index, as the demands index it
             mu, side = cuts[0]
-            # one byte per node index, or a set of names, the side's nodes
-            # named as the demands name them
-            if isinstance(side, frozenset):
-                crossing = max((r for x, y, r in state.demands if (x in side) != (y in side)), default=0)
-            else:
-                crossing = max((r for x, y, r in state.demands if side[x] != side[y]), default=0)
+            crossing = max((r for x, y, r in state.demands if side[x] != side[y]), default=0)
             if (mu - crossing) // 2 < cap:
                 tally["cut_refused"] += 1
         elif got == cap:

@@ -27,8 +27,9 @@ the least such cut, of value mu, and its side X*. A probe fails with no flow
 when X* separates a demand above mu - 2a, and otherwise confirms by max-flow
 only the demands above mu - 2a (`admissible_amount` gives the argument). So
 the largest amount X* allows is probed first, and usually settles the pair.
-The flows, the demands and X* are on node indices, the positions in
-`graph.nodes`; names stay in the graph's own methods and the split trace.
+The graph, its flows, the demands and X* are on node indices:
+`realize_capacity` numbers the tree's nodes in sorted-name order, so index
+order is name order, and names only the split trace and the realization.
 
 Most pairs need no flow at all. Let X be a lowered cut and primes mean
 "after the split". X + s is a cut the split leaves alone, and it separates
@@ -52,8 +53,7 @@ from .model import Realization, max_spanning_joins
 
 
 def connectivity_snapshot(graph, active_node, joins):
-    """Checks (ix, iy, lam) that imply every demand at one activation, ix
-    and iy the node indices of x and y.
+    """Checks (x, y, lam) that imply every demand at one activation.
 
     `joins` lists (lam, ru, rv) for each join of Kruskal's maximum spanning
     forest over the initial tree's edges (`max_spanning_joins`): the
@@ -72,10 +72,10 @@ def connectivity_snapshot(graph, active_node, joins):
     sort and no union-find: the replay gives the same checks, in the same
     order, as a Kruskal pass run at that activation.
     """
-    if active_node not in graph:
+    if active_node not in graph.nodes:
         raise UnknownNode(f"unknown node {active_node!r}")
-    # component root -> the index of one kept node of that component
-    kept = {v: i for i, (v, d) in enumerate(graph.degrees()) if d > 0 and v != active_node}
+    # component root -> one kept node of that component
+    kept = {v: v for v, d in graph.degrees() if d > 0 and v != active_node}
     checks = []
     for lam, ru, rv in joins:
         # the merged side, rooted at rv, keeps ru's kept node if it has one
@@ -90,19 +90,18 @@ def connectivity_snapshot(graph, active_node, joins):
 class SplitState:
     """Mutable bookkeeping while one node is being eliminated.
 
-    `demands` lists (ix, iy, lam) checks on node indices, never touching the
-    active node, whose connectivity must survive every split:
-    `connectivity_snapshot` replays `joins`, the Kruskal joins of the
-    capacitated tree split-off started from, over the nodes that have
-    degree. It runs on the first read, so an activation whose pairs all
-    split whole by degree builds none. A split at the active node changes no
-    other node's degree, so the checks are the same whenever they are first
-    read.
+    `demands` lists (x, y, lam) checks, never touching the active node,
+    whose connectivity must survive every split: `connectivity_snapshot`
+    replays `joins`, the Kruskal joins of the capacitated tree split-off
+    started from, over the nodes that have degree. It runs on the first
+    read, so an activation whose pairs all split whole by degree builds
+    none. A split at the active node changes no other node's degree, so the
+    checks are the same whenever they are first read.
     `events` records executed splits as (u, w, amount) triples in order.
     """
 
     def __init__(self, graph, active_node, joins):
-        if active_node not in graph:
+        if active_node not in graph.nodes:
             raise UnknownNode(f"unknown node {active_node!r}")
         self.graph = graph
         self.active = active_node
@@ -143,9 +142,9 @@ def admissible_amount(state, u, w):
     each by exactly 2a: (s, u) and (s, w) cross X and the new (u, w) capacity
     stays inside it. A cut that splits u from w trades a unit of (s, u) or
     (s, w) for one of (u, w), and one with u, w and s on a side is untouched.
-    One max-flow from the indices of u and w to that of s gives mu, the
-    least value of a lowered cut before the split, and X*, the side of one
-    such cut, one byte per node. Then:
+    One max-flow from u and w to s gives mu, the least value of a lowered
+    cut before the split, and X*, the side of one such cut, one byte per
+    node. Then:
 
     - X* is an (x, y) cut of value mu - 2a after the split for every demand
       it separates, so with R the largest of those demands (0 if none) any
@@ -167,20 +166,19 @@ def admissible_amount(state, u, w):
     """
     graph, s = state.graph, state.active
     if u == s or w == s:
-        raise UnknownNode(f"{s!r} is the active node, not a neighbor of itself")
+        raise UnknownNode(f"node {s} is the active node, not a neighbor of itself")
     if u == w:
-        raise UnknownNode(f"{u!r} cannot pair with itself: a loop adds no connectivity")
+        raise UnknownNode(f"node {u} cannot pair with itself: a loop adds no connectivity")
     zu = graph.capacity(s, u)
     zw = graph.capacity(s, w)
     if zu <= 0 or zw <= 0:
         missing = u if zu <= 0 else w
-        raise UnknownNode(f"{missing!r} does not neighbor {s!r}")
+        raise UnknownNode(f"node {missing} does not neighbor node {s}")
     cap = min(zu, zw)
     free = zu + zw - graph.degree(s) // 2
     if free >= cap:
         return cap
-    index = graph._index
-    mu, side = max_flow(graph, (index[u], index[w]), index[s])
+    mu, side = max_flow(graph, (u, w), s)
     crossing = max((r for x, y, r in state.demands if side[x] != side[y]), default=0)
     top = min(cap, (mu - crossing) // 2)
     lo, hi = max(0, min(free, top)), top
@@ -210,7 +208,7 @@ def split_node(state):
     """
     graph, s = state.graph, state.active
     if graph.degree(s) % 2:
-        raise SolverInternalError(f"odd degree at {s!r}")
+        raise SolverInternalError(f"odd degree at node {s}")
     for u, w in combinations(sorted(graph.neighbors(s)), 2):
         if graph.capacity(s, u) == 0 or graph.capacity(s, w) == 0:
             continue
@@ -219,24 +217,20 @@ def split_node(state):
             graph.split(s, u, w, amount)
             state.events.append((u, w, amount))
     if graph.degree(s) > 0:
-        raise SolverInternalError(f"no admissible split remains at {s!r}")
+        raise SolverInternalError(f"no admissible split remains at node {s}")
 
 
 def extract_realization(graph, terminals):
-    """Read the terminal-pair capacities off a fully reduced graph.
+    """The positive pairs ((u, v), capacity), u < v, of a fully reduced
+    graph, each joining two of `terminals`, a set of nodes.
 
-    Any non-terminal with positive degree means elimination is incomplete
-    and raises SolverInternalError.
+    Any other node with positive degree means elimination is incomplete and
+    raises SolverInternalError.
     """
-    terminal_set = set(terminals)
-    for t in terminal_set:
-        if t not in graph:
-            raise UnknownNode(f"terminal {t!r} missing from the graph")
     for v, d in graph.degrees():
-        if d > 0 and v not in terminal_set:
-            raise SolverInternalError(f"{v!r} still has degree {d}")
-    # every non-terminal has degree 0, so each positive pair joins two terminals
-    return Realization(graph.positive_pairs())
+        if d > 0 and v not in terminals:
+            raise SolverInternalError(f"node {v} still has degree {d}")
+    return graph.positive_pairs()
 
 
 def realize_capacity(instance, capacity):
@@ -244,21 +238,27 @@ def realize_capacity(instance, capacity):
 
     `capacity` is an EdgeCapacity on the instance's tree. A tree with no
     inner node joins terminals only, so its capacity is the realization, and
-    no graph is built. Otherwise inner nodes are processed in ascending
-    identifier order: before the first split, Kruskal's joins of the graph's
-    tree edges are taken once, and an activation that needs its demands
-    reads them off those joins. Each tree edge e needs a terminal pair across
-    it of tree bottleneck >= c(e) - 1, as base plus join has. Returns
-    (realization, trace), trace a tuple of (node, u, w, amount) records.
+    no graph is built. Otherwise the graph numbers the tree's nodes in
+    sorted-name order, so that index order is name order: the neighbor
+    pairs, the pair orientation and the checks come out as they would on
+    the names. Inner nodes are processed in ascending identifier order:
+    before the first split, Kruskal's joins of the graph's tree edges are
+    taken once, and an activation that needs its demands reads them off
+    those joins. Each tree edge e needs a terminal pair across it of tree
+    bottleneck >= c(e) - 1, as base plus join has. Returns (realization,
+    trace), trace a tuple of (node, u, w, amount) records in names.
     """
     inner = sorted(instance.inner_nodes())
     if not inner:
         return Realization(capacity.items()), ()
-    graph = CapacitatedMultigraph(instance.tree.nodes, capacity)
+    names = sorted(instance.tree.nodes)
+    index = {v: i for i, v in enumerate(names)}
+    graph = CapacitatedMultigraph(len(names), {(index[u], index[v]): c for (u, v), c in capacity.items()})
     joins = [(lam, ru, rv) for _, lam, ru, rv in max_spanning_joins(graph.nodes, graph.positive_pairs())]
     trace = []
     for s in inner:
-        state = SplitState(graph, s, joins)
+        state = SplitState(graph, index[s], joins)
         split_node(state)
-        trace.extend((s, u, w, amount) for u, w, amount in state.events)
-    return extract_realization(graph, instance.terminals), tuple(trace)
+        trace.extend((s, names[u], names[w], amount) for u, w, amount in state.events)
+    pairs = extract_realization(graph, {index[t] for t in instance.terminals})
+    return Realization(((names[u], names[v]), c) for (u, v), c in pairs), tuple(trace)

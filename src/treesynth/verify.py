@@ -6,9 +6,10 @@ How far each check stands apart from the solver pipeline:
   realization spans: one flow per pair of `instance.forest`, each stopping
   at its requirement and ending at the held class of its far end (the
   terminals the forest pairs that held so far join it to), and nothing more
-  when none falls short. Otherwise one join of the forest flows, largest
-  first, names the candidates: the pairs whose requirement is above the
-  least flow on their forest path, their lower bound. A candidate is
+  when none falls short. Otherwise joining the short forest flows onto the
+  held classes, largest first, names the candidates: the pairs whose
+  requirement is above the least flow on their forest path, their lower
+  bound. A candidate is
   settled with no flow when a cut some short flow left behind separates it
   at that bound; only the rest get a flow of their own. Candidates run in
   stored pair order and only the violations are sorted. Flows, held
@@ -57,33 +58,29 @@ def verify_realization(instance, realization):
     the same values, as when each flow ran from s to t alone. The classes
     are one label list over the terminal indices, the label of a class
     being the index of one of its members, so `max_flow` takes the list as
-    it is and t as the sink that names T; a merge relabels the members of
+    it is and t as the sink that names T; `_merge` relabels the members of
     the smaller class, kept as an index list per label.
 
     Otherwise each pair has two bounds. From below, any graph has
     lam(s, t) >= min(lam(s, z), lam(z, t)), so the least forest flow on the
-    pair's forest path bounds lam(s, t), and a pair within it holds. Joining
-    the forest's flows in descending order meets that bound at the join that
-    first links s and t: the join emits the pair's stored index, with the
-    join's flow, only when the requirement is above it. A pair at or below
-    the least forest flow holds whatever its path and stays out of the
-    join. Each join relabels its smaller side and scans only that side's
-    pairs, so the pass is O(pairs log n) and keeps nothing for the pairs
-    that hold. From above, a flow that falls short is exact and comes with
-    its residual side, a cut of that value kept as one byte per terminal,
-    and any such cut that separates s and t, cut[s] != cut[t], bounds
-    lam(s, t). The candidates run in stored pair order: where a kept cut's
-    value equals the lower bound, lam(s, t) is settled with no flow; the
-    others get a flow that stops at their requirement, and its cut is kept
-    when it falls short. Violations come in sorted pair order; an empty list
-    means feasible.
+    pair's forest path bounds lam(s, t), and a pair within it holds;
+    `_short_pairs` emits the others with that bound. From above, a flow that
+    falls short is exact and comes with its residual side, a cut of that
+    value kept as one byte per terminal, and any such cut that separates s
+    and t, cut[s] != cut[t], bounds lam(s, t). The candidates run in stored
+    pair order: where a kept cut's value equals the lower bound, lam(s, t)
+    is settled with no flow; the others get a flow that stops at their
+    requirement, and its cut is kept when it falls short. Violations come
+    in sorted pair order; an empty list means feasible.
     """
-    for (u, v), _ in realization.items():
-        if u not in instance.terminal_set or v not in instance.terminal_set:
-            raise UnknownNode(f"{u!r}-{v!r} is not a terminal pair")
     terminals = instance.terminals
-    graph = CapacitatedMultigraph(terminals, realization)
-    index = graph._index
+    index = {t: i for i, t in enumerate(terminals)}
+    spanned = {}
+    for (u, v), c in realization.items():
+        if u not in index or v not in index:
+            raise UnknownNode(f"{u!r}-{v!r} is not a terminal pair")
+        spanned[index[u], index[v]] = c
+    graph = CapacitatedMultigraph(len(terminals), spanned)
     # terminal index -> the label of its held class: the terminals joined to
     # it by forest pairs whose flow reached r
     held = list(range(len(terminals)))
@@ -91,28 +88,22 @@ def verify_realization(instance, realization):
     members = [[i] for i in held]
     # cut value -> the residual sides of the short flows that found it
     cuts = {}
-    ends = []
-    flows = []
+    # (flow, i, j) of each forest pair whose flow fell short
+    short = []
     for (s, t), r in instance.forest:
         i, j = index[s], index[t]
-        ends.append((i, j))
         if len(members[held[i]]) > len(members[held[j]]):
             i, j = j, i
         flow, cut = max_flow(graph, (i,), j, held, r)
-        flows.append(flow)
         if cut is None:
-            # the smaller class joins the larger
-            small, large = held[i], held[j]
-            for x in members[small]:
-                held[x] = large
-            members[large] += members[small]
-            members[small] = None
+            _merge(held, members, held[i], held[j])
         else:
+            short.append((flow, i, j))
             cuts.setdefault(flow, []).append(cut)
     if not cuts:
         return []
     violations = []
-    for _, i, j, r, lam in _short_pairs(index, instance.requirements.values, ends, flows):
+    for _, i, j, r, lam in _short_pairs(index, instance.requirements.values, held, members, short):
         if not any(cut[i] != cut[j] for cut in cuts.get(lam, ())):
             lam, cut = max_flow(graph, (i,), j, None, r)
             if cut is None:
@@ -123,48 +114,58 @@ def verify_realization(instance, realization):
     return violations
 
 
-def _short_pairs(index, required, ends, flows):
+def _merge(held, members, small, large):
+    """Relabel the members of the class `small` into the class `large`."""
+    for x in members[small]:
+        held[x] = large
+    members[large] += members[small]
+    members[small] = None
+
+
+def _short_pairs(index, required, held, members, short):
     """(stored index, i, j, r, lower bound) of each pair (s, t) required
-    above its lower bound, in stored order, i and j the terminal indices of
-    s and t.
+    above its lower bound, the least forest flow on its forest path, in
+    stored order, i and j the terminal indices of s and t.
 
     `index` maps each terminal to its index and `required` each requirement
-    pair to r in stored order; `ends` holds the terminal indices of each
-    forest pair and `flows` its flow. The forest pairs join in descending
-    flow, and the join that first links s and t emits the pair when r is
-    above its flow.
+    pair to r in stored order. `held` and `members` are the held classes
+    the forest pass left, and `short` holds (flow, i, j) for each forest
+    pair that fell short; the pass goes on merging the classes, so it uses
+    them up.
+
+    A pair inside one held class holds: its forest path runs over held
+    pairs, each with a flow of at least its r', and r' >= r. The others
+    join the short pairs in descending flow, from the held classes, and the
+    join that first links s and t emits the pair when r is above its flow.
+    That flow is the least short flow on the pair's forest path, and the
+    lower bound is the same whenever it matters: a held flow on the path is
+    at least r, so the bound is below r exactly when that least short flow
+    is, and then the two are equal. Each join relabels the smaller class
+    and scans only its members' pairs, so the pass is O(pairs log n).
     """
     # node -> (other end, stored index, i, j, r) of each of its pairs; a
-    # pair at or below the least forest flow is within every bound
-    least = min(flows)
-    n = len(index)
-    partners = [[] for _ in range(n)]
+    # pair at or below the least short flow is within every bound
+    least = min(short)[0]
+    partners = [[] for _ in held]
     for k, ((s, t), r) in enumerate(required.items()):
         if r > least:
             i, j = index[s], index[t]
-            partners[i].append((j, k, i, j, r))
-            partners[j].append((i, k, i, j, r))
-    # forest pairs close no cycle, so each one joins two components; each
-    # join relabels its smaller component, so a node moves O(log n) times
-    component = list(range(n))
-    members = [[x] for x in component]
-    short = []
-    for f in sorted(range(len(flows)), key=flows.__getitem__, reverse=True):
-        u, v = ends[f]
-        flow = flows[f]
-        small, large = component[u], component[v]
+            if held[i] != held[j]:
+                partners[i].append((j, k, i, j, r))
+                partners[j].append((i, k, i, j, r))
+    # short pairs close no cycle over the held classes, so each one joins two
+    found = []
+    for flow, u, v in sorted(short, reverse=True):
+        small, large = held[u], held[v]
         if len(members[small]) > len(members[large]):
             small, large = large, small
         for x in members[small]:
             for y, k, i, j, r in partners[x]:
-                if r > flow and component[y] == large:
-                    short.append((k, i, j, r, flow))
-        for x in members[small]:
-            component[x] = large
-        members[large] += members[small]
-        members[small] = None
-    short.sort()
-    return short
+                if r > flow and held[y] == large:
+                    found.append((k, i, j, r, flow))
+        _merge(held, members, small, large)
+    found.sort()
+    return found
 
 
 def verify_feasible_capacity(instance, capacity):

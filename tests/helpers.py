@@ -51,38 +51,40 @@ def add_capacity(graph, u, v, delta):
     graph.set_capacity(u, v, graph.capacity(u, v) + delta)
 
 
-def ids(graph, names):
-    """The indices in `graph.nodes` of the node names `names`, as a tuple.
+def ids(names, wanted):
+    """The indices of the node names `wanted` in a graph whose node i is
+    names[i], as a tuple.
 
-    The one map from names into the index space that `max_flow`,
-    `connectivity_snapshot` and split-off's demands work in; back from an
-    index, a test reads `graph.nodes[i]`.
+    The one map from names into the index space the graph, its flows and
+    split-off work in; back from an index, a test reads names[i].
+    `realize_capacity` numbers sorted(tree.nodes) and `verify_realization`
+    the instance's terminals.
     """
-    return tuple(graph._index[v] for v in names)
+    return tuple(map(names.index, wanted))
 
 
-def name_flow(graph, sources, sinks, limit=None):
-    """`max_flow` stated in node names: from the names `sources` into the
-    set of names `sinks`, returned as (value, side), the side a frozenset of
-    names or None.
+def set_flow(graph, sources, sinks, limit=None):
+    """`max_flow` from the nodes `sources` into the set of nodes `sinks`,
+    returned as (value, side), the side a frozenset of nodes or None.
 
     The sinks become one class by sharing the label of the first of them in
     a fresh identity label list, and the flow runs through the module name
     `max_flow`, so a test can count it there.
     """
-    sources, sinks = ids(graph, sources), ids(graph, sinks)
-    label = list(range(len(graph.nodes)))
+    sinks = tuple(sinks)
+    label = list(graph.nodes)
     for y in sinks:
         label[y] = sinks[0]
-    value, side = max_flow(graph, sources, sinks[0], label, limit)
+    value, side = max_flow(graph, tuple(sources), sinks[0], label, limit)
     if side is None:
         return value, None
-    return value, frozenset(v for v, marked in zip(graph.nodes, side) if marked)
+    return value, frozenset(v for v in graph.nodes if side[v])
 
 
-def named_checks(graph, checks):
-    """(x, y, lam) checks on node indices as a list of (name, name, lam)."""
-    return [(graph.nodes[x], graph.nodes[y], lam) for x, y, lam in checks]
+def named_checks(names, checks):
+    """(x, y, lam) checks on node indices as a list of (name, name, lam),
+    node i being names[i]."""
+    return [(names[x], names[y], lam) for x, y, lam in checks]
 
 
 def reference_augment(graph, sources, sink, label, limit=None):
@@ -152,7 +154,7 @@ def reference_snapshot(graph, active, tree_edges):
     join of two components that hold kept nodes (positive degree, not
     `active`).
     """
-    if active not in graph:
+    if active not in graph.nodes:
         raise UnknownNode(f"unknown node {active!r}")
     kept = {v: v for v in graph.nodes if v != active and graph.degree(v) > 0}
     checks = []
@@ -408,31 +410,34 @@ def forest_inputs(draw):
 
 def reference_verify(instance, realization):
     """Oracle for `verify.verify_realization`: its earlier form, which keeps
-    a lower bound for every requirement pair and scans every pair after the
-    join.
+    a lower bound for every requirement pair and scans every pair after a
+    join of all the forest flows.
 
-    Its forest pass keeps each held class as a set and runs each forest flow
-    from the end of the smaller class into the other's whole class, so it
-    runs the same forest flows as the audit and keeps the same cuts. It then
-    runs the same per-pair flows in the same order, so it returns the same
-    violations after the same number of `max_flow` calls, made through
-    `name_flow`, which looks `max_flow` up here by name so that a test can
-    count them.
+    It numbers the terminals as the audit does, in `instance.terminals`
+    order. Its forest pass keeps each held class as a set and runs each
+    forest flow from the end of the smaller class into the other's whole
+    class, so it runs the same forest flows as the audit and keeps the same
+    cuts. It then runs the same per-pair flows in the same order, so it
+    returns the same violations after the same number of `max_flow` calls,
+    made through `set_flow`, which looks `max_flow` up here by name so that
+    a test can count them.
     """
     for (u, v), _ in realization.items():
         if u not in instance.terminal_set or v not in instance.terminal_set:
             raise UnknownNode(f"{u!r}-{v!r} is not a terminal pair")
     terminals = instance.terminals
-    graph = CapacitatedMultigraph(terminals, realization)
-    pairs = instance.requirements.pairs()
+    index = {v: i for i, v in enumerate(terminals)}
+    graph = CapacitatedMultigraph(len(terminals), {(index[u], index[v]): c for (u, v), c in realization.items()})
+    pairs = [((index[s], index[t]), r) for (s, t), r in instance.requirements.pairs()]
     # terminal -> the set of terminals its held forest pairs join it to
-    held = {v: {v} for v in terminals}
+    held = {v: {v} for v in graph.nodes}
     # cut value -> the residual sides of the short flows that found it
     cuts = {}
     flows = {}
-    for p, r in instance.forest:
+    for (s, t), r in instance.forest:
+        p = index[s], index[t]
         s, t = p if len(held[p[0]]) <= len(held[p[1]]) else p[::-1]
-        flows[p], cut = name_flow(graph, (s,), held[t], r)
+        flows[p], cut = set_flow(graph, (s,), held[t], r)
         if cut is None:
             joined = held[s] | held[t]
             for x in joined:
@@ -441,12 +446,12 @@ def reference_verify(instance, realization):
             cuts.setdefault(flows[p], []).append(cut)
     if not cuts:
         return []
-    partners = {v: [] for v in terminals}
+    partners = {v: [] for v in graph.nodes}
     for (s, t), _ in pairs:
         partners[s].append(t)
         partners[t].append(s)
-    component = {v: v for v in terminals}
-    members = {v: [v] for v in terminals}
+    component = {v: v for v in graph.nodes}
+    members = {v: [v] for v in graph.nodes}
     bound = {}
     for (u, v), flow in sorted(flows.items(), key=itemgetter(1), reverse=True):
         small, large = component[u], component[v]
@@ -455,7 +460,7 @@ def reference_verify(instance, realization):
         for x in members[small]:
             for y in partners[x]:
                 if component[y] == large:
-                    bound[node_pair(x, y)] = flow
+                    bound[x, y] = bound[y, x] = flow
         for x in members[small]:
             component[x] = large
         members[large] += members.pop(small)
@@ -465,10 +470,10 @@ def reference_verify(instance, realization):
         if r <= lam:
             continue
         if not any((s in cut) != (t in cut) for cut in cuts.get(lam, ())):
-            lam, cut = name_flow(graph, (s,), {t}, r)
+            lam, cut = set_flow(graph, (s,), {t}, r)
             if cut is None:
                 continue
             cuts.setdefault(lam, []).append(cut)
-        violations.append((s, t, r - lam))
+        violations.append((terminals[s], terminals[t], r - lam))
     violations.sort()
     return violations

@@ -36,8 +36,8 @@ from helpers import (
     capacity_projection,
     fixture_path,
     forest_bottleneck,
-    name_flow,
-    named_checks,
+    ids,
+    set_flow,
     star_instance,
     tree_joins,
     tree_path,
@@ -88,8 +88,8 @@ def corpus():
     return runs, elapsed
 
 
-def _potential(tree, graph):
-    return sum(tree.distance(u, v) * c for (u, v), c in graph.positive_pairs())
+def _potential(tree, names, graph):
+    return sum(tree.distance(names[u], names[v]) * c for (u, v), c in graph.positive_pairs())
 
 
 def _apply(graph, s, u, w, amount):
@@ -112,13 +112,15 @@ def _replay(instance, solution, check_demands):
     on the current graph, compared with the least capacity on the tree path
     of each pair and with the solver's own checks (each check's weight, and
     the check forest's bottleneck for every pair), and checked after every
-    split.
+    split. The graph numbers the tree's nodes in sorted-name order, as
+    `realize_capacity` does, so the solver's checks can be read against it.
     """
     tree = instance.tree
-    graph = CapacitatedMultigraph(tree.nodes, solution.capacity)
+    names = sorted(tree.nodes)
+    graph = CapacitatedMultigraph(len(names), {ids(names, e): c for e, c in solution.capacity.items()})
     joins = tree_joins(graph)
     out = {
-        "start": _potential(tree, graph) == solution.capacity.cost(),
+        "start": _potential(tree, names, graph) == solution.capacity.cost(),
         "monotone": True,
         "even": True,
         "demands": True,
@@ -129,14 +131,15 @@ def _replay(instance, solution, check_demands):
         "solver_checks": 0,
         "check_mismatches": 0,
     }
-    for node, events in groupby(solution.trace, key=lambda e: e[0]):
+    for name, events in groupby(solution.trace, key=lambda e: e[0]):
+        node = names.index(name)
         demands = _flow_snapshot(graph, node) if check_demands else {}
         for (x, y), d in demands.items():
             out["snapshot_pairs"] += 1
-            if d != min(solution.capacity[e] for e in tree_path(tree, x, y)):
+            if d != min(solution.capacity[e] for e in tree_path(tree, names[x], names[y])):
                 out["bottleneck_mismatches"] += 1
         if check_demands:
-            checks = named_checks(graph, connectivity_snapshot(graph, node, joins))
+            checks = connectivity_snapshot(graph, node, joins)
             out["solver_checks"] += len(checks)
             for x, y, w in checks:
                 if demands.get(node_pair(x, y)) != w:
@@ -144,22 +147,23 @@ def _replay(instance, solution, check_demands):
             for (x, y), d in demands.items():
                 if forest_bottleneck(checks, x, y) < d:
                     out["check_mismatches"] += 1
-        for _, u, w, amount in events:
+        for _, *pair, amount in events:
+            u, w = ids(names, pair)
             out["steps"] += 1
             if graph.degree(node) % 2:
                 out["even"] = False
-            before = _potential(tree, graph)
+            before = _potential(tree, names, graph)
             _apply(graph, node, u, w, amount)
-            if _potential(tree, graph) > before:
+            if _potential(tree, names, graph) > before:
                 out["monotone"] = False
             if graph.degree(node) % 2:
                 out["even"] = False
             for (x, y), d in demands.items():
-                if name_flow(graph, (x,), {y})[0] < d:
+                if set_flow(graph, (x,), {y})[0] < d:
                     out["demands"] = False
         if graph.degree(node) != 0:
             out["even"] = False
-    out["end"] = _potential(tree, graph) == instance.realization_cost(
+    out["end"] = _potential(tree, names, graph) == instance.realization_cost(
         solution.realization
     )
     return out

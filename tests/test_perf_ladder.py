@@ -21,7 +21,7 @@ import pytest
 import treesynth
 from treesynth import Realization, cli, solver, splitoff, verify
 
-from helpers import name_flow, named_checks
+from helpers import named_checks, set_flow
 
 PERF_LADDER = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "perf_ladder.py"
@@ -40,6 +40,8 @@ def test_tally_counts_the_probes_of_a_solve():
     originals = {name: getattr(splitoff, name) for name in NAMES}
     text = json.dumps(cli.generate_document(12, 4, 2, 6, 1))
     untallied = solver.solve(cli.parse_instance(text))
+    # split-off numbers the tree's nodes in sorted-name order
+    names = sorted(cli.parse_instance(text).tree.nodes)
     probes, holds, whole, refused = [], [], [], []
 
     def counted_amount(state, u, w):
@@ -50,8 +52,9 @@ def test_tally_counts_the_probes_of_a_solve():
             whole.append((u, w))
         else:
             # the merged cut again, stated in names
-            mu, side = name_flow(graph, (u, w), {s})
-            demands = named_checks(graph, state.demands)
+            mu, side = set_flow(graph, (u, w), {s})
+            side = {names[x] for x in side}
+            demands = named_checks(names, state.demands)
             crossing = max((r for x, y, r in demands if (x in side) != (y in side)), default=0)
             if (mu - crossing) // 2 < min(zu, zw):
                 refused.append((u, w))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -37,10 +38,9 @@ from helpers import (
     LENGTH_POOL,
     forest_bottleneck,
     ids,
-    name_flow,
-    named_checks,
     random_instance,
     reference_snapshot,
+    set_flow,
     solvable_instances,
     star_instance,
     tree_joins,
@@ -51,13 +51,35 @@ from helpers import (
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+# the nodes of the small graphs below, each the index it names: a star's hub
+# h is node 0 and its leaves a, b, c, d follow; off a star, s is the active
+# node and e a node with no degree left
+H, A, B, C, D = range(5)
+E, S = 3, 4
+
 
 def star_graph(caps):
-    """Capacitated star around 'h' with the given leaf capacities."""
-    g = CapacitatedMultigraph(["h"] + sorted(caps))
+    """Capacitated star around H with the given leaf capacities, its leaves
+    the nodes 1..len(caps)."""
+    g = CapacitatedMultigraph(1 + len(caps))
     for leaf, c in caps.items():
-        g.set_capacity("h", leaf, c)
+        g.set_capacity(H, leaf, c)
     return g
+
+
+def graph_of(instance, capacity):
+    """The graph `realize_capacity` starts from, and the names of its nodes:
+    the tree's nodes numbered in sorted-name order, with `capacity`."""
+    names = sorted(instance.tree.nodes)
+    return CapacitatedMultigraph(len(names), {ids(names, e): c for e, c in capacity.items()}), names
+
+
+def extracted(instance, capacity):
+    """The realization `extract_realization` reads off the graph of
+    `capacity`, in names."""
+    graph, names = graph_of(instance, capacity)
+    pairs = extract_realization(graph, set(ids(names, instance.terminals)))
+    return Realization({(names[u], names[v]): c for (u, v), c in pairs})
 
 
 class TestExpandCapacityGraph:
@@ -65,10 +87,10 @@ class TestExpandCapacityGraph:
 
     def test_copies_positive_capacities(self):
         instance = star_instance({("a", "b"): 3, ("a", "c"): 2, ("b", "c"): 2})
-        graph = CapacitatedMultigraph(instance.tree.nodes, instance.base_capacity())
-        assert graph.capacity("hub", "a") == 3
-        assert graph.capacity("hub", "c") == 2
-        assert set(graph.nodes) == {"a", "b", "c", "hub"}
+        graph, names = graph_of(instance, instance.base_capacity())
+        assert graph.capacity(*ids(names, ("hub", "a"))) == 3
+        assert graph.capacity(*ids(names, ("hub", "c"))) == 2
+        assert names == ["a", "b", "c", "hub"] and graph.nodes == range(4)
 
     def test_zero_capacity_edges_are_absent(self):
         # c carries no requirement, so its spoke gets capacity 0
@@ -79,36 +101,36 @@ class TestExpandCapacityGraph:
             [("a", "b", 2)],
         )
         base = instance.base_capacity()
-        graph = CapacitatedMultigraph(instance.tree.nodes, base)
+        graph, names = graph_of(instance, base)
         assert base[("c", "hub")] == 0
-        assert "c" not in graph.neighbors("hub")
+        assert names.index("c") not in graph.neighbors(names.index("hub"))
 
 
-def normalized(graph, checks):
-    return {(node_pair(x, y), w) for x, y, w in named_checks(graph, checks)}
+def normalized(checks):
+    return {(node_pair(x, y), w) for x, y, w in checks}
 
 
 class TestDominantDemands:
     """The snapshot's checks: a maximum spanning forest of the demands."""
 
     def test_empty(self):
-        g = CapacitatedMultigraph("ab")
-        assert connectivity_snapshot(g, "a", []) == []
+        g = CapacitatedMultigraph(2)
+        assert connectivity_snapshot(g, 0, []) == []
 
     def test_single_pair(self):
-        g = CapacitatedMultigraph("abs", {("a", "b"): 3})
-        assert normalized(g, connectivity_snapshot(g, "s", tree_joins(g))) == {(("a", "b"), 3)}
+        g = CapacitatedMultigraph(5, {(A, B): 3})
+        assert normalized(connectivity_snapshot(g, S, tree_joins(g))) == {((A, B), 3)}
 
     def test_zero_demands_are_dropped(self):
         # a and b lie in different components of the tree: lam(a, b) = 0
-        g = CapacitatedMultigraph("abcs", {("a", "s"): 2, ("b", "c"): 3})
-        assert normalized(g, connectivity_snapshot(g, "s", tree_joins(g))) == {(("b", "c"), 3)}
+        g = CapacitatedMultigraph(5, {(A, S): 2, (B, C): 3})
+        assert normalized(connectivity_snapshot(g, S, tree_joins(g))) == {((B, C), 3)}
 
     def test_keeps_a_maximum_spanning_tree(self):
         # lam(b, c) = 4 and lam(a, b) = lam(a, c) = 3: the heavy pair stays
-        g = CapacitatedMultigraph("abcs", {("a", "s"): 3, ("b", "s"): 5, ("c", "s"): 4})
-        checks = normalized(g, connectivity_snapshot(g, "s", tree_joins(g)))
-        assert (("b", "c"), 4) in checks
+        g = CapacitatedMultigraph(5, {(A, S): 3, (B, S): 5, (C, S): 4})
+        checks = normalized(connectivity_snapshot(g, S, tree_joins(g)))
+        assert ((B, C), 4) in checks
         assert len(checks) == 2 and {w for _, w in checks} == {3, 4}
 
     @settings(max_examples=150, deadline=None)
@@ -116,20 +138,17 @@ class TestDominantDemands:
     def test_tree_bottlenecks_dominate_every_demand(self, data):
         # random capacitated tree; zero edges split it into components
         n = data.draw(st.integers(2, 9))
-        names = [f"n{i}" for i in range(n)]
         caps = {}
         for i in range(1, n):
-            caps[(names[data.draw(st.integers(0, i - 1))], names[i])] = data.draw(st.integers(0, 6))
-        tree = CapacitatedMultigraph(names, caps)
+            caps[(data.draw(st.integers(0, i - 1)), i)] = data.draw(st.integers(0, 6))
+        tree = CapacitatedMultigraph(n, caps)
         lam = all_pairs_connectivity(tree)
-        active = data.draw(st.sampled_from(names))
+        active = data.draw(st.integers(0, n - 1))
         # nodes already split off keep no degree in the current graph
-        gone = set(data.draw(st.lists(st.sampled_from(names), max_size=n)))
-        graph = CapacitatedMultigraph(
-            names, {e: c for e, c in caps.items() if not gone.intersection(e)}
-        )
-        kept = {v for v in names if v != active and graph.degree(v) > 0}
-        checks = named_checks(graph, connectivity_snapshot(graph, active, tree_joins(tree)))
+        gone = set(data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+        graph = CapacitatedMultigraph(n, {e: c for e, c in caps.items() if not gone.intersection(e)})
+        kept = {v for v in graph.nodes if v != active and graph.degree(v) > 0}
+        checks = connectivity_snapshot(graph, active, tree_joins(tree))
         # every weight is the pair's connectivity in the tree
         for x, y, w in checks:
             assert x in kept and y in kept and x != y
@@ -151,198 +170,203 @@ class TestDominantDemands:
         # random capacitated tree with shuffled nodes and edges; kept nodes
         # keep tree capacity or gain capacity split off onto new pairs
         n = data.draw(st.integers(1, 10))
-        names = data.draw(st.permutations([f"n{i}" for i in range(n)]))
+        order = data.draw(st.permutations(range(n)))
         caps = {}
         for i in range(1, n):
-            caps[(names[data.draw(st.integers(0, i - 1))], names[i])] = data.draw(st.integers(0, 6))
+            caps[(order[data.draw(st.integers(0, i - 1))], order[i])] = data.draw(st.integers(0, 6))
         tree_edges = data.draw(st.permutations(sorted(caps.items())))
-        tree = CapacitatedMultigraph(names, dict(tree_edges))
-        active = data.draw(st.sampled_from(names))
-        gone = set(data.draw(st.lists(st.sampled_from(names), max_size=n)))
-        graph = CapacitatedMultigraph(
-            names, {e: c for e, c in caps.items() if not gone.intersection(e)}
-        )
-        left = sorted(set(names) - gone)
+        tree = CapacitatedMultigraph(n, dict(tree_edges))
+        active = data.draw(st.integers(0, n - 1))
+        gone = set(data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+        graph = CapacitatedMultigraph(n, {e: c for e, c in caps.items() if not gone.intersection(e)})
+        left = sorted(set(range(n)) - gone)
         if len(left) >= 2:
             pairs = st.tuples(st.sampled_from(left), st.sampled_from(left))
             for u, w in data.draw(st.lists(pairs, max_size=4)):
                 if u != w:
                     add_capacity(graph, u, w, 1)
         replayed = connectivity_snapshot(graph, active, tree_joins(tree, tree_edges))
-        assert named_checks(graph, replayed) == reference_snapshot(graph, active, tree_edges)
+        assert replayed == reference_snapshot(graph, active, tree_edges)
 
 
 class TestConnectivitySnapshot:
     def test_paths_through_the_excluded_node_still_count(self):
-        g = CapacitatedMultigraph("asb", {("a", "s"): 2, ("s", "b"): 2})
-        assert normalized(g, connectivity_snapshot(g, "s", tree_joins(g))) == {(("a", "b"), 2)}
+        g = CapacitatedMultigraph(5, {(A, S): 2, (S, B): 2})
+        assert normalized(connectivity_snapshot(g, S, tree_joins(g))) == {((A, B), 2)}
 
     def test_paths_through_eliminated_nodes_still_count(self):
         # e was split off after the tree was read: it has no degree left,
         # but the tree path a-e-b still sets the demand of a and b
-        tree = [(("a", "e"), 3), (("b", "e"), 2)]
-        g = CapacitatedMultigraph("abes", {("a", "s"): 2, ("b", "s"): 2, ("a", "b"): 1})
-        assert normalized(g, connectivity_snapshot(g, "s", tree_joins(g, tree))) == {(("a", "b"), 2)}
+        tree = [((A, E), 3), ((B, E), 2)]
+        g = CapacitatedMultigraph(5, {(A, S): 2, (B, S): 2, (A, B): 1})
+        assert normalized(connectivity_snapshot(g, S, tree_joins(g, tree))) == {((A, B), 2)}
 
     def test_zero_degree_nodes_are_dropped(self):
-        g = CapacitatedMultigraph("asbd", {("a", "s"): 2, ("s", "b"): 2})
-        assert normalized(g, connectivity_snapshot(g, "s", tree_joins(g))) == {(("a", "b"), 2)}
+        # h and c keep no degree
+        g = CapacitatedMultigraph(5, {(A, S): 2, (S, B): 2})
+        assert normalized(connectivity_snapshot(g, S, tree_joins(g))) == {((A, B), 2)}
 
     def test_too_few_nodes_left(self):
-        g = CapacitatedMultigraph("as", {("a", "s"): 2})
-        assert connectivity_snapshot(g, "s", tree_joins(g)) == []
+        g = CapacitatedMultigraph(5, {(A, S): 2})
+        assert connectivity_snapshot(g, S, tree_joins(g)) == []
 
     def test_unknown_exclude(self):
         with pytest.raises(UnknownNode, match="unknown node 'zz'"):
-            connectivity_snapshot(CapacitatedMultigraph("ab"), "zz", [])
+            connectivity_snapshot(CapacitatedMultigraph(2), "zz", [])
+        with pytest.raises(UnknownNode, match="unknown node 2"):
+            connectivity_snapshot(CapacitatedMultigraph(2), 2, [])
 
     def test_reads_the_given_tree_edges_without_flows(self, monkeypatch):
         # weights come from the tree edges passed in, not from the graph's
         # current capacities, and no flow recomputes them
         monkeypatch.setattr(maxflow, "_augment", None)
-        g = CapacitatedMultigraph("abs", {("a", "s"): 2, ("b", "s"): 2})
-        tree = [(("a", "s"), 7), (("b", "s"), 9)]
-        assert normalized(g, connectivity_snapshot(g, "s", tree_joins(g, tree))) == {(("a", "b"), 7)}
+        g = CapacitatedMultigraph(5, {(A, S): 2, (B, S): 2})
+        tree = [((A, S), 7), ((B, S), 9)]
+        assert normalized(connectivity_snapshot(g, S, tree_joins(g, tree))) == {((A, B), 7)}
 
 
 class TestSplitState:
     def test_default_snapshot(self):
-        g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", tree_joins(g))
-        checks = normalized(g, state.demands)
+        g = star_graph({A: 2, B: 2, C: 2})
+        state = SplitState(g, H, tree_joins(g))
+        checks = normalized(state.demands)
         assert len(checks) == 2 and {w for _, w in checks} == {2}
-        assert {v for pair, _ in checks for v in pair} == {"a", "b", "c"}
+        assert {v for pair, _ in checks for v in pair} == {A, B, C}
         assert state.events == []
         with pytest.raises(UnknownNode, match="unknown node 'zz'"):
             SplitState(g, "zz", tree_joins(g))
+        with pytest.raises(UnknownNode, match="unknown node 4"):
+            SplitState(g, 4, tree_joins(g))
 
     def test_demands_read_after_a_split_are_those_at_activation(self):
         # a split at the active node changes no other node's degree
-        g = star_graph({"a": 2, "b": 2, "c": 2})
+        g = star_graph({A: 2, B: 2, C: 2})
         joins = tree_joins(g)
-        before = connectivity_snapshot(g, "h", joins)
-        state = SplitState(g, "h", joins)
-        g.split("h", "a", "b", 2)
+        before = connectivity_snapshot(g, H, joins)
+        state = SplitState(g, H, joins)
+        g.split(H, A, B, 2)
         assert state.demands == before
         assert state.demands is state.demands
 
 
 class TestAdmissibleAmount:
     def test_uniform_star_allows_one_unit(self):
-        g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", tree_joins(g))
-        assert admissible_amount(state, "a", "b") == 1
+        g = star_graph({A: 2, B: 2, C: 2})
+        state = SplitState(g, H, tree_joins(g))
+        assert admissible_amount(state, A, B) == 1
 
     def test_two_leaf_star_splits_completely(self):
-        g = star_graph({"a": 3, "b": 3})
-        state = SplitState(g, "h", tree_joins(g))
-        assert admissible_amount(state, "a", "b") == 3
+        g = star_graph({A: 3, B: 3})
+        state = SplitState(g, H, tree_joins(g))
+        assert admissible_amount(state, A, B) == 3
 
     def test_probing_leaves_the_graph_unchanged(self):
-        g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", tree_joins(g))
-        admissible_amount(state, "a", "b")
-        untouched = star_graph({"a": 2, "b": 2, "c": 2})
+        g = star_graph({A: 2, B: 2, C: 2})
+        state = SplitState(g, H, tree_joins(g))
+        admissible_amount(state, A, B)
+        untouched = star_graph({A: 2, B: 2, C: 2})
         assert dict(g.positive_pairs()) == dict(untouched.positive_pairs())
 
     def test_loop_pair_is_refused_before_the_graph_is_touched(self):
-        g = star_graph({"a": 4, "b": 4})
-        state = SplitState(g, "h", tree_joins(g))
-        with pytest.raises(UnknownNode, match="'a' cannot pair with itself"):
-            admissible_amount(state, "a", "a")
-        assert dict(g.positive_pairs()) == {("a", "h"): 4, ("b", "h"): 4}
+        g = star_graph({A: 4, B: 4})
+        state = SplitState(g, H, tree_joins(g))
+        with pytest.raises(UnknownNode, match="node 1 cannot pair with itself"):
+            admissible_amount(state, A, A)
+        assert dict(g.positive_pairs()) == {(H, A): 4, (H, B): 4}
 
     def test_rejects_non_neighbors(self):
-        g = star_graph({"a": 2, "b": 2})
-        g2 = CapacitatedMultigraph(list(g.nodes) + ["d"])
+        g = star_graph({A: 2, B: 2})
+        # a node with no capacity, one past the star's
+        d = len(g.nodes)
+        g2 = CapacitatedMultigraph(d + 1)
         for (u, v), c in g.positive_pairs():
             g2.set_capacity(u, v, c)
-        state = SplitState(g2, "h", tree_joins(g2))
-        with pytest.raises(UnknownNode, match="'d' does not neighbor 'h'"):
-            admissible_amount(state, "a", "d")
+        state = SplitState(g2, H, tree_joins(g2))
+        with pytest.raises(UnknownNode, match=f"node {d} does not neighbor node 0"):
+            admissible_amount(state, A, d)
         with pytest.raises(UnknownNode, match="is the active node"):
-            admissible_amount(state, "h", "a")
+            admissible_amount(state, H, A)
 
     def test_a_probe_with_no_demand_above_safe_makes_no_split(self):
-        g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", tree_joins(g))
+        g = star_graph({A: 2, B: 2, C: 2})
+        state = SplitState(g, H, tree_joins(g))
         top = max(r for _, _, r in state.demands)
         # 5 units exceed both capacities at h, so making the split would raise
-        assert splitoff._demands_hold(state, top, "a", "b", 5)
+        assert splitoff._demands_hold(state, top, A, B, 5)
         with pytest.raises(ValueError, match="cannot split 5 units"):
-            splitoff._demands_hold(state, top - 1, "a", "b", 5)
-        assert dict(g.positive_pairs()) == {("a", "h"): 2, ("b", "h"): 2, ("c", "h"): 2}
+            splitoff._demands_hold(state, top - 1, A, B, 5)
+        assert dict(g.positive_pairs()) == {(H, A): 2, (H, B): 2, (H, C): 2}
 
     def test_a_demand_at_safe_plus_one_runs_its_flow(self):
-        g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", tree_joins(g))
-        state.demands = [(*ids(g, "ac"), 2)]
+        g = star_graph({A: 2, B: 2, C: 2})
+        state = SplitState(g, H, tree_joins(g))
+        state.demands = [(A, C, 2)]
         # splitting 2 units of a-b strands a from c, so the one demand above 1 fails
-        assert not splitoff._demands_hold(state, 1, "a", "b", 2)
-        assert dict(g.positive_pairs()) == {("a", "h"): 2, ("b", "h"): 2, ("c", "h"): 2}
+        assert not splitoff._demands_hold(state, 1, A, B, 2)
+        assert dict(g.positive_pairs()) == {(H, A): 2, (H, B): 2, (H, C): 2}
 
     def test_partial_amount_on_skewed_star(self):
         # splitting a-b beyond 2 units would strand a from c
-        g = star_graph({"a": 3, "b": 3, "c": 2})
-        state = SplitState(g, "h", tree_joins(g))
-        assert admissible_amount(state, "a", "b") == 2
+        g = star_graph({A: 3, B: 3, C: 2})
+        state = SplitState(g, H, tree_joins(g))
+        assert admissible_amount(state, A, B) == 2
 
 
 class TestSplitNode:
     def test_uniform_star_becomes_a_triangle(self):
-        g = star_graph({"a": 2, "b": 2, "c": 2})
-        state = SplitState(g, "h", tree_joins(g))
+        g = star_graph({A: 2, B: 2, C: 2})
+        state = SplitState(g, H, tree_joins(g))
         split_node(state)
-        assert state.events == [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)]
+        assert state.events == [(A, B, 1), (A, C, 1), (B, C, 1)]
         assert dict(g.positive_pairs()) == {
-            ("a", "b"): 1,
-            ("a", "c"): 1,
-            ("b", "c"): 1,
+            (A, B): 1,
+            (A, C): 1,
+            (B, C): 1,
         }
 
     def test_skewed_star_keeps_the_heavy_pair(self):
-        g = star_graph({"a": 3, "b": 3, "c": 2})
-        state = SplitState(g, "h", tree_joins(g))
+        g = star_graph({A: 3, B: 3, C: 2})
+        state = SplitState(g, H, tree_joins(g))
         split_node(state)
-        assert state.events == [("a", "b", 2), ("a", "c", 1), ("b", "c", 1)]
+        assert state.events == [(A, B, 2), (A, C, 1), (B, C, 1)]
         assert dict(g.positive_pairs()) == {
-            ("a", "b"): 2,
-            ("a", "c"): 1,
-            ("b", "c"): 1,
+            (A, B): 2,
+            (A, C): 1,
+            (B, C): 1,
         }
 
     def test_connectivities_survive(self):
-        g = star_graph({"a": 4, "b": 4, "c": 2, "d": 2})
-        state = SplitState(g, "h", tree_joins(g))
+        g = star_graph({A: 4, B: 4, C: 2, D: 2})
+        state = SplitState(g, H, tree_joins(g))
         lam = all_pairs_connectivity(g)
         split_node(state)
-        assert g.degree("h") == 0
+        assert g.degree(H) == 0
         for x, y, d in state.demands:
             assert max_flow(g, (x,), y)[0] >= d
-        for x, y in combinations("abcd", 2):
-            assert name_flow(g, (x,), {y})[0] >= lam[(x, y)]
+        for x, y in combinations((A, B, C, D), 2):
+            assert set_flow(g, (x,), {y})[0] >= lam[(x, y)]
 
     def test_unit_legs_are_cut_edges_and_block_splitting(self):
         # every leg is a bridge, so any split strands the remaining legs;
         # this is the configuration the capacity >= 2 precondition excludes
-        g = star_graph({"a": 1, "b": 1, "c": 1, "d": 1})
-        with pytest.raises(SolverInternalError, match="no admissible split remains at 'h'"):
-            split_node(SplitState(g, "h", tree_joins(g)))
+        g = star_graph({A: 1, B: 1, C: 1, D: 1})
+        with pytest.raises(SolverInternalError, match="no admissible split remains at node 0"):
+            split_node(SplitState(g, H, tree_joins(g)))
 
     def test_leg_above_the_largest_demand_plus_one_is_left_over(self):
         # the b leg carries 4, but the only demand across it is lam(a, b) = 2;
         # after (a, b) splits at 2, the 2 units left on b could go only to a
         # loop pair, which split-off never takes
-        g = star_graph({"a": 2, "b": 4})
-        state = SplitState(g, "h", tree_joins(g))
-        with pytest.raises(SolverInternalError, match="no admissible split remains at 'h'"):
+        g = star_graph({A: 2, B: 4})
+        state = SplitState(g, H, tree_joins(g))
+        with pytest.raises(SolverInternalError, match="no admissible split remains at node 0"):
             split_node(state)
-        assert state.events == [("a", "b", 2)]
+        assert state.events == [(A, B, 2)]
 
     def test_an_odd_degree_is_refused(self):
-        g = star_graph({"a": 2, "b": 1})
-        with pytest.raises(SolverInternalError, match="odd degree at 'h'"):
-            split_node(SplitState(g, "h", tree_joins(g)))
+        g = star_graph({A: 2, B: 1})
+        with pytest.raises(SolverInternalError, match="odd degree at node 0"):
+            split_node(SplitState(g, H, tree_joins(g)))
 
     def test_an_odd_degree_is_refused_under_python_O(self):
         # `python -O` strips asserts; the parity check raises, so it stays
@@ -351,35 +375,29 @@ class TestSplitNode:
             "from treesynth.maxflow import CapacitatedMultigraph\n"
             "from treesynth.splitoff import SplitState, split_node\n"
             "print(__debug__)\n"
-            "g = CapacitatedMultigraph('hab', {('h', 'a'): 2, ('h', 'b'): 1})\n"
+            "g = CapacitatedMultigraph(3, {(0, 1): 2, (0, 2): 1})\n"
             "try:\n"
-            "    split_node(SplitState(g, 'h', []))\n"
+            "    split_node(SplitState(g, 0, []))\n"
             "except SolverInternalError as exc:\n"
             "    print(exc)\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nodd degree at 'h'\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nodd degree at node 0\n", "")
 
 
 class TestExtractRealization:
     def test_reads_terminal_pairs_and_skips_removed_pairs(self):
-        g = CapacitatedMultigraph(["a", "b", "h"])
-        g.set_capacity("a", "b", 2)
-        g.set_capacity("a", "h", 5)
-        g.set_capacity("a", "h", 0)
-        realization = extract_realization(g, ["a", "b"])
-        assert realization == Realization({("a", "b"): 2})
+        g = CapacitatedMultigraph(3)
+        g.set_capacity(A, B, 2)
+        g.set_capacity(A, H, 5)
+        g.set_capacity(A, H, 0)
+        assert dict(extract_realization(g, {A, B})) == {(A, B): 2}
 
     def test_rejects_leftover_inner_degree(self):
-        g = star_graph({"a": 2, "b": 2})
-        with pytest.raises(SolverInternalError, match="'h' still has degree 4"):
-            extract_realization(g, ["a", "b"])
-
-    def test_rejects_missing_terminal(self):
-        g = CapacitatedMultigraph(["a"])
-        with pytest.raises(UnknownNode):
-            extract_realization(g, ["a", "zz"])
+        g = star_graph({A: 2, B: 2})
+        with pytest.raises(SolverInternalError, match="node 0 still has degree 4"):
+            extract_realization(g, {A, B})
 
 
 class TestRealizeCapacity:
@@ -423,12 +441,10 @@ class TestRealizeCapacity:
                 patch.setattr(CapacitatedMultigraph, "__init__", counted)
                 solution = solve(instance)
             assert built == [] and solution.trace == ()
-            graph = CapacitatedMultigraph(instance.tree.nodes, solution.capacity)
-            assert solution.realization == extract_realization(graph, instance.terminals)
+            assert solution.realization == extracted(instance, solution.capacity)
             sparse = random_instance(k, k, 0, rmin=0, rmax=2, lengths=lengths)
             base = sparse.base_capacity()
-            graph = CapacitatedMultigraph(sparse.tree.nodes, base)
-            assert realize_capacity(sparse, base) == (extract_realization(graph, sparse.terminals), ())
+            assert realize_capacity(sparse, base) == (extracted(sparse, base), ())
 
     @pytest.mark.parametrize("inner, passes", [(4, 1), (0, 0)])
     def test_kruskal_joins_are_taken_once_per_solve(self, monkeypatch, inner, passes):
@@ -460,6 +476,20 @@ class TestRealizeCapacity:
         assert len(solution.trace) == n
         assert calls == []
 
+    def test_the_tree_node_order_changes_no_output(self):
+        # the graph numbers the tree's nodes in sorted-name order, so the
+        # order a document lists them in reaches no realization, cost or trace
+        rng = random.Random(32)
+        for seed in range(40):
+            k = 6 + seed % 15
+            doc = generate_document(k, k // 3, 2, (3, 6, 9)[seed % 3], seed)
+            expected = solve(parse_instance(json.dumps(doc)))
+            rng.shuffle(doc["tree"]["nodes"])
+            got = solve(parse_instance(json.dumps(doc)))
+            assert got.realization == expected.realization, seed
+            assert (got.cost, got.trace) == (expected.cost, expected.trace), seed
+            assert got.trace
+
     def test_snapshots_are_built_on_first_read_only(self, monkeypatch):
         # the checks an activation reads are those it would build at once
         eager, late = {}, {}
@@ -489,8 +519,8 @@ def test_split_preserves_snapshot_connectivities(data):
     # guaranteed; an even total keeps the degrees splittable
     k = data.draw(st.integers(2, 5))
     caps = {}
-    for i in range(k):
-        caps[f"x{i}"] = data.draw(st.integers(2, 5))
+    for leaf in range(1, k + 1):
+        caps[leaf] = data.draw(st.integers(2, 5))
     second = sorted(caps.values())[-2]
     for leg, c in caps.items():
         caps[leg] = min(c, second + 1)
@@ -499,19 +529,19 @@ def test_split_preserves_snapshot_connectivities(data):
     legs = sorted(caps.values())
     assert legs[-1] <= legs[-2] + 1
     g = star_graph(caps)
-    state = SplitState(g, "h", tree_joins(g))
+    state = SplitState(g, H, tree_joins(g))
     lam = all_pairs_connectivity(g)
     split_node(state)
-    assert g.degree("h") == 0
+    assert g.degree(H) == 0
     for x, y, d in state.demands:
         assert max_flow(g, (x,), y)[0] >= d
     for x, y in combinations(sorted(caps), 2):
-        assert name_flow(g, (x,), {y})[0] >= lam[(x, y)]
+        assert set_flow(g, (x,), {y})[0] >= lam[(x, y)]
 
 
 def _split_copy(graph, s, u, w, amount):
     """A copy of graph with `amount` units of (s, u), (s, w) split off."""
-    g = CapacitatedMultigraph(graph.nodes, dict(graph.positive_pairs()))
+    g = CapacitatedMultigraph(len(graph.nodes), dict(graph.positive_pairs()))
     if u == w:
         add_capacity(g, s, u, -2 * amount)
     else:
@@ -621,7 +651,7 @@ def test_every_refusal_by_the_merged_cut_is_refused_by_the_reference():
 
     def flow(graph, sources, sink, *rest):
         result = real_flow(graph, sources, sink, *rest)
-        if graph.nodes[sink] == active[0]:
+        if sink == active[0]:
             cuts.append(result)
         return result
 
@@ -679,10 +709,10 @@ def test_loop_and_same_branch_pairs_are_never_admissible():
     # the cut of that branch to c(e) - 2a < r
     loops, same_branch, splits = [], [], []
     real_split = splitoff.split_node
-    tree = None
+    tree = names = None
 
     def branch(s, v):
-        return tree_path(tree, s, v)[0]
+        return tree_path(tree, names[s], names[v])[0]
 
     def checked(state):
         s = state.active
@@ -707,7 +737,7 @@ def test_loop_and_same_branch_pairs_are_never_admissible():
                 seed, terminals=k, inner=k // 3, rmax=2 + seed % 8,
                 lengths=("0",) if seed % 2 else LENGTH_POOL,
             )
-            tree = instance.tree
+            tree, names = instance.tree, sorted(instance.tree.nodes)
             solve(instance)
     assert loops and same_branch and splits
 
@@ -716,7 +746,8 @@ def test_a_flow_still_refuses_probes_and_the_search_goes_below_top():
     # at s2, (t11, t4) has free = 0 < cap = 2: the merged cut allows 2, a
     # check flow refuses it, and the binary search's probe of 1 is refused
     # too; the pair ends at the reference amount, 0
-    text = json.dumps(generate_document(14, 4, 2, 9, 236))
+    instance = parse_instance(json.dumps(generate_document(14, 4, 2, 9, 236)))
+    names = sorted(instance.tree.nodes)
     refused = []
     real_amount, real_hold = splitoff.admissible_amount, splitoff._demands_hold
     holds = []
@@ -730,12 +761,12 @@ def test_a_flow_still_refuses_probes_and_the_search_goes_below_top():
         holds.clear()
         got = real_amount(state, u, w)
         if False in holds:
-            refused.append((state.active, u, w, got, holds.count(False)))
+            refused.append((names[state.active], names[u], names[w], got, holds.count(False)))
             assert got == reference_amount(state, u, w), (state.active, u, w)
         return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(splitoff, "admissible_amount", checked)
         mp.setattr(splitoff, "_demands_hold", hold)
-        solve(parse_instance(text))
+        solve(instance)
     assert refused == [("s2", "t11", "t4", 0, 2)]

@@ -68,3 +68,23 @@ def test_flow_count_matches_augment_calls(monkeypatch):
         assert verify.verify_realization(instance, solution.realization) == []
     assert solution.trace
     assert tracer.counts["maxflow.runs"] == len(calls) > 0
+
+
+def test_a_traced_all_pairs_run_counts_its_flows(monkeypatch):
+    # the all-pairs hook reads len(graph.nodes): n - 1 max-flow runs, each an
+    # `_augment` call of its own
+    calls = []
+    augment = maxflow._augment
+
+    def counted(*args):
+        calls.append(args)
+        return augment(*args)
+
+    monkeypatch.setattr(maxflow, "_augment", counted)
+    graph = maxflow.CapacitatedMultigraph(5, {(0, 1): 2, (1, 2): 3, (2, 3): 1, (1, 4): 2})
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        lam = maxflow.all_pairs_connectivity(graph)
+    assert tracer.counts["maxflow.runs"] == len(calls) == len(graph.nodes) - 1 == 4
+    assert tracer.calls["maxflow.all_pairs"] == 1
+    assert lam[(0, 3)] == 1 and lam[(2, 4)] == 2

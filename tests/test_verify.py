@@ -31,7 +31,6 @@ import helpers
 from helpers import (
     capacity_projection,
     forest_inputs,
-    name_flow,
     random_instance,
     reference_verify,
     solvable_instances,
@@ -87,26 +86,27 @@ class TestVerifyRealization:
 
 def per_pair_violations(instance, realization):
     """Reference audit: one exact max-flow per requirement pair, in sorted order."""
-    graph = CapacitatedMultigraph(instance.terminals, dict(realization.items()))
+    names = sorted(instance.terminals)
+    index = {v: i for i, v in enumerate(names)}
+    graph = CapacitatedMultigraph(len(names), {(index[u], index[v]): c for (u, v), c in realization.items()})
     violations = []
     for (s, t), r in sorted(instance.requirements.pairs()):
-        flow = name_flow(graph, (s,), {t})[0]
+        flow = max_flow(graph, (index[s],), index[t])[0]
         if flow < r:
             violations.append((s, t, r - flow))
     return violations
 
 
 @contextmanager
-def counted_flows():
+def counted_flows(names):
     """A list that gets one entry per max-flow run inside the block: its
-    arguments in names, (graph, sources, sink class, limit), the class read
-    off the label list when the flow starts, since the audit goes on to
-    relabel it."""
+    arguments in names, (graph, sources, sink class, limit), node i being
+    names[i], the class read off the label list when the flow starts, since
+    the audit goes on to relabel it."""
     calls = []
     augment = maxflow._augment
 
     def counted(graph, sources, sink, label, limit=None):
-        names = graph.nodes
         sinks = frozenset(y for y, c in zip(names, label) if c == label[sink])
         calls.append((graph, tuple(names[x] for x in sources), sinks, limit))
         return augment(graph, sources, sink, label, limit)
@@ -151,7 +151,7 @@ def random_values(instance, rng):
 def assert_matches_per_pair(instance, values):
     """Compare with the reference; the audit runs at most one flow per pair."""
     realization = Realization(values)
-    with counted_flows() as calls:
+    with counted_flows(instance.terminals) as calls:
         verdict = verify_realization(instance, realization)
     assert len(calls) <= len(instance.requirements.pairs())
     assert verdict == per_pair_violations(instance, realization)
@@ -203,7 +203,7 @@ class TestForestAudit:
         # the 30/10 rung of `treesynth gen --seed 1`
         instance = random_instance(1, 30, 10)
         realization = solve(instance).realization
-        with counted_flows() as calls:
+        with counted_flows(instance.terminals) as calls:
             assert verify_realization(instance, realization) == []
         assert len(calls) == 29
 
@@ -217,7 +217,7 @@ class TestForestAudit:
             damaged = dict(values)
             damaged[pair] -= 1
             realization = Realization(damaged)
-            with counted_flows() as calls:
+            with counted_flows(instance.terminals) as calls:
                 verdict = verify_realization(instance, realization)
             assert verdict == per_pair_violations(instance, realization)
             assert verdict
@@ -231,7 +231,7 @@ class TestForestAudit:
         # b-c, whose bound min(4, 2) = 2 meets that cut
         instance = star_instance({("a", "b"): 4, ("a", "c"): 3, ("b", "c"): 3})
         realization = Realization({("a", "b"): 4, ("a", "c"): 1, ("b", "c"): 1})
-        with counted_flows() as calls:
+        with counted_flows(instance.terminals) as calls:
             verdict = verify_realization(instance, realization)
         assert verdict == [("a", "c", 1), ("b", "c", 1)]
         assert verdict == per_pair_violations(instance, realization)
@@ -242,7 +242,7 @@ class TestForestAudit:
         # b-c, so b-c gets a flow of its own despite its bound of 2
         instance = star_instance({("a", "b"): 4, ("a", "c"): 3, ("b", "c"): 3})
         realization = Realization({("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 5})
-        with counted_flows() as calls:
+        with counted_flows(instance.terminals) as calls:
             verdict = verify_realization(instance, realization)
         assert verdict == [("a", "b", 2), ("a", "c", 1)]
         assert verdict == per_pair_violations(instance, realization)
@@ -252,7 +252,7 @@ class TestForestAudit:
         # requirement components {a, b, c} and {d, e}: 2 + 1 forest joins
         instance = star_instance({("a", "b"): 3, ("b", "c"): 2, ("a", "c"): 2, ("d", "e"): 2})
         realization = Realization({("a", "b"): 2, ("b", "c"): 1, ("a", "c"): 1, ("d", "e"): 2})
-        with counted_flows() as calls:
+        with counted_flows(instance.terminals) as calls:
             assert verify_realization(instance, realization) == []
         assert len(calls) == 3
 
@@ -339,7 +339,7 @@ class TestHeldClasses:
     def test_an_intact_chain_flows_into_its_growing_class(self):
         instance, names = self.chain(5)
         realization = Realization({(u, v): 2 for u, v in zip(names, names[1:])})
-        with counted_flows() as calls:
+        with counted_flows(instance.terminals) as calls:
             assert verify_realization(instance, realization) == []
         # each pair holds, and the next runs from its new end into the class;
         # a tie keeps the first end as the source, and t0 joins t1's class
@@ -353,7 +353,7 @@ class TestHeldClasses:
     def test_a_short_pair_merges_no_class(self):
         instance, names = self.chain(4)
         realization = Realization({("t0", "t1"): 2, ("t1", "t2"): 1, ("t2", "t3"): 2})
-        with counted_flows() as calls:
+        with counted_flows(instance.terminals) as calls:
             verdict = verify_realization(instance, realization)
         assert verdict == [("t1", "t2", 1)] == per_pair_violations(instance, realization)
         # t1-t2 falls short, so t2 and t3 start from classes of their own
