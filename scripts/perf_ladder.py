@@ -37,16 +37,13 @@ with 3 decimals, since `solve_p50_s` rounds about 1 ms to 4.
 
 A fixed corpus of CORPUS small `gen` instances (6-24 terminals, a third as
 many inner nodes, rmax 3, 6 or 9) reaches the probe outcomes the ladder
-does not. For the ladder and the corpus it tallies the split-off probes:
-`passed` and `flow_refused` count the `_demands_hold` calls by their answer,
-and `cut_refused` counts the pairs whose merged cut X* (the side of the least
-{u, w}-s cut) refuses an amount their incident capacities allow, with no
-flow: X* refuses every amount above (mu - R) // 2, with mu the cut's value
-and R the largest demand it separates. `degree_admitted` counts the pairs
-split at the full amount cap their incident capacities allow with no flow at
-all, which a tree may do when zu + zw - deg(s)/2 >= cap = min(zu, zw), zu
-and zw being the pair's capacities to the active node s (the `splitoff`
-module docstring gives the argument).
+does not. For the ladder and the corpus it sums the probe outcomes that
+split-off records per activation (`SplitState.outcomes`, counted where
+`admissible_amount` settles each pair): `degree_admitted` pairs split whole
+by their incident capacities with no flow, `cut_refused` pairs whose merged
+cut refuses an amount those capacities allow, and `passed` and
+`flow_refused` check rounds by their answer. A tree that records no
+outcomes tallies zero.
 
 The output digest covers each solved instance's `cli.instance_hash` and its
 realization, cost and split trace.
@@ -142,46 +139,17 @@ def corpus_documents(generate_document):
 
 
 def tally_probes(splitoff):
-    """Count probe outcomes by wrapping split-off's module-level names."""
-    tally = {"cut_refused": 0, "degree_admitted": 0, "flow_refused": 0, "passed": 0}
-    cuts = []
-    active = [None]
-    amount, flow, hold = splitoff.admissible_amount, splitoff.max_flow, splitoff._demands_hold
+    """Sum the probe outcomes each activation records in `state.outcomes`,
+    by wrapping `splitoff.split_node`; a tree that records none tallies 0."""
+    tally = dict.fromkeys(("cut_refused", "degree_admitted", "flow_refused", "passed"), 0)
+    split_node = splitoff.split_node
 
-    def counted_flow(graph, sources, sink, *rest):
-        result = flow(graph, sources, sink, *rest)
-        # check flows never touch the active node; the merged cut ends there.
-        # graph.nodes[sink] is the active node as `state.active` holds it, a
-        # name where the graph holds names and an index where it does not
-        if graph.nodes[sink] == active[0]:
-            cuts.append(result)
-        return result
+    def counted(state):
+        split_node(state)
+        for key, n in getattr(state, "outcomes", {}).items():
+            tally[key] += n
 
-    def counted_hold(state, safe, *split):
-        held = hold(state, safe, *split)
-        tally["passed" if held else "flow_refused"] += 1
-        return held
-
-    def counted_amount(state, u, w):
-        active[0] = state.active
-        cuts.clear()
-        zu, zw = state.graph.capacity(state.active, u), state.graph.capacity(state.active, w)
-        cap = min(zu, zw)
-        got = amount(state, u, w)
-        if cuts:
-            # the side is one byte per node index, as the demands index it
-            mu, side = cuts[0]
-            crossing = max((r for x, y, r in state.demands if side[x] != side[y]), default=0)
-            if (mu - crossing) // 2 < cap:
-                tally["cut_refused"] += 1
-        elif got == cap:
-            # no merged cut ran, and every check flow comes after one
-            tally["degree_admitted"] += 1
-        return got
-
-    splitoff.admissible_amount = counted_amount
-    splitoff.max_flow = counted_flow
-    splitoff._demands_hold = counted_hold
+    splitoff.split_node = counted
     return tally
 
 

@@ -271,21 +271,17 @@ def _diag(message):
     print(message, file=sys.stderr)
 
 
-def _load_instance(path):
+def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_instance(fh.read())
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_realization(path):
     """Read a realization file: either a bare entry list or a solve document."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    text = _read(path)
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -311,7 +307,7 @@ def _load_realization(path):
 
 
 def _cmd_solve(args):
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_read(args.instance))
     solution = (solve_and_check if args.check else solve)(instance)
     if args.trace:
         for node, u, w, amount in solution.trace:
@@ -335,7 +331,7 @@ def _cmd_solve(args):
 
 
 def _cmd_bound(args):
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_read(args.instance))
     doc = {
         "status": "ok",
         "instance_hash": instance_hash(instance),
@@ -358,7 +354,7 @@ def _comma_list(raw):
 
 
 def _cmd_join(args):
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_read(args.instance))
     # ParityInstance refuses unknown and overlapping nodes with a ValueError
     parity = ParityInstance(instance.tree, _comma_list(args.even), _comma_list(args.odd))
     result = min_cost_ij_join(parity)
@@ -376,7 +372,7 @@ def _cmd_join(args):
 
 
 def _cmd_verify(args):
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_read(args.instance))
     realization, declared_hash = _load_realization(args.realization)
     if declared_hash is not None and declared_hash != instance_hash(instance):
         _diag(

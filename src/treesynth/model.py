@@ -114,7 +114,6 @@ class MetricTree:
 
         adj = {v: {} for v in self.nodes}
         lengths = {}
-        order = []
         for u, v, raw in edges:
             if u not in node_set or v not in node_set:
                 raise UnknownNode(f"edge {u!r}-{v!r} has an endpoint outside the node list")
@@ -129,10 +128,9 @@ class MetricTree:
             lengths[e] = length
             adj[u][v] = length
             adj[v][u] = length
-            order.append(e)
-        if len(order) != len(self.nodes) - 1:
+        if len(lengths) != len(self.nodes) - 1:
             raise InvalidInstance(
-                f"{len(self.nodes)} nodes need {len(self.nodes) - 1} edges, got {len(order)}"
+                f"{len(self.nodes)} nodes need {len(self.nodes) - 1} edges, got {len(lengths)}"
             )
         # edge count is right, so connectivity alone rules out cycles
         parent = {root: None}
@@ -147,7 +145,7 @@ class MetricTree:
         if len(parent) != len(self.nodes):
             raise InvalidInstance("edge list is disconnected")
 
-        self.edges = tuple(order)
+        self.edges = tuple(lengths)
         self.lengths = lengths
         self.scale = lcm(*(length.denominator for length in lengths.values()))
         self.units = {

@@ -72,8 +72,7 @@ def connectivity_snapshot(graph, active_node, joins):
     sort and no union-find: the replay gives the same checks, in the same
     order, as a Kruskal pass run at that activation.
     """
-    if active_node not in graph.nodes:
-        raise UnknownNode(f"unknown node {active_node!r}")
+    graph.degree(active_node)  # refuses what is not a node index of graph
     # component root -> one kept node of that component
     kept = {v: v for v, d in graph.degrees() if d > 0 and v != active_node}
     checks = []
@@ -98,15 +97,16 @@ class SplitState:
     none. A split at the active node changes no other node's degree, so the
     checks are the same whenever they are first read.
     `events` records executed splits as (u, w, amount) triples in order.
+    `outcomes` counts, by kind, how `admissible_amount` settled its probes.
     """
 
     def __init__(self, graph, active_node, joins):
-        if active_node not in graph.nodes:
-            raise UnknownNode(f"unknown node {active_node!r}")
+        graph.degree(active_node)  # refuses what is not a node index of graph
         self.graph = graph
         self.active = active_node
         self.joins = joins
         self.events = []
+        self.outcomes = dict.fromkeys(("cut_refused", "degree_admitted", "flow_refused", "passed"), 0)
 
     @cached_property
     def demands(self):
@@ -162,7 +162,9 @@ def admissible_amount(state, u, w):
     One bisection then searches (lo, top], top = min(cap, (mu - R) // 2) and
     lo = max(0, min(free, top)). It probes top first, which most pairs pass,
     and never an amount at or below free, since each of those passes with no
-    flow.
+    flow. `state.outcomes` counts each settlement: a pair split whole by
+    degree, a merged cut that refuses an amount cap allows, and each check
+    round by its answer.
     """
     graph, s = state.graph, state.active
     if u == s or w == s:
@@ -177,16 +179,21 @@ def admissible_amount(state, u, w):
     cap = min(zu, zw)
     free = zu + zw - graph.degree(s) // 2
     if free >= cap:
+        state.outcomes["degree_admitted"] += 1
         return cap
     mu, side = max_flow(graph, (u, w), s)
     crossing = max((r for x, y, r in state.demands if side[x] != side[y]), default=0)
     top = min(cap, (mu - crossing) // 2)
+    if top < cap:
+        state.outcomes["cut_refused"] += 1
     lo, hi = max(0, min(free, top)), top
     amount = top
     while lo < hi:
         if _demands_hold(state, mu - 2 * amount, u, w, amount):
+            state.outcomes["passed"] += 1
             lo = amount
         else:
+            state.outcomes["flow_refused"] += 1
             hi = amount - 1
         amount = (lo + hi + 1) // 2
     return lo

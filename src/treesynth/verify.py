@@ -75,12 +75,11 @@ def verify_realization(instance, realization):
     """
     terminals = instance.terminals
     index = {t: i for i, t in enumerate(terminals)}
-    spanned = {}
+    graph = CapacitatedMultigraph(len(terminals))
     for (u, v), c in realization.items():
         if u not in index or v not in index:
             raise UnknownNode(f"{u!r}-{v!r} is not a terminal pair")
-        spanned[index[u], index[v]] = c
-    graph = CapacitatedMultigraph(len(terminals), spanned)
+        graph.set_capacity(index[u], index[v], c)
     # terminal index -> the label of its held class: the terminals joined to
     # it by forest pairs whose flow reached r
     held = list(range(len(terminals)))

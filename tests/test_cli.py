@@ -144,6 +144,12 @@ class TestParseInstance:
         with pytest.raises(ParseError):
             parse_instance(json.dumps(doc))
 
+    def test_rejects_a_terminal_list_that_is_not_a_list(self):
+        doc = json.loads(doc_text(star_instance({("a", "b"): 2})))
+        doc["terminals"] = "t0"
+        with pytest.raises(ParseError, match="^terminals: expected a list$"):
+            parse_instance(json.dumps(doc))
+
 
 # Bad entries for the pair lists. Each case maps the entry it replaces and the
 # list's (endpoint, endpoint, value) keys to the entries put in its place; a

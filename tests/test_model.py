@@ -512,6 +512,16 @@ class TestInstance:
         assert set(instance.tree.edges) == {("a", "m"), ("b", "m")}
         assert instance.tree.distance("a", "b") == 2
 
+    def test_direct_instance_requires_terminals(self):
+        tree = MetricTree(["a"], [], "a")
+        with pytest.raises(InvalidInstance, match="^at least one terminal is required$"):
+            Instance([], tree, RequirementMatrix())
+
+    def test_direct_instance_rejects_a_terminal_missing_from_the_tree(self):
+        tree = MetricTree(["a", "b"], [("a", "b", 1)], "a")
+        with pytest.raises(InvalidInstance, match="^terminal 'zz' is missing from the tree$"):
+            Instance(["a", "b", "zz"], tree, RequirementMatrix())
+
     def test_direct_instance_rejects_non_terminal_leaf(self):
         tree = MetricTree(["a", "b", "x"], [("a", "b", 1), ("b", "x", 1)], "a")
         with pytest.raises(InvalidInstance):

@@ -1,11 +1,12 @@
-"""The perf ladder's probe tally still binds to split-off's names.
+"""The perf ladder's probe tally reads what split-off records.
 
-`scripts/perf_ladder.py` rebinds `splitoff.admissible_amount`,
-`splitoff.max_flow` and `splitoff._demands_hold` to count probe outcomes;
-renaming one of them breaks the script's `--before` comparison, so this test
-loads the script and tallies one small solve. It also pins the pairs the
+`scripts/perf_ladder.py` wraps `splitoff.split_node` and sums the probe
+outcomes each activation records in `SplitState.outcomes`; renaming either
+breaks the script's tallies, so this test loads the script and tallies one
+small solve. It recounts, apart from split-off's record, the pairs the
 degree rule admits whole with no flow, the pairs the merged cut refuses,
-recounted from that cut stated in names, that the script's per-operation
+from that cut stated in names, and the check rounds, and pins that a tree
+recording no outcomes tallies zero, that the script's per-operation
 timing runs through the benchmark's loop, that its audit chain is the
 audit's worst case: every forest flow short and every pair a violation, and
 the shape of its `audit_intact` block.
@@ -15,6 +16,7 @@ import importlib.util
 import json
 import os
 import sys
+import types
 
 import pytest
 
@@ -26,7 +28,8 @@ from helpers import named_checks, set_flow
 PERF_LADDER = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "perf_ladder.py"
 )
-NAMES = ("admissible_amount", "max_flow", "_demands_hold")
+# the split-off names the tally test rebinds, its own and the script's
+NAMES = ("admissible_amount", "_demands_hold", "split_node")
 
 
 def load_perf_ladder():
@@ -65,7 +68,7 @@ def test_tally_counts_the_probes_of_a_solve():
         return originals["_demands_hold"](state, safe, *split)
 
     try:
-        # the tally wraps these counters, so both see the same calls
+        # the tally wraps split_node, which calls these counters: both see the same probes
         splitoff.admissible_amount, splitoff._demands_hold = counted_amount, counted_hold
         tally = load_perf_ladder().tally_probes(splitoff)
         solution = solver.solve(cli.parse_instance(text))
@@ -79,6 +82,13 @@ def test_tally_counts_the_probes_of_a_solve():
     assert tally["passed"] + tally["flow_refused"] == len(holds)
     assert tally["cut_refused"] == len(refused) > 0
     assert tally["cut_refused"] <= len(probes)
+
+
+def test_a_tree_that_records_no_outcomes_tallies_zero():
+    tree = types.SimpleNamespace(split_node=lambda state: None)
+    tally = load_perf_ladder().tally_probes(tree)
+    tree.split_node(object())
+    assert tally == {"cut_refused": 0, "degree_admitted": 0, "flow_refused": 0, "passed": 0}
 
 
 def test_calibrated_scales_each_operation(monkeypatch):

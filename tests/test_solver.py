@@ -39,6 +39,11 @@ LADDER_DIGESTS = {
 }
 # most max-flow runs a solve of each ladder instance may run
 LADDER_FLOW_BUDGETS = {(30, 10): 25, (60, 20): 52}
+# how split-off settled the probes of each ladder solve (`SplitState.outcomes`)
+LADDER_PROBES = {
+    (30, 10): {"cut_refused": 13, "degree_admitted": 20, "flow_refused": 0, "passed": 13},
+    (60, 20): {"cut_refused": 29, "degree_admitted": 34, "flow_refused": 0, "passed": 26},
+}
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -234,6 +239,21 @@ def test_ladder_solves_stay_within_their_flow_budget(terminals, inner, monkeypat
     monkeypatch.setattr(maxflow, "_augment", counted)
     solve(instance)
     assert len(calls) <= LADDER_FLOW_BUDGETS[(terminals, inner)]
+
+
+@pytest.mark.parametrize("terminals,inner", sorted(LADDER_PROBES))
+def test_ladder_solves_record_their_probe_outcomes(terminals, inner, monkeypatch):
+    states = []
+    split_node = splitoff.split_node
+
+    def recorded(state):
+        states.append(state)
+        split_node(state)
+
+    monkeypatch.setattr(splitoff, "split_node", recorded)
+    solve(random_instance(1, terminals=terminals, inner=inner))
+    expected = LADDER_PROBES[(terminals, inner)]
+    assert {key: sum(state.outcomes[key] for state in states) for key in expected} == expected
 
 
 def test_no_caller_reads_how_far_a_capped_flow_overshoots(monkeypatch):

@@ -211,9 +211,11 @@ class TestConnectivitySnapshot:
         assert connectivity_snapshot(g, S, tree_joins(g)) == []
 
     def test_unknown_exclude(self):
-        with pytest.raises(UnknownNode, match="unknown node 'zz'"):
-            connectivity_snapshot(CapacitatedMultigraph(2), "zz", [])
-        with pytest.raises(UnknownNode, match="unknown node 2"):
+        # the graph's node rule: an int index in range, a bool not included
+        for bad in ("zz", True, 1.0):
+            with pytest.raises(TypeError, match="nodes are int indices"):
+                connectivity_snapshot(CapacitatedMultigraph(2), bad, [])
+        with pytest.raises(UnknownNode, match="unknown node index 2"):
             connectivity_snapshot(CapacitatedMultigraph(2), 2, [])
 
     def test_reads_the_given_tree_edges_without_flows(self, monkeypatch):
@@ -233,9 +235,10 @@ class TestSplitState:
         assert len(checks) == 2 and {w for _, w in checks} == {2}
         assert {v for pair, _ in checks for v in pair} == {A, B, C}
         assert state.events == []
-        with pytest.raises(UnknownNode, match="unknown node 'zz'"):
-            SplitState(g, "zz", tree_joins(g))
-        with pytest.raises(UnknownNode, match="unknown node 4"):
+        for bad in ("zz", True, 1.0):
+            with pytest.raises(TypeError, match="nodes are int indices"):
+                SplitState(g, bad, tree_joins(g))
+        with pytest.raises(UnknownNode, match="unknown node index 4"):
             SplitState(g, 4, tree_joins(g))
 
     def test_demands_read_after_a_split_are_those_at_activation(self):

@@ -461,6 +461,14 @@ class TestBruteForceInsp:
         empty = star_instance({("a", "b"): 0, ("a", "c"): 0, ("b", "c"): 0})
         assert brute_force_insp(empty) == Realization({})
 
+    def test_cuts_with_no_requirement_are_skipped(self):
+        # only r(a, b) = 2: the cut {a, b} | {c} asks for nothing
+        instance = star_instance({("a", "b"): 2, ("a", "c"): 0})
+        assert instance.cut_requirement({"a", "b"}) == 0
+        best = brute_force_insp(instance)
+        assert best == Realization({("a", "b"): 2})
+        assert verify_realization(instance, best) == []
+
     def test_terminal_guard(self):
         with pytest.raises(TooLarge):
             brute_force_insp(uniform_star(6, 2))
